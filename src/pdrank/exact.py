@@ -9,7 +9,6 @@ over speed; sizes are guarded by explicit caps.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +20,6 @@ from .polyio import (
     SparsePoly,
     Term,
     exps_sub,
-    format_poly,
     subsumes,
     to_scaled,
 )
@@ -95,7 +93,6 @@ class DerivMatrix:
     cols: tuple[ExponentVector, ...]
     entries: tuple[dict[int, int], ...]
     clear_factor: int
-    provenance: tuple[str, str]
 
     @property
     def nrows(self) -> int:
@@ -113,12 +110,6 @@ class DerivMatrix:
                 dense_row[j] = v
             out.append(dense_row)
         return out
-
-
-def poly_digest(f: SparsePoly) -> str:
-    """Short stable identifier for provenance records."""
-    text = f.basis + "|" + format_poly(f)
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
 def derivative(f: SparsePoly, beta: ExponentVector) -> SparsePoly:
@@ -141,7 +132,6 @@ def derivative(f: SparsePoly, beta: ExponentVector) -> SparsePoly:
 def _materialize(
     scaled: SparsePoly,
     row_indices: list[ExponentVector],
-    spec_label: str,
     max_cols: int,
 ) -> DerivMatrix:
     """Assemble the integer matrix for a given sorted list of row multi-indices."""
@@ -168,7 +158,6 @@ def _materialize(
         cols=cols,
         entries=entries,
         clear_factor=clear,
-        provenance=(poly_digest(scaled), spec_label),
     )
 
 
@@ -199,7 +188,7 @@ def build_matrix(
             row_set.add(beta)
         if len(row_set) > max_rows:
             raise ResourceLimitError("rows", max_rows, len(row_set))
-    return _materialize(scaled, sorted(row_set), spec.label(), max_cols)
+    return _materialize(scaled, sorted(row_set), max_cols)
 
 
 def sparse_int_rank(

@@ -54,10 +54,6 @@ def exps_sub(alpha: ExponentVector, beta: ExponentVector) -> ExponentVector:
     return tuple(a - b for a, b in zip(alpha, beta))
 
 
-def exps_add(alpha: ExponentVector, beta: ExponentVector) -> ExponentVector:
-    return tuple(a + b for a, b in zip(alpha, beta))
-
-
 def factorial_product(exps: ExponentVector) -> int:
     """prod(e_i!) -- the scaling factor between the two coefficient bases."""
     out = 1

@@ -23,7 +23,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .combinat import binom
-from .errors import ResourceLimitError
+from .errors import InvariantViolation, ResourceLimitError
 from .exact import DEFAULT_ELIMINATION_BUDGET, sparse_int_rank
 from .polyio import SparsePoly
 
@@ -95,7 +95,7 @@ def sym_exact_dim(
     if cross_check:
         rank = sparse_int_rank(disjointness_matrix(n, d, k), budget=budget)
         if rank != value:
-            raise AssertionError(
+            raise InvariantViolation(
                 f"disjointness rank {rank} != closed form {value} for (n,d,k)=({n},{d},{k})"
             )
     return value

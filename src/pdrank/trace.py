@@ -15,9 +15,15 @@ traces reduce to sums over the terms of f:
             N(P, Q, R) * a_P * a_Q * a_R * a_{Q+R-P},
 
 where N(P, Q, R) counts the row indices I compatible with the triple and
-is itself a single binomial coefficient (see :func:`count_N`).  This makes
-the proxy rank Tr(B)^2/Tr(B^2) computable in time polynomial in the number
-of terms.  A cheaper closed-form bound L(f) <= proxy is also provided.
+is itself a single binomial coefficient (see :func:`count_N`).  A triple
+contributes only when D = R - P = S - Q (S = Q+R-P) is a {-1,0,1} vector,
+and N then depends only on D and the supports of P and Q outside D.  So
+:func:`trace_B2` groups the ordered term pairs by their difference D and
+pairs up pairs within each group: its cost is the s^2 term pairs plus the
+bucket pairings, not s^3, and it sums integers with the denominators
+cleared once.  This makes the proxy rank Tr(B)^2/Tr(B^2) computable in
+time polynomial in the number of terms.  A cheaper closed-form bound
+L(f) <= proxy is also provided.
 
 All formulas use scaled-basis coefficients; for non-multilinear input this
 matters, and reports expose the ordinary-coefficient variant as well.
@@ -31,7 +37,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .combinat import binom
+from .combinat import binom, lcm_all
 from .errors import ResourceLimitError
 from .exact import (
     DEFAULT_ELIMINATION_BUDGET,
@@ -134,57 +140,69 @@ def trace_B2(
     *,
     budget: int = DEFAULT_TRIPLE_BUDGET,
 ) -> Fraction:
-    """Tr(B^2) by the exact triple sum over ordered term triples.
+    """Tr(B^2): the triple sum of :func:`count_N`, grouped by pair difference.
 
-    Cost is cubic in the number of terms; ``budget`` caps the triple count.
+    A triple (P, Q, R) contributes only when D = R - P is a {-1,0,1} vector
+    with as many +1 as -1 entries and S = Q + D is a term (S >= 0 already
+    forces Q_i >= 1 where D_i = -1).  N(P, Q, R) is then
+    C(popcount(m_P & m_Q), k - #{D_i = -1}) with m_X = supp(X) minus supp(D).
+    Pass one visits the ordered pairs (P, R) of equal total degree and adds
+    a_P * a_R into w_D[m_P]; pass two sums w_D[m1] * w_D[m2] times that
+    binomial over the masks of each bucket.  Buckets with more than k
+    entries -1 are never built, as their binomial is zero.
+
+    Coefficients are scaled to integers by their common denominator L and
+    the integer total is divided by L^4 once.  ``budget`` caps each pass:
+    the ordered pairs visited (at most s^2) and the bucket pairings
+    sum_D |w_D|^2 (at most s^3).
     """
     _require_scaled(f, "trace_B2")
-    terms = f.terms
-    s = len(terms)
-    if s**3 > budget:
-        raise ResourceLimitError("triple-sum", budget, s**3)
-    coef_of = {t.exps: t.coef for t in terms}
-    exps_list = [t.exps for t in terms]
-    total = Fraction(0)
-    for p_exps, a_p in ((t.exps, t.coef) for t in terms):
-        for r_exps, a_r in ((t.exps, t.coef) for t in terms):
-            # The P-R filters do not involve Q; hoist them out of the inner loop.
-            ones = 0
-            negs = 0
-            bad = False
-            plus_pos: list[int] = []
-            zero_pos: list[int] = []
-            for i, (pi, ri) in enumerate(zip(p_exps, r_exps)):
-                d = pi - ri
-                if d == 0:
-                    if pi > 0:
-                        zero_pos.append(i)
-                elif d == 1:
-                    ones += 1
-                    plus_pos.append(i)
-                elif d == -1:
-                    negs += 1
+    clear = lcm_all(t.coef.denominator for t in f.terms)
+    by_degree: dict[int, list[tuple[ExponentVector, int, int]]] = {}
+    for t in f.terms:
+        mask = sum(1 << i for i, e in enumerate(t.exps) if e)
+        scaled_coef = t.coef.numerator * (clear // t.coef.denominator)
+        by_degree.setdefault(sum(t.exps), []).append((t.exps, mask, scaled_coef))
+    pairs = sum(len(group) ** 2 for group in by_degree.values())
+    if pairs > budget:
+        raise ResourceLimitError("triple-sum", budget, pairs)
+
+    # Equal total degree and steps in {-1,0,1} make the +1 and -1 counts equal.
+    buckets: dict[tuple[int, int], dict[int, int]] = {}
+    for group in by_degree.values():
+        for p_exps, p_mask, a_p in group:
+            for r_exps, _, a_r in group:
+                up = down = 0
+                bit = 1
+                for pi, ri in zip(p_exps, r_exps):
+                    if ri != pi:
+                        if ri == pi + 1:
+                            up |= bit
+                        elif ri == pi - 1:
+                            down |= bit
+                        else:
+                            break
+                    bit <<= 1
                 else:
-                    bad = True
-                    break
-            if bad or ones != negs:
-                continue
-            rp = tuple(ri - pi for pi, ri in zip(p_exps, r_exps))
-            a_pr = a_p * a_r
-            for q_exps in exps_list:
-                if any(q_exps[i] == 0 for i in plus_pos):
-                    continue
-                qrp = tuple(qi + d for qi, d in zip(q_exps, rp))
-                if any(x < 0 for x in qrp):
-                    continue
-                a_qrp = coef_of.get(qrp)
-                if a_qrp is None:
-                    continue
-                zeros = sum(1 for i in zero_pos if q_exps[i] > 0)
-                n_count = binom(zeros, k - ones)
-                if n_count:
-                    total += n_count * a_pr * coef_of[q_exps] * a_qrp
-    return total
+                    if down.bit_count() <= k:
+                        weights = buckets.setdefault((up, down), {})
+                        m = p_mask & ~(up | down)
+                        weights[m] = weights.get(m, 0) + a_p * a_r
+
+    pairings = sum(len(weights) ** 2 for weights in buckets.values())
+    if pairings > budget:
+        raise ResourceLimitError("triple-sum", budget, pairings)
+    n = len(f.vars)
+    total = 0
+    for (_, down), weights in buckets.items():
+        n_count = [binom(z, k - down.bit_count()) for z in range(n + 1)]
+        items = list(weights.items())
+        for m1, w1 in items:
+            inner = 0
+            for m2, w2 in items:
+                inner += w2 * n_count[(m1 & m2).bit_count()]
+            total += w1 * inner
+    return Fraction(total, clear**4)
 
 
 def proxy_rank(
@@ -271,7 +289,7 @@ def explicit_B_oracle(
         beta = tuple(1 if i in subset else 0 for i in range(n))
         if any(all(alpha[i] >= 1 for i in subset) for alpha in support):
             rows.append(beta)
-    matrix = _materialize(scaled, rows, f"multilinear k={k}", max_cols)
+    matrix = _materialize(scaled, rows, max_cols)
     ncols = matrix.ncols
     denom = matrix.clear_factor
     gram_int = [[0] * ncols for _ in range(ncols)]

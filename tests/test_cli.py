@@ -1,6 +1,7 @@
 """Command-line interface: reports, exit codes, determinism, config."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -249,3 +250,16 @@ def test_order_flag_restricts_candidates(capsys, poly_file):
     report = json.loads(out)
     # lex-max under permutation (x2, x1) picks x2^3; its profile at k=1 is 1
     assert report["bounds"]["extremal_lower"] == 1
+
+
+GOLDEN_DIR = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("command", ["bounds", "trace"])
+@pytest.mark.parametrize("name", ["rational", "sym_4_8", "multilinear40"])
+def test_reports_match_golden_bytes(capsys, name, command):
+    """Reports stay byte-identical to the recorded ones (regenerate only on purpose)."""
+    poly = GOLDEN_DIR / f"{name}.poly"
+    code, out, _ = run(capsys, command, str(poly), "--k", "2", "--format", "json")
+    assert code == 0
+    assert out == (GOLDEN_DIR / f"{name}.{command}_k2.json").read_text()

@@ -19,7 +19,8 @@ from pdrank import (
     trace_B,
     trace_B2,
 )
-from pdrank.errors import ResourceLimitError
+from pdrank import symmetric
+from pdrank.errors import InvariantViolation, ResourceLimitError
 from pdrank.symmetric import disjointness_matrix, sym_proxy, sym_upper_v
 
 
@@ -41,6 +42,15 @@ def test_sym_exact_dim_values():
     assert sym_exact_dim(6, 3, 0) == 1
     assert sym_exact_dim(6, 3, 3) == 1
     assert sym_exact_dim(8, 4, 2) == min(math.comb(8, 2), math.comb(8, 2))
+
+
+def test_sym_exact_dim_cross_check_failure_is_invariant_violation(monkeypatch):
+    def rank_deficient(n, d, k):
+        return [{0: 1}] * math.comb(n, k)
+
+    monkeypatch.setattr(symmetric, "disjointness_matrix", rank_deficient)
+    with pytest.raises(InvariantViolation, match="disjointness rank 1"):
+        sym_exact_dim(6, 3, 1, cross_check=True)
 
 
 def test_sym_exact_dim_symmetry_in_k():

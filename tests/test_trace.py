@@ -19,6 +19,7 @@ from pdrank import (
     semirandom_estimate,
     semirandom_expectation,
     sym_poly,
+    sym_trace_B2,
     to_scaled,
     trace_B,
     trace_B2,
@@ -28,6 +29,18 @@ from pdrank import (
 from pdrank.corpus import random_polys
 from pdrank.polyio import permute_vars, scale, support_size
 from pdrank.trace import semirandom_L
+
+
+def triple_sum_by_count_N(f_scaled, k: int) -> Fraction:
+    """Tr(B^2) by definition: sum of count_N * a_P * a_Q * a_R * a_{Q+R-P}."""
+    coef = {t.exps: t.coef for t in f_scaled.terms}
+    total = Fraction(0)
+    for p, q, r in product(coef, repeat=3):
+        n_count = count_N(p, q, r, k, coef)
+        if n_count:
+            s = tuple(qi + ri - pi for pi, qi, ri in zip(p, q, r))
+            total += n_count * coef[p] * coef[q] * coef[r] * coef[s]
+    return total
 
 
 def quadruple_count(f_scaled, k: int) -> int:
@@ -132,6 +145,23 @@ def test_traces_match_oracle_on_random_corpus():
             assert trace_B2(scaled, k) == oracle.stats.tr_b2
 
 
+def test_trace_b2_matches_count_n_triple_sum():
+    polys = random_polys(seed=75, count=60, max_vars=6, max_terms=12, max_degree=4)
+    # The corpus must exercise what the grouped integer sum handles specially.
+    assert any(not f.is_multilinear for f in polys)
+    assert any(len({t.coef.denominator for t in f.terms}) > 1 for f in polys)
+    for f in polys:
+        scaled = to_scaled(f)
+        max_sup = max(support_size(t.exps) for t in f.terms)
+        for k in range(max_sup + 2):
+            assert trace_B2(scaled, k) == triple_sum_by_count_N(scaled, k), (f, k)
+
+
+@pytest.mark.parametrize("n, d, k", [(9, 4, 3), (10, 5, 2)])
+def test_trace_b2_matches_sym_closed_form_large(n, d, k):
+    assert trace_B2(to_scaled(sym_poly(n, d)), k) == sym_trace_B2(n, d, k)
+
+
 def test_chain_L_proxy_rank_dim_upper():
     for f in random_polys(seed=72, count=12, max_vars=5, max_terms=6, max_degree=3):
         scaled = to_scaled(f)
@@ -220,6 +250,27 @@ def test_trace_b2_budget():
     with pytest.raises(ResourceLimitError) as err:
         trace_B2(to_scaled(f), 2, budget=10)
     assert err.value.what == "triple-sum"
+
+
+def test_trace_b2_budget_is_exact_work():
+    """The cap counts term pairs, then bucket pairings; equal work passes."""
+    f = to_scaled(sym_poly(8, 4))
+    pairs = 70 * 70  # one degree class of 70 terms
+    with pytest.raises(ResourceLimitError) as err:
+        trace_B2(f, 2, budget=pairs - 1)
+    assert (err.value.what, err.value.actual) == ("triple-sum", pairs)
+    # A difference D with j entries -1 (and j entries +1) pairs every term P
+    # covering its -1 positions and missing its +1 positions; the masks
+    # supp(P) minus supp(D) are the (4-j)-subsets of the other 8-2j variables.
+    pairings = sum(
+        math.comb(8, j) * math.comb(8 - j, j) * math.comb(8 - 2 * j, 4 - j) ** 2
+        for j in range(3)
+    )
+    assert pairings == 42420 > pairs
+    assert trace_B2(f, 2, budget=pairings) == sym_trace_B2(8, 4, 2)
+    with pytest.raises(ResourceLimitError) as err:
+        trace_B2(f, 2, budget=pairings - 1)
+    assert (err.value.what, err.value.actual) == ("triple-sum", pairings)
 
 
 def test_semirandom_single_monomial_constant():
