@@ -186,8 +186,8 @@ def build_matrix(
             gen = (b for b in all_sub_indices(t.exps) if sum(b) in orders)
         for beta in gen:
             row_set.add(beta)
-        if len(row_set) > max_rows:
-            raise ResourceLimitError("rows", max_rows, len(row_set))
+            if len(row_set) > max_rows:
+                raise ResourceLimitError("rows", max_rows, len(row_set))
     return _materialize(scaled, sorted(row_set), max_cols)
 
 

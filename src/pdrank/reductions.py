@@ -16,7 +16,11 @@ is verified against the exact rank oracle.
 
 from __future__ import annotations
 
+import os
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
+from itertools import combinations
 
 from .combinat import lcm_all
 from .errors import ResourceLimitError
@@ -95,53 +99,39 @@ def graph_complex(g: Graph) -> SimplicialComplex:
     return SimplicialComplex.make(g.n, (full - {u, v} for u, v in g.edges))
 
 
-def _facet_masks(sc: SimplicialComplex) -> list[int]:
-    return [sum(1 << (v - 1) for v in f) for f in sc.facets]
+def _face_marks(sc: SimplicialComplex, cap: int) -> bytearray:
+    """Byte per subset of the ground set, set to 1 exactly on the faces.
 
-
-def count_faces(sc: SimplicialComplex, *, cap: int = DEFAULT_GROUND_CAP) -> int:
-    """Number of nonempty subsets contained in some facet.
-
-    Uses per-facet subset enumeration with dedup when the facets are small
-    relative to the ground set, otherwise a single sweep of all subsets;
-    both are exponential, this just picks the cheaper one.
+    Each facet marks its nonempty submasks; the table is 2^ground bytes
+    whatever the facet sizes, so the ground cap bounds its memory.
     """
     if sc.ground > cap:
         raise ResourceLimitError("ground", cap, sc.ground)
-    masks = _facet_masks(sc)
-    if not masks:
-        return 0
-    per_facet_work = sum(1 << len(f) for f in sc.facets)
-    if per_facet_work < (1 << sc.ground):
-        seen: set[int] = set()
-        for m in masks:
-            sub = m
-            while sub:
-                seen.add(sub)
-                sub = (sub - 1) & m
-        return len(seen)
-    count = 0
-    for mask in range(1, 1 << sc.ground):
-        if any(mask | m == m for m in masks):
-            count += 1
-    return count
+    marks = bytearray(1 << sc.ground)
+    for f in sc.facets:
+        mask = sum(1 << (v - 1) for v in f)
+        sub = mask
+        while sub:
+            marks[sub] = 1
+            sub = (sub - 1) & mask
+    return marks
+
+
+def count_faces(sc: SimplicialComplex, *, cap: int = DEFAULT_GROUND_CAP) -> int:
+    """Number of nonempty subsets contained in some facet."""
+    return _face_marks(sc, cap).count(1)
 
 
 def enumerate_faces(
     sc: SimplicialComplex, *, cap: int = DEFAULT_GROUND_CAP
 ) -> list[frozenset[int]]:
     """All faces (nonempty subsets of facets), sorted by size then vertices."""
-    if sc.ground > cap:
-        raise ResourceLimitError("ground", cap, sc.ground)
-    seen: set[int] = set()
-    for m in _facet_masks(sc):
-        sub = m
-        while sub:
-            seen.add(sub)
-            sub = (sub - 1) & m
-    faces = [
-        frozenset(i + 1 for i in range(sc.ground) if mask >> i & 1) for mask in seen
-    ]
+    marks = _face_marks(sc, cap)
+    faces = []
+    mask = marks.find(1)
+    while mask != -1:
+        faces.append(frozenset(i + 1 for i in range(sc.ground) if mask >> i & 1))
+        mask = marks.find(1, mask + 1)
     faces.sort(key=lambda f: (len(f), tuple(sorted(f))))
     return faces
 
@@ -250,94 +240,53 @@ def verify_reduction(
     confirms the explicit basis has full rank 2 * faces.
     """
     if isinstance(obj, Graph):
-        g = obj
-        ind = count_independent_sets(g, cap=cap)
-        if g.m == 0:
-            return ReductionReport(
-                n=g.n,
-                m=0,
-                ind_count=ind,
-                face_count=0,
-                dim_plus=0,
-                identity_holds=None,
-                basis_verified=True,
-                note="identity not applicable: empty edge set gives the zero polynomial",
-            )
-        sc = graph_complex(g)
-        faces = count_faces(sc, cap=cap)
-        f = graph_to_poly(g)
+        ind: int | None = count_independent_sets(obj, cap=cap)
+        if obj.m:
+            sc, f = graph_complex(obj), graph_to_poly(obj)
+            note = "facets have n-2 elements (faces of dimension n-3 under the |X|-1 convention)"
+        else:
+            sc, f = SimplicialComplex.make(obj.n, ()), None
+            note = "identity not applicable: empty edge set gives the zero polynomial"
+    else:
+        if not obj.is_pure:
+            raise ValueError("complex must be pure")
+        sc, ind = obj, None
+        if obj.facets:
+            f, note = complex_to_poly(obj), ""
+        else:
+            f, note = None, "identity not applicable: empty complex gives the zero polynomial"
+    faces = count_faces(sc, cap=cap)
+    dim_plus, identity, basis_ok = 0, None, True
+    if f is not None:
         dim_plus = dim_partials(
             f, OrderSpec.interior(), max_rows=max_rows, max_cols=max_cols, budget=budget
         )
-        identity = dim_plus == 2 * faces and faces == 2**g.n - ind - 1
-        basis_ok = True
+        identity = dim_plus == 2 * faces and (ind is None or faces == 2**sc.ground - ind - 1)
         if check_basis:
             basis = partial_plus_basis(sc, cap=cap)
             basis_ok = poly_stack_rank(basis, budget=budget) == 2 * faces
-        return ReductionReport(
-            n=g.n,
-            m=g.m,
-            ind_count=ind,
-            face_count=faces,
-            dim_plus=dim_plus,
-            identity_holds=identity,
-            basis_verified=basis_ok,
-            note="facets have n-2 elements (faces of dimension n-3 under the |X|-1 convention)",
-        )
-    sc = obj
-    if not sc.is_pure:
-        raise ValueError("complex must be pure")
-    faces = count_faces(sc, cap=cap)
-    if not sc.facets:
-        return ReductionReport(
-            n=sc.ground,
-            m=0,
-            ind_count=None,
-            face_count=0,
-            dim_plus=0,
-            identity_holds=None,
-            basis_verified=True,
-            note="identity not applicable: empty complex gives the zero polynomial",
-        )
-    f = complex_to_poly(sc)
-    dim_plus = dim_partials(
-        f, OrderSpec.interior(), max_rows=max_rows, max_cols=max_cols, budget=budget
-    )
-    identity = dim_plus == 2 * faces
-    basis_ok = True
-    if check_basis:
-        basis = partial_plus_basis(sc, cap=cap)
-        basis_ok = poly_stack_rank(basis, budget=budget) == 2 * faces
     return ReductionReport(
         n=sc.ground,
         m=len(sc.facets),
-        ind_count=None,
+        ind_count=ind,
         face_count=faces,
         dim_plus=dim_plus,
         identity_holds=identity,
         basis_verified=basis_ok,
+        note=note,
     )
 
 
-def all_graphs(n: int):
-    """Every graph on [n], one per edge subset, in deterministic order."""
-    from itertools import combinations
-
+def all_graphs(n: int) -> Iterator[Graph]:
+    """Every graph on [n], one per edge subset; the i-th has edge bitmask i."""
     possible = list(combinations(range(1, n + 1), 2))
     for bits in range(1 << len(possible)):
-        edges = [possible[i] for i in range(len(possible)) if bits >> i & 1]
-        yield Graph.make(n, edges)
+        yield Graph.make(n, [e for i, e in enumerate(possible) if bits >> i & 1])
 
 
-def _verify_edge_bits(args: tuple[int, int, bool]) -> tuple[int, bool, bool]:
-    n, bits, check_basis = args
-    from itertools import combinations
-
-    possible = list(combinations(range(1, n + 1), 2))
-    edges = [possible[i] for i in range(len(possible)) if bits >> i & 1]
-    report = verify_reduction(Graph.make(n, edges), check_basis=check_basis)
-    ok = report.identity_holds is None or report.identity_holds
-    return bits, ok, report.basis_verified
+def _identity_and_basis_hold(g: Graph, check_basis: bool) -> tuple[bool, bool]:
+    report = verify_reduction(g, check_basis=check_basis)
+    return report.identity_holds is not False, report.basis_verified
 
 
 def exhaustive_verify(
@@ -349,20 +298,24 @@ def exhaustive_verify(
     """Check the identity for every edge set on [n]; returns a summary dict.
 
     Graphs with no edges are counted separately (the identity is not
-    applicable there).  With threads > 1 graphs are verified in worker
-    processes; results are merged in deterministic order.
+    applicable there).  Failures are listed by edge bitmask (see
+    ``all_graphs``).  With threads > 1, capped at the CPU count, graphs are
+    verified in worker processes; results are merged in deterministic order.
     """
-    from itertools import combinations
-
-    possible = list(combinations(range(1, n + 1), 2))
-    total = 1 << len(possible)
-    jobs = [(n, bits, check_basis) for bits in range(total)]
+    check = partial(_identity_and_basis_hold, check_basis=check_basis)
+    threads = min(threads, os.cpu_count() or 1)
     if threads > 1:
-        results = _parallel_map(_verify_edge_bits, jobs, threads)
+        results = _parallel_map(check, list(all_graphs(n)), threads)
     else:
-        results = [_verify_edge_bits(j) for j in jobs]
-    failures = sorted(bits for bits, ok, _ in results if not ok)
-    basis_failures = sorted(bits for bits, _, ok in results if not ok)
+        results = map(check, all_graphs(n))
+    failures: list[int] = []
+    basis_failures: list[int] = []
+    for bits, (ok, basis_ok) in enumerate(results):
+        if not ok:
+            failures.append(bits)
+        if not basis_ok:
+            basis_failures.append(bits)
+    total = 1 << (n * (n - 1) // 2)
     return {
         "n": n,
         "graphs_checked": total,

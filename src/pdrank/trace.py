@@ -240,13 +240,7 @@ def closed_form_L(f: SparsePoly, k: int) -> Fraction:
     """
     if f.is_zero:
         raise ValueError("closed_form_L is undefined for the zero polynomial")
-    num = Fraction(0)
-    sq = Fraction(0)
-    for t in f.terms:
-        c2 = t.coef * t.coef
-        num += binom(support_size(t.exps), k) * c2
-        sq += c2
-    return num / (len(f.terms) * sq)
+    return semirandom_L([t.exps for t in f.terms], [t.coef for t in f.terms], k)
 
 
 @dataclass(frozen=True)

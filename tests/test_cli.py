@@ -159,6 +159,7 @@ def test_random_corpus_roundtrip(capsys):
     [
         ("dim", "--k", "2", "/nonexistent/file.poly"),
         ("verify", "--exhaustive", "n=twelve"),
+        ("verify", "--exhaustive", "n=8"),
         ("sym", "gap", "--fixed", "d=3"),
     ],
 )
@@ -263,3 +264,20 @@ def test_reports_match_golden_bytes(capsys, name, command):
     code, out, _ = run(capsys, command, str(poly), "--k", "2", "--format", "json")
     assert code == 0
     assert out == (GOLDEN_DIR / f"{name}.{command}_k2.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("reduce", "graph", str(GOLDEN_DIR / "k3.graph")), "k3.reduce.json"),
+        (("reduce", "graph", str(GOLDEN_DIR / "graph6.graph")), "graph6.reduce.json"),
+        (("reduce", "complex", str(GOLDEN_DIR / "pure.complex")), "pure.reduce.json"),
+        (("reduce", "complex", str(GOLDEN_DIR / "empty.complex")), "empty.reduce.json"),
+        (("verify", "--exhaustive", "n=4", "--check-basis"), "exhaustive_n4.verify.json"),
+    ],
+)
+def test_reduction_reports_match_golden_bytes(capsys, argv, golden):
+    """reduce/verify reports stay byte-identical to the recorded ones."""
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == (GOLDEN_DIR / golden).read_text()

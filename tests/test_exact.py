@@ -239,6 +239,7 @@ def test_resource_caps_raise_structured_errors():
     with pytest.raises(ResourceLimitError) as err:
         build_matrix(f, OrderSpec.all_orders(), max_rows=10)
     assert err.value.what == "rows"
+    assert err.value.actual == 11  # checked as each row is added, not per term
     with pytest.raises(ResourceLimitError) as err:
         build_matrix(f, OrderSpec.all_orders(), max_cols=10)
     assert err.value.what == "cols"

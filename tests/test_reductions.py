@@ -19,7 +19,9 @@ from pdrank import (
     partial_plus_basis,
     verify_reduction,
 )
+from pdrank import reductions
 from pdrank.corpus import random_pure_complexes
+from pdrank.errors import ResourceLimitError
 from pdrank.reductions import all_graphs, enumerate_faces, exhaustive_verify, poly_stack_rank
 
 
@@ -89,10 +91,22 @@ def test_count_faces_edge_complement_identity():
 
 
 def test_count_faces_both_strategies_agree():
-    # overlapping facets: 7 + 7 - 3 shared nonempty subsets of {2, 3}
-    small_ground = SimplicialComplex.make(4, [[1, 2, 3], [2, 3, 4]])  # sweep path
-    large_ground = SimplicialComplex.make(10, [[1, 2, 3], [2, 3, 4]])  # subset path
+    # overlapping facets: 7 + 7 - 3 shared nonempty subsets of {2, 3}; unused
+    # ground vertices change nothing
+    small_ground = SimplicialComplex.make(4, [[1, 2, 3], [2, 3, 4]])
+    large_ground = SimplicialComplex.make(10, [[1, 2, 3], [2, 3, 4]])
     assert count_faces(small_ground) == count_faces(large_ground) == 11
+
+
+def test_count_faces_one_large_facet():
+    sc = SimplicialComplex.make(20, [range(1, 21)])
+    assert count_faces(sc) == 2**20 - 1
+
+
+def test_count_faces_ground_cap():
+    with pytest.raises(ResourceLimitError) as err:
+        count_faces(SimplicialComplex.make(25, [[1, 2]]))
+    assert err.value.what == "ground"
 
 
 def test_count_faces_monotone_under_added_facet():
@@ -190,6 +204,17 @@ def test_verify_reduction_complex_input():
     assert report.dim_plus == 2 * report.face_count
 
 
+def test_verify_reduction_graph_matches_its_complex():
+    for g in all_graphs(4):
+        if g.m == 0:
+            continue
+        via_graph = verify_reduction(g, check_basis=False)
+        via_complex = verify_reduction(graph_complex(g), check_basis=False)
+        assert via_graph.face_count == via_complex.face_count
+        assert via_graph.dim_plus == via_complex.dim_plus
+        assert via_graph.identity_holds is via_complex.identity_holds is True
+
+
 def test_exhaustive_identity_small():
     summary = exhaustive_verify(3)
     assert summary["graphs_checked"] == 8
@@ -203,9 +228,52 @@ def test_exhaustive_parallel_matches_serial():
     assert serial == parallel
 
 
+def test_exhaustive_lists_failures_by_edge_bitmask(monkeypatch):
+    monkeypatch.setattr(reductions, "dim_partials", lambda *a, **kw: 0)
+    monkeypatch.setattr(reductions, "poly_stack_rank", lambda *a, **kw: 0)
+    summary = exhaustive_verify(3, check_basis=True)
+    # the empty graph (bitmask 0) is not applicable and its basis is trivially fine
+    assert summary["identity_failures"] == list(range(1, 8))
+    assert summary["basis_failures"] == list(range(1, 8))
+    assert summary["all_hold"] is False
+
+
+def test_exhaustive_threads_capped_at_cpu_count(monkeypatch):
+    import concurrent.futures
+
+    seen = []
+
+    class RecordingExecutor:
+        """Runs the map in this process and records the requested pool size."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs, chunksize=1):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(reductions.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
+    summary = exhaustive_verify(3, threads=100000)
+    assert seen == [2]
+    assert summary == exhaustive_verify(3, threads=1)
+
+
 def test_all_graphs_enumeration_count():
     assert sum(1 for _ in all_graphs(3)) == 8
     assert sum(1 for _ in all_graphs(4)) == 64
+
+
+def test_all_graphs_index_is_edge_bitmask():
+    possible = list(combinations(range(1, 5), 2))
+    for bits, g in enumerate(all_graphs(4)):
+        assert g.edges == {e for i, e in enumerate(possible) if bits >> i & 1}
 
 
 def test_parse_graph_pipeline():
