@@ -17,6 +17,7 @@ from typing import Sequence
 from .exact import (
     DEFAULT_MAX_COLS,
     DEFAULT_MAX_ROWS,
+    DerivMatrix,
     OrderSpec,
     build_matrix,
 )
@@ -172,12 +173,15 @@ def upper_bound_linearity(
     *,
     max_rows: int = DEFAULT_MAX_ROWS,
     max_cols: int = DEFAULT_MAX_COLS,
+    matrix: DerivMatrix | None = None,
 ) -> int:
     """Upper bound on the order-k derivative dimension.
 
     Minimum of (a) the sum of single-monomial profiles (linearity of
     differentiation), (b) the number of distinct rows of the order-k
-    derivative matrix, and (c) the number of distinct columns.
+    derivative matrix, and (c) the number of distinct columns.  A caller
+    that also needs the rank passes the order-k matrix it built as
+    ``matrix``; otherwise it is built here under the caps.
     """
     if f.is_zero:
         return 0
@@ -190,7 +194,8 @@ def upper_bound_linearity(
             per_term += monomial_dim_profile(t.exps)[k]
     if k > f.degree:
         return 0
-    matrix = build_matrix(f, OrderSpec.exact(k), max_rows=max_rows, max_cols=max_cols)
+    if matrix is None:
+        matrix = build_matrix(f, OrderSpec.exact(k), max_rows=max_rows, max_cols=max_cols)
     row_vectors = {tuple(sorted(row.items())) for row in matrix.entries}
     col_vectors: dict[int, list[tuple[int, int]]] = {}
     for i, row in enumerate(matrix.entries):

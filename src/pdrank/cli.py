@@ -220,22 +220,18 @@ def build_bound_report(
     extremal = bounds_mod.lower_bound_extremal(
         f, k, orders=orders, vertex_trials=opts.vertex_trials, rng_seed=opts.seed
     )
-    upper = bounds_mod.upper_bound_linearity(
-        f, k, max_rows=opts.max_rows, max_cols=opts.max_cols
+    # One order-k matrix serves the linearity bound and the exact rank.
+    matrix = exact.build_matrix(
+        f, exact.OrderSpec.exact(k), max_rows=opts.max_rows, max_cols=opts.max_cols
     )
+    upper = bounds_mod.upper_bound_linearity(f, k, matrix=matrix)
     timings["bounds"] = time.monotonic() - t0
 
     exact_entry: dict = {"value": None, "status": "not-requested"}
     if with_exact:
         t0 = time.monotonic()
         try:
-            value = exact.dim_partials(
-                f,
-                exact.OrderSpec.exact(k),
-                max_rows=opts.max_rows,
-                max_cols=opts.max_cols,
-                budget=opts.elimination_budget,
-            )
+            value = exact.rank_exact(matrix, budget=opts.elimination_budget)
             exact_entry = {"value": value, "status": "computed"}
         except ResourceLimitError as err:
             exact_entry = {"value": None, "status": f"skipped:caps:{err.what}"}
@@ -430,8 +426,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if set(params) != {"n"}:
         raise ValueError("verify --exhaustive expects exactly n=<N>")
     n = int(params["n"])
-    if n < 3 or n > 7:
-        raise ValueError("exhaustive verification supports 3 <= n <= 7")
+    if n < 3 or n > 6:
+        raise ValueError("exhaustive verification supports 3 <= n <= 6")
     summary = reductions.exhaustive_verify(
         n, check_basis=args.check_basis, threads=opts.threads
     )

@@ -1,8 +1,14 @@
-"""Exact combinatorics helpers: binomials and bounded multi-index enumeration."""
+"""Exact combinatorics helpers: binomials and bounded multi-index enumeration.
+
+The sub-index enumerators are the inner loop of derivative-matrix assembly
+and run on ``itertools``: each index they yield costs O(n) work, and the
+candidates they discard are bounded as stated on each function.
+"""
 
 from __future__ import annotations
 
 import math
+from itertools import combinations, combinations_with_replacement, product
 from typing import Iterator
 
 
@@ -14,43 +20,31 @@ def binom(n: int, k: int) -> int:
 
 
 def sub_indices_of_order(alpha: tuple[int, ...], order: int) -> Iterator[tuple[int, ...]]:
-    """All beta with 0 <= beta_i <= alpha_i and sum(beta) == order, in lex order."""
+    """All beta with 0 <= beta_i <= alpha_i and sum(beta) == order, each once.
+
+    The order of the indices is unspecified.  For a 0/1 alpha they are the
+    ``order``-subsets of its support, one per subset.  Otherwise they are
+    the size-``order`` multisets over the support, minus those that take a
+    variable more often than alpha allows: at most C(s + order - 1, order)
+    candidates for a support of size s.
+    """
+    if order > sum(alpha):
+        return
     n = len(alpha)
-    # suffix_cap[i] = sum(alpha[i:]) lets us prune branches that cannot reach `order`
-    suffix_cap = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_cap[i] = suffix_cap[i + 1] + alpha[i]
-    beta = [0] * n
-
-    def rec(i: int, rem: int) -> Iterator[tuple[int, ...]]:
-        if rem > suffix_cap[i]:
-            return
-        if i == n:
+    support = [i for i, a in enumerate(alpha) if a]
+    multilinear = all(a == 1 for a in alpha if a)
+    pick = combinations if multilinear else combinations_with_replacement
+    for chosen in pick(support, order):
+        beta = [0] * n
+        for i in chosen:
+            beta[i] += 1
+        if multilinear or all(beta[i] <= alpha[i] for i in chosen):
             yield tuple(beta)
-            return
-        for b in range(min(alpha[i], rem) + 1):
-            beta[i] = b
-            yield from rec(i + 1, rem - b)
-        beta[i] = 0
-
-    return rec(0, order)
 
 
 def all_sub_indices(alpha: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """All beta with 0 <= beta_i <= alpha_i (componentwise), in lex order."""
-    n = len(alpha)
-    beta = [0] * n
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(beta)
-            return
-        for b in range(alpha[i] + 1):
-            beta[i] = b
-            yield from rec(i + 1)
-        beta[i] = 0
-
-    return rec(0)
+    return product(*(range(a + 1) for a in alpha))
 
 
 def lcm_all(values: Iterator[int] | list[int]) -> int:

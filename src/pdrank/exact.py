@@ -10,7 +10,8 @@ over speed; sizes are guarded by explicit caps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import sub
+from typing import Callable, Iterable
 
 from .combinat import all_sub_indices, lcm_all, sub_indices_of_order
 from .errors import ResourceLimitError
@@ -129,36 +130,46 @@ def derivative(f: SparsePoly, beta: ExponentVector) -> SparsePoly:
     return SparsePoly(f.vars, terms, SCALED)
 
 
-def _materialize(
+def assemble(
     scaled: SparsePoly,
-    row_indices: list[ExponentVector],
+    sub_indices: Callable[[ExponentVector], Iterable[ExponentVector]],
+    *,
+    max_rows: int,
     max_cols: int,
 ) -> DerivMatrix:
-    """Assemble the integer matrix for a given sorted list of row multi-indices."""
-    support = [(t.exps, t.coef) for t in scaled.terms]
+    """The derivative matrix whose rows are the multi-indices ``sub_indices`` gives.
+
+    One pass over the terms: a term a * x^alpha (a cleared to an integer)
+    puts a at column alpha - beta of row beta for each beta in
+    ``sub_indices(alpha)``, which must all satisfy beta <= alpha.  So the
+    work is one step per nonzero entry, plus sorting the labels.  Each row
+    gets its entries in term order.  ``max_rows`` is checked as each row is
+    added, ``max_cols`` after all rows are known, row by row in label order.
+    """
+    clear = lcm_all([t.coef.denominator for t in scaled.terms])
+    by_row: dict[ExponentVector, dict[ExponentVector, int]] = {}
+    for t in scaled.terms:
+        alpha = t.exps
+        a = t.coef.numerator * (clear // t.coef.denominator)
+        for beta in sub_indices(alpha):
+            row = by_row.get(beta)
+            if row is None:
+                if len(by_row) >= max_rows:
+                    raise ResourceLimitError("rows", max_rows, len(by_row) + 1)
+                row = by_row[beta] = {}
+            row[tuple(map(sub, alpha, beta))] = a
+    rows = sorted(by_row)
     col_set: set[ExponentVector] = set()
-    row_pairs: list[list[tuple[ExponentVector, Fraction]]] = []
-    for beta in row_indices:
-        pairs = [
-            (exps_sub(alpha, beta), a) for alpha, a in support if subsumes(beta, alpha)
-        ]
-        col_set.update(g for g, _ in pairs)
+    for beta in rows:
+        col_set.update(by_row[beta])
         if len(col_set) > max_cols:
             raise ResourceLimitError("cols", max_cols, len(col_set))
-        row_pairs.append(pairs)
     cols = tuple(sorted(col_set))
     col_index = {g: i for i, g in enumerate(cols)}
-    clear = lcm_all([t.coef.denominator for t in scaled.terms])
     entries = tuple(
-        {col_index[g]: a.numerator * (clear // a.denominator) for g, a in pairs}
-        for pairs in row_pairs
+        {col_index[g]: a for g, a in by_row[beta].items()} for beta in rows
     )
-    return DerivMatrix(
-        rows=tuple(row_indices),
-        cols=cols,
-        entries=entries,
-        clear_factor=clear,
-    )
+    return DerivMatrix(rows=tuple(rows), cols=cols, entries=entries, clear_factor=clear)
 
 
 def build_matrix(
@@ -171,24 +182,25 @@ def build_matrix(
     """Materialize the derivative matrix for the requested orders.
 
     Rows are exactly the multi-indices with a nonzero derivative (those
-    dividing some term), so no zero row or column is ever stored.
+    dividing some term), so no zero row or column is ever stored.  The
+    cost is linear in the number of nonzero entries (see :func:`assemble`).
     """
     if f.is_zero:
         raise ValueError("derivative matrix of the zero polynomial")
     scaled = f if f.basis == SCALED else to_scaled(f)
-    degree = scaled.degree
-    orders = spec.orders(degree)
-    row_set: set[ExponentVector] = set()
-    for t in scaled.terms:
-        if len(orders) == 1:
-            gen = sub_indices_of_order(t.exps, orders[0])
-        else:
-            gen = (b for b in all_sub_indices(t.exps) if sum(b) in orders)
-        for beta in gen:
-            row_set.add(beta)
-            if len(row_set) > max_rows:
-                raise ResourceLimitError("rows", max_rows, len(row_set))
-    return _materialize(scaled, sorted(row_set), max_cols)
+    orders = spec.orders(scaled.degree)
+    if len(orders) == 1:
+        k = orders[0]
+
+        def sub_indices(alpha):
+            return sub_indices_of_order(alpha, k)
+
+    else:
+
+        def sub_indices(alpha):
+            return (b for b in all_sub_indices(alpha) if sum(b) in orders)
+
+    return assemble(scaled, sub_indices, max_rows=max_rows, max_cols=max_cols)
 
 
 def sparse_int_rank(

@@ -19,21 +19,22 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from itertools import combinations
+from operator import sub
 
-from .combinat import lcm_all
+from .combinat import all_sub_indices, lcm_all
 from .errors import ResourceLimitError
 from .exact import (
     DEFAULT_ELIMINATION_BUDGET,
     DEFAULT_MAX_COLS,
     DEFAULT_MAX_ROWS,
     OrderSpec,
-    derivative,
     dim_partials,
     sparse_int_rank,
 )
-from .polyio import Graph, SimplicialComplex, SparsePoly, to_ordinary, to_scaled
+from .polyio import ORDINARY, Graph, SimplicialComplex, SparsePoly, Term
 
 DEFAULT_GROUND_CAP = 24
 
@@ -180,24 +181,28 @@ def partial_plus_basis(
 
     For each face F: the monomial prod_{j in F} X_j, and the derivative of
     the complex polynomial with respect to all X_j, j in F.  Monomials
-    first, then derivatives, faces in sorted order.
+    first, then derivatives, faces in sorted order.  The derivatives are
+    built in one pass over the facet terms: each term lands, with X_F
+    divided out, in the derivative of every face F it contains.
     """
     f = complex_to_poly(sc)
-    faces = enumerate_faces(sc, cap=cap)
     nvars = len(f.vars)
-    out: list[SparsePoly] = []
-    for face in faces:
-        exps = [0] * nvars
-        for v in face:
-            exps[v - 1] = 1
-        out.append(SparsePoly.from_terms(f.vars, [(tuple(exps), 1)]))
-    scaled = to_scaled(f)
-    for face in faces:
-        beta = tuple(
-            1 if i < sc.ground and (i + 1) in face else 0 for i in range(nvars)
-        )
-        out.append(to_ordinary(derivative(scaled, beta)))
-    return out
+    # X_F as an exponent vector: the monomial, and the derivative's multi-index
+    face_exps = [
+        tuple(1 if i < sc.ground and (i + 1) in face else 0 for i in range(nvars))
+        for face in enumerate_faces(sc, cap=cap)
+    ]
+    # f is multilinear, so its scaled and ordinary coefficients agree.
+    pad = (0,) * (nvars - sc.ground)
+    by_face: dict[tuple[int, ...], list[Term]] = {}
+    for t in f.terms:
+        for face_x in all_sub_indices(t.exps[: sc.ground]):
+            beta = face_x + pad
+            by_face.setdefault(beta, []).append(Term(t.coef, tuple(map(sub, t.exps, beta))))
+    one = Fraction(1)
+    monomials = [SparsePoly(f.vars, (Term(one, beta),), ORDINARY) for beta in face_exps]
+    derivatives = [SparsePoly(f.vars, tuple(by_face[beta]), ORDINARY) for beta in face_exps]
+    return monomials + derivatives
 
 
 def poly_stack_rank(

@@ -34,17 +34,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Sequence
 
-from .combinat import binom, lcm_all
+from .combinat import binom, lcm_all, sub_indices_of_order
 from .errors import ResourceLimitError
 from .exact import (
     DEFAULT_ELIMINATION_BUDGET,
     DEFAULT_MAX_COLS,
     DEFAULT_MAX_ROWS,
     DerivMatrix,
-    _materialize,
+    assemble,
     sparse_int_rank,
 )
 from .polyio import (
@@ -267,9 +266,10 @@ def explicit_B_oracle(
 ) -> ExplicitOracle:
     """Materialize M restricted to 0/1 multi-indices of weight k, and B.
 
-    Row candidates are all C(n, k) k-subsets of the variables; rows whose
-    derivative vanishes are dropped (they contribute nothing to the traces
-    or the rank).  B, its traces, and rank(B) are computed directly.
+    The rows of a term x^alpha are the k-subsets of its support; rows whose
+    derivative vanishes never appear (they contribute nothing to the traces
+    or the rank).  C(n, k) bounds the row count and is checked against
+    ``max_rows`` up front.  B, its traces, and rank(B) are computed directly.
     """
     if f.is_zero:
         raise ValueError("oracle is undefined for the zero polynomial")
@@ -277,13 +277,12 @@ def explicit_B_oracle(
     n = len(scaled.vars)
     if binom(n, k) > max_rows:
         raise ResourceLimitError("rows", max_rows, binom(n, k))
-    support = [t.exps for t in scaled.terms]
-    rows: list[ExponentVector] = []
-    for subset in combinations(range(n), k):
-        beta = tuple(1 if i in subset else 0 for i in range(n))
-        if any(all(alpha[i] >= 1 for i in subset) for alpha in support):
-            rows.append(beta)
-    matrix = _materialize(scaled, rows, max_cols)
+    matrix = assemble(
+        scaled,
+        lambda alpha: sub_indices_of_order(tuple(min(a, 1) for a in alpha), k),
+        max_rows=max_rows,
+        max_cols=max_cols,
+    )
     ncols = matrix.ncols
     denom = matrix.clear_factor
     gram_int = [[0] * ncols for _ in range(ncols)]

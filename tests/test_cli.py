@@ -159,6 +159,7 @@ def test_random_corpus_roundtrip(capsys):
     [
         ("dim", "--k", "2", "/nonexistent/file.poly"),
         ("verify", "--exhaustive", "n=twelve"),
+        ("verify", "--exhaustive", "n=7"),
         ("verify", "--exhaustive", "n=8"),
         ("sym", "gap", "--fixed", "d=3"),
     ],
@@ -185,7 +186,7 @@ def test_resource_cap_exit_3(capsys, poly_file):
 
 def test_invariant_violation_exit_4(capsys, poly_file, monkeypatch):
     # force a wrong exact value so the report self-check trips
-    monkeypatch.setattr(cli.exact, "dim_partials", lambda *a, **kw: 0)
+    monkeypatch.setattr(cli.exact, "rank_exact", lambda *a, **kw: 0)
     path = poly_file("x1*x2 + x3")
     code, _, err = run(capsys, "dim", "--k", "1", path)
     assert code == 4
@@ -256,7 +257,7 @@ def test_order_flag_restricts_candidates(capsys, poly_file):
 GOLDEN_DIR = Path(__file__).parent / "data"
 
 
-@pytest.mark.parametrize("command", ["bounds", "trace"])
+@pytest.mark.parametrize("command", ["bounds", "trace", "dim"])
 @pytest.mark.parametrize("name", ["rational", "sym_4_8", "multilinear40"])
 def test_reports_match_golden_bytes(capsys, name, command):
     """Reports stay byte-identical to the recorded ones (regenerate only on purpose)."""
@@ -274,10 +275,20 @@ def test_reports_match_golden_bytes(capsys, name, command):
         (("reduce", "complex", str(GOLDEN_DIR / "pure.complex")), "pure.reduce.json"),
         (("reduce", "complex", str(GOLDEN_DIR / "empty.complex")), "empty.reduce.json"),
         (("verify", "--exhaustive", "n=4", "--check-basis"), "exhaustive_n4.verify.json"),
+        (("dim", "--mode", "star", str(GOLDEN_DIR / "rational.poly")), "rational.dim_star.json"),
+        (("dim", "--mode", "plus", str(GOLDEN_DIR / "rational.poly")), "rational.dim_plus.json"),
+        (
+            ("dim", "--mode", "star", str(GOLDEN_DIR / "multilinear40.poly")),
+            "multilinear40.dim_star.json",
+        ),
+        (
+            ("dim", "--mode", "plus", str(GOLDEN_DIR / "multilinear40.poly")),
+            "multilinear40.dim_plus.json",
+        ),
     ],
 )
 def test_reduction_reports_match_golden_bytes(capsys, argv, golden):
-    """reduce/verify reports stay byte-identical to the recorded ones."""
+    """reduce/verify and dim --mode reports stay byte-identical to the recorded ones."""
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert out == (GOLDEN_DIR / golden).read_text()

@@ -1,6 +1,8 @@
 """Exact derivative matrices and rational rank, checked against naive oracles."""
 
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdrank import (
+    DerivMatrix,
     OrderSpec,
     ResourceLimitError,
     SparsePoly,
@@ -20,6 +23,8 @@ from pdrank import (
     to_ordinary,
     to_scaled,
 )
+from pdrank import exact
+from pdrank.combinat import all_sub_indices, lcm_all, sub_indices_of_order
 from pdrank.corpus import random_homogeneous_polys, random_polys
 from pdrank.polyio import permute_vars, scale
 
@@ -91,6 +96,106 @@ def test_build_matrix_three_rows_rank_three():
     m = build_matrix(f, OrderSpec.exact(1))
     assert m.nrows == 3 and m.ncols == 3
     assert rank_exact(m) == 3
+
+
+def row_scan_matrix(f: SparsePoly, spec: OrderSpec) -> DerivMatrix:
+    """Reference assembly: every row multi-index checked against every term.
+
+    Rows are the sub-indices of the requested orders of some term, sorted;
+    each row is filled by scanning the terms in order.
+    """
+    scaled = to_scaled(f)
+    orders = spec.orders(scaled.degree)
+    rows = sorted(
+        {
+            beta
+            for t in scaled.terms
+            for beta in itertools.product(*(range(a + 1) for a in t.exps))
+            if sum(beta) in orders
+        }
+    )
+    clear = lcm_all([t.coef.denominator for t in scaled.terms])
+    row_pairs = [
+        [
+            (tuple(a - b for a, b in zip(t.exps, beta)), t.coef)
+            for t in scaled.terms
+            if all(b <= a for b, a in zip(beta, t.exps))
+        ]
+        for beta in rows
+    ]
+    cols = tuple(sorted({g for pairs in row_pairs for g, _ in pairs}))
+    col_index = {g: i for i, g in enumerate(cols)}
+    entries = tuple(
+        {col_index[g]: a.numerator * (clear // a.denominator) for g, a in pairs}
+        for pairs in row_pairs
+    )
+    return DerivMatrix(tuple(rows), cols, entries, clear)
+
+
+def test_build_matrix_matches_row_scan_reference():
+    polys = random_polys(seed=81, count=40, max_vars=5, max_terms=8, max_degree=5)
+    polys += random_homogeneous_polys(seed=82, count=10, max_vars=5, max_terms=8)
+    assert any(not f.is_multilinear for f in polys)
+    assert any(f.is_multilinear and f.degree >= 2 for f in polys)
+    for f in polys:
+        specs = [OrderSpec.all_orders()]
+        specs += [OrderSpec.exact(k) for k in range(f.degree + 2)]
+        if f.degree >= 2:
+            specs.append(OrderSpec.interior())
+        for spec in specs:
+            got, want = build_matrix(f, spec), row_scan_matrix(f, spec)
+            assert got == want, (f, spec)
+            # dict insertion order too: each row lists its entries in term order
+            assert [list(r.items()) for r in got.entries] == [
+                list(r.items()) for r in want.entries
+            ]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_sub_index_enumerators_match_brute_force(seed):
+    rng = random.Random(seed)
+    for _ in range(40):
+        n = rng.randint(0, 6)
+        top = 1 if rng.random() < 0.4 else 4
+        alpha = tuple(rng.randint(0, top) for _ in range(n))
+        box = list(itertools.product(*(range(a + 1) for a in alpha)))
+        assert list(all_sub_indices(alpha)) == box  # lex order
+        for k in range(sum(alpha) + 3):
+            got = list(sub_indices_of_order(alpha, k))
+            assert len(got) == len(set(got))
+            assert set(got) == {b for b in box if sum(b) == k}, (alpha, k)
+
+
+def test_sub_indices_above_the_degree_are_empty_at_once():
+    # Walking the candidates here would not finish: C(10^4 + 2, 2) multisets.
+    assert list(sub_indices_of_order((3, 2, 1), 10**4)) == []
+    assert list(sub_indices_of_order((1, 1, 0, 1), 10**4)) == []
+
+
+def test_build_matrix_work_is_one_step_per_nonzero(monkeypatch):
+    """Every sub-index drawn lands exactly one matrix entry: work == nnz."""
+    rng = random.Random(3)
+    items = {}
+    while len(items) < 100:
+        exps = [0] * 14
+        for i in rng.sample(range(14), 2 + len(items) % 5):
+            exps[i] = 1
+        items[tuple(exps)] = Fraction(rng.randint(1, 9), rng.randint(1, 10))
+    f = SparsePoly.from_terms([f"x{i}" for i in range(1, 15)], items.items())
+    drawn = 0
+
+    def counting(alpha, order):
+        nonlocal drawn
+        for beta in sub_indices_of_order(alpha, order):
+            drawn += 1
+            yield beta
+
+    monkeypatch.setattr(exact, "sub_indices_of_order", counting)
+    for k in (1, 2, 3):
+        drawn = 0
+        m = build_matrix(f, OrderSpec.exact(k))
+        nnz = sum(len(row) for row in m.entries)
+        assert drawn == nnz == sum(math.comb(sum(t.exps), k) for t in f.terms)
 
 
 def test_rank_identity_and_duplicate_rows():
@@ -242,7 +347,10 @@ def test_resource_caps_raise_structured_errors():
     assert err.value.actual == 11  # checked as each row is added, not per term
     with pytest.raises(ResourceLimitError) as err:
         build_matrix(f, OrderSpec.all_orders(), max_cols=10)
-    assert err.value.what == "cols"
+    assert (err.value.what, err.value.actual) == ("cols", 11)  # checked row by row
+    with pytest.raises(ResourceLimitError) as err:  # both overflow: rows first
+        build_matrix(f, OrderSpec.all_orders(), max_rows=10, max_cols=10)
+    assert (err.value.what, err.value.actual) == ("rows", 11)
     big = [{j: j + i + 1 for j in range(40)} for i in range(40)]
     with pytest.raises(ResourceLimitError) as err:
         sparse_int_rank(big, budget=100)

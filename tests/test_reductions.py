@@ -11,12 +11,15 @@ from pdrank import (
     complex_to_poly,
     count_faces,
     count_independent_sets,
+    derivative,
     dim_partials,
     graph_complex,
     graph_to_poly,
     parse_complex,
     parse_graph,
     partial_plus_basis,
+    to_ordinary,
+    to_scaled,
     verify_reduction,
 )
 from pdrank import reductions
@@ -170,6 +173,23 @@ def test_partial_plus_basis_full_rank_and_dims_random():
         f = complex_to_poly(sc)
         assert dim_partials(f, OrderSpec.interior()) == 2 * faces
         assert dim_partials(f, OrderSpec.all_orders()) == 2 * faces + 2
+
+
+def test_partial_plus_basis_matches_face_derivatives():
+    """The term-first basis equals one derivative per face, polynomial by polynomial."""
+    complexes = random_pure_complexes(seed=37, count=15, max_ground=7, max_facets=6)
+    complexes += [graph_complex(g) for g in all_graphs(4) if g.m]
+    for sc in complexes:
+        scaled = to_scaled(complex_to_poly(sc))
+        faces = enumerate_faces(sc)
+        nvars = len(scaled.vars)
+        expected = [
+            to_ordinary(
+                derivative(scaled, tuple(int(i + 1 in face) for i in range(nvars)))
+            )
+            for face in faces
+        ]
+        assert partial_plus_basis(sc)[len(faces) :] == expected
 
 
 def test_verify_reduction_k3():

@@ -9,6 +9,7 @@ import pytest
 from pdrank import (
     OrderSpec,
     ResourceLimitError,
+    build_matrix,
     closed_form_L,
     count_N,
     dim_partials,
@@ -133,6 +134,29 @@ def test_trace_b2_matches_quadruple_count_for_01_polys():
         f = to_scaled(parse_poly(text))
         for k in range(0, 3):
             assert trace_B2(f, k) == quadruple_count(f, k), (text, k)
+
+
+def _labelled_rows(matrix):
+    return {
+        matrix.rows[i]: {matrix.cols[j]: v for j, v in row.items()}
+        for i, row in enumerate(matrix.entries)
+    }
+
+
+def test_oracle_matrix_is_the_01_part_of_the_derivative_matrix():
+    polys = random_polys(seed=73, count=20, max_vars=5, max_terms=6, max_degree=3)
+    assert any(f.is_multilinear for f in polys)
+    assert any(not f.is_multilinear for f in polys)
+    for f in polys:
+        for k in range(f.degree + 1):
+            oracle = explicit_B_oracle(f, k).matrix
+            full = build_matrix(f, OrderSpec.exact(k))
+            # rows sorted, as for every DerivMatrix: the 0/1 rows of the full matrix
+            assert list(oracle.rows) == [b for b in full.rows if max(b, default=0) <= 1]
+            full_rows = _labelled_rows(full)
+            assert _labelled_rows(oracle) == {b: full_rows[b] for b in oracle.rows}
+            if f.is_multilinear:
+                assert oracle == full
 
 
 def test_traces_match_oracle_on_random_corpus():
