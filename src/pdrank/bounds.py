@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .exact import (
-    DEFAULT_MAX_COLS,
-    DEFAULT_MAX_ROWS,
     DerivMatrix,
     OrderSpec,
     build_matrix,
@@ -171,17 +169,15 @@ def upper_bound_linearity(
     f: SparsePoly,
     k: int,
     *,
-    max_rows: int = DEFAULT_MAX_ROWS,
-    max_cols: int = DEFAULT_MAX_COLS,
     matrix: DerivMatrix | None = None,
 ) -> int:
     """Upper bound on the order-k derivative dimension.
 
     Minimum of (a) the sum of single-monomial profiles (linearity of
     differentiation), (b) the number of distinct rows of the order-k
-    derivative matrix, and (c) the number of distinct columns.  A caller
-    that also needs the rank passes the order-k matrix it built as
-    ``matrix``; otherwise it is built here under the caps.
+    derivative matrix, and (c) the number of distinct columns.  ``matrix``
+    is the order-k derivative matrix of f; when it is not given it is built
+    here under the default caps.
     """
     if f.is_zero:
         return 0
@@ -195,7 +191,7 @@ def upper_bound_linearity(
     if k > f.degree:
         return 0
     if matrix is None:
-        matrix = build_matrix(f, OrderSpec.exact(k), max_rows=max_rows, max_cols=max_cols)
+        matrix = build_matrix(f, OrderSpec.exact(k))
     row_vectors = {tuple(sorted(row.items())) for row in matrix.entries}
     col_vectors: dict[int, list[tuple[int, int]]] = {}
     for i, row in enumerate(matrix.entries):

@@ -10,6 +10,7 @@ over speed; sizes are guarded by explicit caps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from operator import sub
 from typing import Callable, Iterable
 
@@ -142,34 +143,54 @@ def assemble(
     One pass over the terms: a term a * x^alpha (a cleared to an integer)
     puts a at column alpha - beta of row beta for each beta in
     ``sub_indices(alpha)``, which must all satisfy beta <= alpha.  So the
-    work is one step per nonzero entry, plus sorting the labels.  Each row
-    gets its entries in term order.  ``max_rows`` is checked as each row is
-    added, ``max_cols`` after all rows are known, row by row in label order.
+    work is O(n) per nonzero entry, plus sorting the labels.  Each row
+    gets its entries in term order.  Both caps are checked as each row or
+    column is added, so ``actual`` is one past the cap.  When the columns
+    overflow, the entries are dropped and the walk goes on over the row
+    labels alone: if the rows overflow too, ``rows`` is reported.
     """
     clear = lcm_all([t.coef.denominator for t in scaled.terms])
     by_row: dict[ExponentVector, dict[ExponentVector, int]] = {}
-    for t in scaled.terms:
+    col_set: set[ExponentVector] = set()
+    terms = iter(scaled.terms)
+    for t in terms:
         alpha = t.exps
         a = t.coef.numerator * (clear // t.coef.denominator)
-        for beta in sub_indices(alpha):
+        betas = iter(sub_indices(alpha))
+        for beta in betas:
             row = by_row.get(beta)
             if row is None:
                 if len(by_row) >= max_rows:
                     raise ResourceLimitError("rows", max_rows, len(by_row) + 1)
                 row = by_row[beta] = {}
-            row[tuple(map(sub, alpha, beta))] = a
+            gamma = tuple(map(sub, alpha, beta))
+            if gamma not in col_set:
+                if len(col_set) >= max_cols:
+                    seen = set(by_row)
+                    by_row.clear()
+                    rest = chain(betas, (b for u in terms for b in sub_indices(u.exps)))
+                    _check_row_cap(seen, rest, max_rows)
+                    raise ResourceLimitError("cols", max_cols, max_cols + 1)
+                col_set.add(gamma)
+            row[gamma] = a
     rows = sorted(by_row)
-    col_set: set[ExponentVector] = set()
-    for beta in rows:
-        col_set.update(by_row[beta])
-        if len(col_set) > max_cols:
-            raise ResourceLimitError("cols", max_cols, len(col_set))
     cols = tuple(sorted(col_set))
     col_index = {g: i for i, g in enumerate(cols)}
     entries = tuple(
         {col_index[g]: a for g, a in by_row[beta].items()} for beta in rows
     )
     return DerivMatrix(rows=tuple(rows), cols=cols, entries=entries, clear_factor=clear)
+
+
+def _check_row_cap(
+    seen: set[ExponentVector], betas: Iterable[ExponentVector], max_rows: int
+) -> None:
+    """Raise the row-cap error if ``betas`` brings ``seen`` past ``max_rows``."""
+    for beta in betas:
+        if beta not in seen:
+            if len(seen) >= max_rows:
+                raise ResourceLimitError("rows", max_rows, len(seen) + 1)
+            seen.add(beta)
 
 
 def build_matrix(
@@ -183,7 +204,9 @@ def build_matrix(
 
     Rows are exactly the multi-indices with a nonzero derivative (those
     dividing some term), so no zero row or column is ever stored.  The
-    cost is linear in the number of nonzero entries (see :func:`assemble`).
+    cost is O(n) per nonzero entry (see :func:`assemble`); the interior
+    orders also draw, and drop, beta = 0 and at most one beta = alpha per
+    term.
     """
     if f.is_zero:
         raise ValueError("derivative matrix of the zero polynomial")

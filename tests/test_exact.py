@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,7 @@ from pdrank import (
     to_ordinary,
     to_scaled,
 )
-from pdrank import exact
+from pdrank import combinat, exact
 from pdrank.combinat import all_sub_indices, lcm_all, sub_indices_of_order
 from pdrank.corpus import random_homogeneous_polys, random_polys
 from pdrank.polyio import permute_vars, scale
@@ -172,16 +174,54 @@ def test_sub_indices_above_the_degree_are_empty_at_once():
     assert list(sub_indices_of_order((1, 1, 0, 1), 10**4)) == []
 
 
-def test_build_matrix_work_is_one_step_per_nonzero(monkeypatch):
-    """Every sub-index drawn lands exactly one matrix entry: work == nnz."""
+@contextmanager
+def combinat_steps(limit: int):
+    """Count the lines run inside ``pdrank.combinat``; fail past ``limit``.
+
+    A deterministic measure of the enumerators' work, with no wall clock:
+    one that walked candidates it throws away fails here at once instead of
+    running for hours.
+    """
+    steps = [0]
+
+    def local(frame, event, arg):
+        if event == "line":
+            steps[0] += 1
+            if steps[0] > limit:
+                raise AssertionError(f"more than {limit} steps in pdrank.combinat")
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename == combinat.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        yield steps
+    finally:
+        sys.settrace(previous)
+
+
+# Lines of ``pdrank.combinat`` allowed per variable per sub-index drawn.
+STEPS_PER_VAR = 4
+
+
+@pytest.mark.parametrize("top", [1, 3])
+def test_build_matrix_work_is_one_step_per_nonzero(monkeypatch, top):
+    """Every sub-index drawn lands exactly one matrix entry: work == nnz.
+
+    ``top`` is the largest exponent: 1 gives a multilinear input, 3 one
+    whose sub-indices are not subsets of the support.
+    """
     rng = random.Random(3)
     items = {}
     while len(items) < 100:
         exps = [0] * 14
         for i in rng.sample(range(14), 2 + len(items) % 5):
-            exps[i] = 1
+            exps[i] = rng.randint(1, top)
         items[tuple(exps)] = Fraction(rng.randint(1, 9), rng.randint(1, 10))
     f = SparsePoly.from_terms([f"x{i}" for i in range(1, 15)], items.items())
+    assert f.is_multilinear == (top == 1)
     drawn = 0
 
     def counting(alpha, order):
@@ -193,9 +233,28 @@ def test_build_matrix_work_is_one_step_per_nonzero(monkeypatch):
     monkeypatch.setattr(exact, "sub_indices_of_order", counting)
     for k in (1, 2, 3):
         drawn = 0
-        m = build_matrix(f, OrderSpec.exact(k))
+        with combinat_steps(10**9) as steps:
+            m = build_matrix(f, OrderSpec.exact(k))
         nnz = sum(len(row) for row in m.entries)
-        assert drawn == nnz == sum(math.comb(sum(t.exps), k) for t in f.terms)
+        assert drawn == nnz
+        assert steps[0] <= STEPS_PER_VAR * 14 * nnz
+        if top == 1:
+            assert nnz == sum(math.comb(sum(t.exps), k) for t in f.terms)
+
+
+def test_row_cap_bounds_the_enumeration_work():
+    """x1^2*x2*...*x30 at k=15 has about 2.3e8 rows: the cap ends the walk.
+
+    Lex order over multisets would put C(41, 12) invalid candidates (all
+    starting x1^3) before the first valid row; the enumerator must instead
+    reach the row cap within O(n) steps per row.
+    """
+    f = parse_poly("x1^2*" + "*".join(f"x{i}" for i in range(2, 31)))
+    max_rows = 2000
+    with combinat_steps(STEPS_PER_VAR * 30 * (max_rows + 1)):
+        with pytest.raises(ResourceLimitError) as err:
+            build_matrix(f, OrderSpec.exact(15), max_rows=max_rows)
+    assert (err.value.what, err.value.actual) == ("rows", max_rows + 1)
 
 
 def test_rank_identity_and_duplicate_rows():
@@ -347,9 +406,18 @@ def test_resource_caps_raise_structured_errors():
     assert err.value.actual == 11  # checked as each row is added, not per term
     with pytest.raises(ResourceLimitError) as err:
         build_matrix(f, OrderSpec.all_orders(), max_cols=10)
-    assert (err.value.what, err.value.actual) == ("cols", 11)  # checked row by row
+    assert (err.value.what, err.value.actual) == ("cols", 11)  # checked as each column is added
     with pytest.raises(ResourceLimitError) as err:  # both overflow: rows first
         build_matrix(f, OrderSpec.all_orders(), max_rows=10, max_cols=10)
+    assert (err.value.what, err.value.actual) == ("rows", 11)
+    # k=1 on x1*x2*xj, j = 3..11: each term adds two columns and one row, so
+    # the columns pass 10 at j = 7 and the rows at j = 11; rows still win.
+    g = parse_poly(" + ".join(f"x1*x2*x{j}" for j in range(3, 12)))
+    with pytest.raises(ResourceLimitError) as err:
+        build_matrix(g, OrderSpec.exact(1), max_cols=10)
+    assert (err.value.what, err.value.actual) == ("cols", 11)
+    with pytest.raises(ResourceLimitError) as err:
+        build_matrix(g, OrderSpec.exact(1), max_rows=10, max_cols=10)
     assert (err.value.what, err.value.actual) == ("rows", 11)
     big = [{j: j + i + 1 for j in range(40)} for i in range(40)]
     with pytest.raises(ResourceLimitError) as err:
