@@ -22,6 +22,7 @@ Exit codes: 0 success, 2 input error, 3 resource cap exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -533,7 +534,16 @@ def _add_common(sub: argparse.ArgumentParser, with_poly_opts: bool = True) -> No
         sub.add_argument("--timing", action="store_true")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``pdrank`` argument parser, built once per process.
+
+    The parser depends on no input, so every call returns the same one
+    and in-process callers do not pay for its construction per request.
+    ``set_defaults(func=cmd_*)`` binds each subcommand's handler when the
+    parser is built: replacing a ``cmd_*`` function afterwards does not
+    reach ``main``.
+    """
     parser = argparse.ArgumentParser(
         prog="pdrank",
         description="Exact derivative-space dimensions and fast bounds for sparse polynomials",

@@ -2,9 +2,12 @@
 
 This is the trusted oracle of the package: derivative matrices are
 materialized with exact integer entries (a single common denominator is
-cleared) and ranks are computed by fraction-free Bareiss elimination with
-deterministic pivoting.  Everything here favors exactness and determinism
-over speed; sizes are guarded by explicit caps.
+cleared) and ranks are computed exactly, with deterministic pivoting.  A
+rank takes every singleton pivot first (a column or a row with one entry,
+O(1) work per entry removed), then runs fraction-free Bareiss elimination
+on the core that is left.  Derivative matrices are very sparse, and the
+core is usually empty or a few rows.  Everything here is exact and
+deterministic; sizes are guarded by explicit caps.
 """
 
 from __future__ import annotations
@@ -226,6 +229,53 @@ def build_matrix(
     return assemble(scaled, sub_indices, max_rows=max_rows, max_cols=max_cols)
 
 
+def _peel_singletons(work: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
+    """Pivot on singleton columns, then singleton rows, of ``work`` (edited in place).
+
+    A column with one row in it makes that row independent of the others:
+    the row adds 1 to the rank and goes, which may leave more columns with
+    one row.  A row c*e_j adds 1 to the rank and goes, and column j is
+    deleted from every other row, which is what eliminating against it
+    does; a row left with one entry is next, a row left empty goes.  Row
+    pivots never leave a column with one row (only rows that held column j
+    change), so one pass of each kind finishes the peel.  Each entry is
+    removed at most once: the work is O(nnz).  Returns the rank found and
+    the rows left (the core), in their original order.
+    """
+    where: dict[int, set[int]] = {}
+    for i, row in enumerate(work):
+        for j in row:
+            where.setdefault(j, set()).add(i)
+    alive = [bool(row) for row in work]
+    rank = 0
+    singles = [j for j, hits in where.items() if len(hits) == 1]
+    while singles:
+        hits = where[singles.pop()]
+        if hits:  # else its row went with another singleton column
+            (i,) = hits
+            alive[i] = False
+            rank += 1
+            for j in work[i]:
+                hits = where[j]
+                hits.discard(i)
+                if len(hits) == 1:
+                    singles.append(j)
+    singles = [i for i, row in enumerate(work) if alive[i] and len(row) == 1]
+    while singles:
+        i = singles.pop()
+        if alive[i]:  # else emptied by another pivot on its column
+            (j,) = work[i]
+            rank += 1
+            for r in where.pop(j):  # row i included: it is left empty
+                row = work[r]
+                del row[j]
+                if not row:
+                    alive[r] = False
+                elif len(row) == 1:
+                    singles.append(r)
+    return rank, [row for row, live in zip(work, alive) if live]
+
+
 def sparse_int_rank(
     rows: list[dict[int, int]],
     *,
@@ -233,14 +283,18 @@ def sparse_int_rank(
 ) -> int:
     """Rank over the rationals of an integer matrix given as sparse rows.
 
-    Fraction-free Bareiss elimination.  Pivoting is deterministic: columns
-    are scanned in ascending index order and the pivot is the first
-    remaining row with a nonzero entry in the current column.  Every entry
-    update counts against ``budget``.
+    First every singleton column and row is pivoted on, in O(nnz) work
+    (:func:`_peel_singletons`).  Derivative matrices are full of them: a
+    column gamma is hit only by the terms alpha >= gamma, so most
+    high-order columns hold one entry.  What remains, the core, goes to
+    fraction-free Bareiss elimination.  Its pivoting is deterministic:
+    columns are scanned in ascending index order and the pivot is the
+    first remaining row with a nonzero entry in the current column.  Every
+    Bareiss entry update counts against ``budget``; the peel does not.
+    The input rows are not modified.
     """
-    work = [dict(r) for r in rows]
+    rank, work = _peel_singletons([dict(r) for r in rows])
     nrows = len(work)
-    rank = 0
     r = 0
     prev = 1
     ops = 0

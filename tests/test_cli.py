@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, determinism, config."""
 
+import argparse
 import json
 from pathlib import Path
 
@@ -31,6 +32,24 @@ def test_dim_power_sum_plus_product(capsys, poly_file):
     report = json.loads(out)
     assert report["exact_dim"] == {"status": "computed", "value": 15}
     assert report["bounds"]["linearity_upper"] >= 15
+
+
+def test_parser_is_built_once_per_process(capsys, poly_file, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    path = poly_file("x1*x2 + x3")
+    assert run(capsys, "dim", "--k", "1", path)[0] == 0
+    assert built.count("pdrank") == 1
+    first = len(built)
+    assert run(capsys, "bounds", "--k", "1", path)[0] == 0
+    assert len(built) == first
 
 
 def test_dim_k0_any_nonzero_poly_is_one(capsys, poly_file):

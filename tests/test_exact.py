@@ -1,11 +1,13 @@
 """Exact derivative matrices and rational rank, checked against naive oracles."""
 
 import itertools
+import json
 import math
 import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -261,6 +263,10 @@ def test_rank_identity_and_duplicate_rows():
     ident = [{i: 1} for i in range(6)]
     assert sparse_int_rank(ident) == 6
     assert sparse_int_rank(ident + [dict(ident[0])]) == 6
+    # duplicate singleton rows, scaled: the first pivot empties the others
+    rows = [{1: 3}, {1: -6}, {1: 3}, {0: 1, 1: 1}]
+    assert exact._peel_singletons([dict(r) for r in rows]) == (2, [])
+    assert sparse_int_rank(rows, budget=0) == 2
 
 
 def test_rank_against_dense_known_matrices():
@@ -297,18 +303,55 @@ def fraction_gaussian_rank(dense) -> int:
     return rank
 
 
-@given(
-    st.integers(1, 6),
-    st.integers(1, 6),
-    st.data(),
-)
-@settings(max_examples=150)
-def test_rank_matches_fraction_gaussian_oracle(nrows, ncols, data):
-    dense = [
-        [data.draw(st.integers(-9, 9)) for _ in range(ncols)] for _ in range(nrows)
-    ]
+# Mostly zeros: singleton cascades, empty rows and nonempty cores all occur.
+ZERO_HEAVY = st.sampled_from((0,) * 14 + (1, -1, 2, -3, 5, 7))
+
+
+@given(st.booleans(), st.data())
+@settings(max_examples=300)
+def test_rank_matches_fraction_gaussian_oracle(zero_heavy, data):
+    side, entries = (10, ZERO_HEAVY) if zero_heavy else (6, st.integers(-9, 9))
+    nrows = data.draw(st.integers(1, side))
+    ncols = data.draw(st.integers(1, side))
+    dense = [[data.draw(entries) for _ in range(ncols)] for _ in range(nrows)]
     sparse = [{j: v for j, v in enumerate(row) if v} for row in dense]
     assert sparse_int_rank(sparse) == fraction_gaussian_rank(dense)
+
+
+def to_dense(rows, ncols):
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
+def test_peel_cascades_through_columns_then_rows():
+    """The B rows go by a cascade of singleton columns (7 -> 6 -> 5 -> 4);
+    A and D then go by a cascade of singleton rows (A0 -> A1 -> A2 or D,
+    leaving the other empty).  Nothing is left for Bareiss."""
+    rows = [
+        {0: 2},  # A0
+        {0: 1, 1: 3},  # A1
+        {1: -1, 2: 4},  # A2
+        {0: 1, 1: 1, 2: 1},  # D
+        {2: 1, 3: 1, 4: 5},  # B0
+        {4: 1, 5: 2},  # B1
+        {2: 7, 5: 1, 6: 1},  # B2
+        {6: 3, 7: 1},  # B3
+    ]
+    before = [dict(r) for r in rows]
+    assert exact._peel_singletons([dict(r) for r in rows]) == (7, [])
+    assert sparse_int_rank(rows, budget=0) == 7 == fraction_gaussian_rank(to_dense(rows, 8))
+    assert rows == before  # the input is not modified
+
+
+def test_peel_leaves_a_core_for_bareiss():
+    """A rank-2 dense 3x3 block survives the peel of a singleton row (column
+    3, which it shares) and a singleton column (4); Bareiss finishes it."""
+    block = [{0: 1, 1: 2, 2: 3}, {0: 4, 1: 5, 2: 6}, {0: 7, 1: 8, 2: 9}]
+    rows = [{**block[0], 3: 1}, block[1], {3: 5}, block[2], {0: 1, 4: 2}]
+    assert exact._peel_singletons([dict(r) for r in rows]) == (2, block)
+    assert sparse_int_rank(rows) == 4 == fraction_gaussian_rank(to_dense(rows, 5))
+    with pytest.raises(ResourceLimitError) as err:
+        sparse_int_rank(rows, budget=0)
+    assert err.value.what == "elimination-budget"
 
 
 @given(
@@ -329,6 +372,59 @@ def test_rank_matches_gram_rank(dense):
                     gram[i][j] += r[i] * r[j]
     gram_rows = [{j: v for j, v in enumerate(g) if v} for g in gram]
     assert sparse_int_rank(rows) == sparse_int_rank(gram_rows)
+
+
+DATA = Path(__file__).parent / "data"
+# The singleton peel leaves a 67-row, 164-entry core of multilinear40 in
+# both modes (every row with two entries or more, every column in two rows
+# or more); Bareiss makes 5342 entry updates on it.  Plain Bareiss on the
+# whole 685-row matrix made 1,325,698.
+CORE_UPDATES = 10_000
+
+
+@pytest.mark.parametrize(
+    "spec, golden",
+    [
+        (OrderSpec.all_orders(), "multilinear40.dim_star.json"),
+        (OrderSpec.interior(), "multilinear40.dim_plus.json"),
+    ],
+    ids=["star", "plus"],
+)
+def test_multilinear40_rank_needs_elimination_on_the_core_only(spec, golden):
+    f = parse_poly((DATA / "multilinear40.poly").read_text())
+    want = json.loads((DATA / golden).read_text())["exact_dim"]["value"]
+    assert rank_exact(build_matrix(f, spec), budget=CORE_UPDATES) == want
+
+
+def sympy_dim(f: SparsePoly, spec: OrderSpec) -> int:
+    """Independent oracle: ``sympy.Matrix.rank`` of the derivatives
+    ``sympy.Poly.diff`` takes, one row per multi-index of the requested
+    orders inside the box of f's largest exponents."""
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f.vars)
+    p = sympy.Poly.from_dict(
+        {t.exps: sympy.Rational(t.coef.numerator, t.coef.denominator) for t in f.terms},
+        *xs,
+    )
+    orders = spec.orders(p.total_degree())
+    box = [range(max(t.exps[i] for t in f.terms) + 1) for i in range(len(xs))]
+    derivs = [
+        p.diff(*[(x, b) for x, b in zip(xs, beta) if b]).as_dict() if any(beta) else p.as_dict()
+        for beta in itertools.product(*box)
+        if sum(beta) in orders
+    ]
+    monomials = sorted({m for d in derivs for m in d})
+    return sympy.Matrix([[d.get(m, 0) for m in monomials] for d in derivs]).rank()
+
+
+def test_dim_partials_matches_sympy_rank():
+    polys = random_polys(seed=23, count=12, max_vars=3, max_terms=5, max_degree=4)
+    for f in polys:
+        specs = [OrderSpec.all_orders()] + [OrderSpec.exact(k) for k in range(f.degree + 1)]
+        if f.degree >= 2:
+            specs.append(OrderSpec.interior())
+        for spec in specs:
+            assert dim_partials(f, spec) == sympy_dim(f, spec), (f, spec)
 
 
 def test_dim_partials_power_sum_plus_product():
