@@ -427,8 +427,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if set(params) != {"n"}:
         raise ValueError("verify --exhaustive expects exactly n=<N>")
     n = int(params["n"])
-    if n < 3 or n > 6:
-        raise ValueError("exhaustive verification supports 3 <= n <= 6")
+    if n < 3 or n > 7:
+        raise ValueError("exhaustive verification supports 3 <= n <= 7")
     summary = reductions.exhaustive_verify(
         n, check_basis=args.check_basis, threads=opts.threads
     )

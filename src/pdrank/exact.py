@@ -289,12 +289,21 @@ def sparse_int_rank(
     high-order columns hold one entry.  What remains, the core, goes to
     fraction-free Bareiss elimination.  Its pivoting is deterministic:
     columns are scanned in ascending index order and the pivot is the
-    first remaining row with a nonzero entry in the current column.  Every
-    Bareiss entry update counts against ``budget``; the peel does not.
-    The input rows are not modified.
+    first remaining row with a nonzero entry in the current column.
+
+    Bareiss multiplies a row the pivot column misses by p/prev at each
+    pivot p.  These factors telescope, so each row instead keeps the pivot
+    it was last brought up to (its level) and is touched only when used:
+    a row at level L hit by pivot p becomes (p*row - m*pivot_row) / L, and
+    a row becoming the pivot row is brought up to the last pivot prev by
+    row*prev / L.  Both equal the plain Bareiss rows, minors of the
+    matrix, so every division is exact.  Every entry so updated counts
+    against ``budget``; the peel does not.  The input rows are not
+    modified.
     """
     rank, work = _peel_singletons([dict(r) for r in rows])
     nrows = len(work)
+    level = [1] * nrows
     r = 0
     prev = 1
     ops = 0
@@ -310,26 +319,30 @@ def sparse_int_rank(
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
+        level[r], level[piv] = level[piv], level[r]
         prow = work[r]
+        if level[r] != prev:
+            lv = level[r]
+            for j in prow:
+                prow[j] = prow[j] * prev // lv
+            ops += len(prow)
         p = prow[col]
         for i in range(r + 1, nrows):
             row = work[i]
             m = row.pop(col, 0)
             if m:
+                lv = level[i]
                 new: dict[int, int] = {}
                 for j, v in row.items():
                     w = p * v - m * prow.get(j, 0)
                     if w:
-                        new[j] = w // prev
+                        new[j] = w // lv
                 for j, pv in prow.items():
                     if j != col and j not in row:
-                        new[j] = (-m * pv) // prev
+                        new[j] = (-m * pv) // lv
                 ops += len(row) + len(prow)
                 work[i] = new
-            elif prev != p:
-                for j in list(row):
-                    row[j] = (p * row[j]) // prev
-                ops += len(row)
+                level[i] = p
         if ops > budget:
             raise ResourceLimitError("elimination-budget", budget, ops)
         prev = p

@@ -17,15 +17,16 @@ is verified against the exact rank oracle.
 from __future__ import annotations
 
 import os
-from collections.abc import Iterator
+from array import array
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import combinations
-from operator import sub
+from functools import partial, reduce
+from itertools import chain, combinations, permutations
+from operator import add, sub
 
 from .combinat import all_sub_indices, lcm_all
-from .errors import ResourceLimitError
+from .errors import InvariantViolation, ResourceLimitError
 from .exact import (
     DEFAULT_ELIMINATION_BUDGET,
     DEFAULT_MAX_COLS,
@@ -282,11 +283,78 @@ def verify_reduction(
     )
 
 
+def _vertex_pairs(n: int) -> list[tuple[int, int]]:
+    """The C(n,2) possible edges on [n]; bit i of an edge bitmask is the i-th."""
+    return list(combinations(range(1, n + 1), 2))
+
+
+def _graph_from_bits(n: int, bits: int) -> Graph:
+    """The graph on [n] with edge bitmask ``bits``."""
+    return Graph.make(n, [e for i, e in enumerate(_vertex_pairs(n)) if bits >> i & 1])
+
+
 def all_graphs(n: int) -> Iterator[Graph]:
     """Every graph on [n], one per edge subset; the i-th has edge bitmask i."""
-    possible = list(combinations(range(1, n + 1), 2))
-    for bits in range(1 << len(possible)):
-        yield Graph.make(n, [e for i, e in enumerate(possible) if bits >> i & 1])
+    for bits in range(1 << (n * (n - 1) // 2)):
+        yield _graph_from_bits(n, bits)
+
+
+_CHUNK = 7
+
+
+def _labelings(n: int) -> Callable[[int], set[int]]:
+    """Function from an edge bitmask on [n] to those of all its relabelings.
+
+    For each of the n! vertex permutations t and each run of ``_CHUNK``
+    edge bits, a table gives the image under t of every value of the run;
+    it is stored transposed, one array over t per run value.  The images
+    of runs are disjoint, so the bitmask of every relabeling at once is
+    the element-wise sum of one array per run.
+    """
+    pairs = _vertex_pairs(n)
+    index = {}
+    for i, (u, v) in enumerate(pairs):
+        index[u, v] = index[v, u] = i
+    perms = list(permutations(range(1, n + 1)))
+    # edge_images[i][t]: the bit of edge i's image under the t-th permutation
+    edge_images = [[1 << index[p[u - 1], p[v - 1]] for p in perms] for u, v in pairs]
+    tables = []
+    for lo in range(0, max(len(pairs), 1), _CHUNK):
+        run = edge_images[lo : lo + _CHUNK]
+        table = [array("q", [0]) * len(perms)]
+        for value in range(1, 1 << len(run)):
+            low = (value & -value).bit_length() - 1
+            table.append(array("q", map(add, table[value & (value - 1)], run[low])))
+        tables.append(table)
+    mask = (1 << _CHUNK) - 1
+
+    def labelings(bits: int) -> set[int]:
+        parts = [t[bits >> (_CHUNK * k) & mask] for k, t in enumerate(tables)]
+        return set(reduce(partial(map, add), parts))
+
+    return labelings
+
+
+def graph_classes(n: int) -> Iterator[tuple[int, int]]:
+    """One graph per isomorphism class on [n], as (edge bitmask, orbit size).
+
+    The representative is the least edge bitmask of its class (see
+    ``all_graphs``); the orbit size n!/|Aut(G)| is the number of labeled
+    graphs in the class.  Orbit marking: a byte per edge bitmask, set on
+    the whole orbit of each unmarked bitmask, in ascending order.  The
+    tables take about 2^7·n!·C(n,2)/7 8-byte integers (1.5 MB at n=6,
+    16 MB at n=7); the marking, 2^C(n,2) steps.  Class counts are
+    OEIS A000088: 1, 1, 2, 4, 11, 34, 156, 1044 for n = 0..7.
+    """
+    labelings = _labelings(n)
+    marks = bytearray(1 << (n * (n - 1) // 2))
+    bits = 0
+    while bits != -1:
+        orbit = labelings(bits)
+        for image in orbit:
+            marks[image] = 1
+        yield bits, len(orbit)
+        bits = marks.find(0, bits + 1)
 
 
 def _identity_and_basis_hold(g: Graph, check_basis: bool) -> tuple[bool, bool]:
@@ -302,29 +370,48 @@ def exhaustive_verify(
 ) -> dict:
     """Check the identity for every edge set on [n]; returns a summary dict.
 
-    Graphs with no edges are counted separately (the identity is not
-    applicable there).  Failures are listed by edge bitmask (see
-    ``all_graphs``).  With threads > 1, capped at the CPU count, graphs are
-    verified in worker processes; results are merged in deterministic order.
+    Both sides of the identity are invariant under relabeling the
+    vertices, so one graph per isomorphism class is verified
+    (``graph_classes``): 34 instead of 1024 at n=5, 1044 instead of 2^21
+    at n=7.  ``graphs_checked`` is the sum of the orbit sizes, checked to
+    equal 2^C(n,2) (``InvariantViolation`` otherwise).  Graphs with no
+    edges are counted separately (the identity is not applicable there).
+    A failing class is expanded into all its labelings, so failures are
+    listed by edge bitmask (see ``all_graphs``) exactly as a check of
+    every labeled graph would list them.  With threads > 1, capped at the
+    CPU count, the representatives are verified in worker processes;
+    results are merged in deterministic order.
     """
+    classes = list(graph_classes(n))
+    total = 1 << (n * (n - 1) // 2)
+    covered = sum(size for _, size in classes)
+    if covered != total:
+        raise InvariantViolation(
+            f"isomorphism classes on {n} vertices cover {covered} of {total} edge sets"
+        )
     check = partial(_identity_and_basis_hold, check_basis=check_basis)
+    graphs = [_graph_from_bits(n, bits) for bits, _ in classes]
     threads = min(threads, os.cpu_count() or 1)
     if threads > 1:
-        results = _parallel_map(check, list(all_graphs(n)), threads)
+        results = _parallel_map(check, graphs, threads)
     else:
-        results = map(check, all_graphs(n))
+        results = map(check, graphs)
     failures: list[int] = []
     basis_failures: list[int] = []
-    for bits, (ok, basis_ok) in enumerate(results):
+    for (bits, _), (ok, basis_ok) in zip(classes, results):
         if not ok:
             failures.append(bits)
         if not basis_ok:
             basis_failures.append(bits)
-    total = 1 << (n * (n - 1) // 2)
+    if failures or basis_failures:
+        labelings = _labelings(n)
+        failures, basis_failures = (
+            sorted(chain.from_iterable(map(labelings, reps))) for reps in (failures, basis_failures)
+        )
     return {
         "n": n,
-        "graphs_checked": total,
-        "nonempty_graphs": total - 1,
+        "graphs_checked": covered,
+        "nonempty_graphs": covered - 1,
         "identity_failures": failures,
         "basis_failures": basis_failures if check_basis else None,
         "all_hold": not failures and not (check_basis and basis_failures),
@@ -337,6 +424,6 @@ def _parallel_map(fn, jobs, threads: int):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, jobs, chunksize=32))
+            return list(pool.map(fn, jobs, chunksize=1))
     except OSError:
         return [fn(j) for j in jobs]

@@ -136,6 +136,18 @@ def test_verify_exhaustive(capsys):
     assert summary["all_hold"] is True
 
 
+def test_verify_exhaustive_accepts_n7(capsys, monkeypatch):
+    seen = []
+
+    def stub(n, check_basis, threads):
+        seen.append(n)
+        return {"n": n, "all_hold": True}
+
+    monkeypatch.setattr(cli.reductions, "exhaustive_verify", stub)
+    code, _, _ = run(capsys, "verify", "--exhaustive", "n=7", "--format", "json")
+    assert (code, seen) == (0, [7])
+
+
 def test_sym_gap_fixed_json(capsys):
     code, out, _ = run(
         capsys, "sym", "gap", "--fixed", "d=3", "k=1", "n=4..8", "--format", "json"
@@ -178,7 +190,7 @@ def test_random_corpus_roundtrip(capsys):
     [
         ("dim", "--k", "2", "/nonexistent/file.poly"),
         ("verify", "--exhaustive", "n=twelve"),
-        ("verify", "--exhaustive", "n=7"),
+        ("verify", "--exhaustive", "n=2"),
         ("verify", "--exhaustive", "n=8"),
         ("sym", "gap", "--fixed", "d=3"),
     ],

@@ -1,6 +1,8 @@
 """Graph/complex constructions and the face-count identity."""
 
-from itertools import combinations
+import math
+from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
 
@@ -24,8 +26,14 @@ from pdrank import (
 )
 from pdrank import reductions
 from pdrank.corpus import random_pure_complexes
-from pdrank.errors import ResourceLimitError
-from pdrank.reductions import all_graphs, enumerate_faces, exhaustive_verify, poly_stack_rank
+from pdrank.errors import InvariantViolation, ResourceLimitError
+from pdrank.reductions import (
+    all_graphs,
+    enumerate_faces,
+    exhaustive_verify,
+    graph_classes,
+    poly_stack_rank,
+)
 
 
 def brute_force_independent_sets(g: Graph) -> int:
@@ -283,6 +291,95 @@ def test_exhaustive_threads_capped_at_cpu_count(monkeypatch):
     summary = exhaustive_verify(3, threads=100000)
     assert seen == [2]
     assert summary == exhaustive_verify(3, threads=1)
+
+
+# OEIS A000088: graphs on n unlabeled vertices.
+A000088 = [1, 1, 2, 4, 11, 34, 156, 1044]
+
+
+def brute_force_labelings(n: int, bits: int) -> set[int]:
+    """Edge bitmasks of every relabeling, one vertex permutation at a time."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    edges = [e for i, e in enumerate(pairs) if bits >> i & 1]
+    images = set()
+    for p in permutations(range(1, n + 1)):
+        moved = {tuple(sorted((p[u - 1], p[v - 1]))) for u, v in edges}
+        images.add(sum(1 << i for i, e in enumerate(pairs) if e in moved))
+    return images
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_graph_classes_count_and_cover_every_edge_set(n):
+    classes = list(graph_classes(n))
+    assert len(classes) == A000088[n]
+    assert sum(size for _, size in classes) == 2 ** math.comb(n, 2)
+    assert all(math.factorial(n) % size == 0 for _, size in classes)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_graph_classes_match_networkx_atlas_by_edge_count(n):
+    nx = pytest.importorskip("networkx")
+    atlas = Counter(g.number_of_edges() for g in nx.graph_atlas_g() if g.number_of_nodes() == n)
+    assert Counter(bits.bit_count() for bits, _ in graph_classes(n)) == atlas
+
+
+def test_every_labeling_reports_as_its_class_representative():
+    classes = dict(graph_classes(4))
+    reports = {}
+    for bits, g in enumerate(all_graphs(4)):
+        orbit = brute_force_labelings(4, bits)
+        rep = min(orbit)
+        assert classes[rep] == len(orbit)
+        report = verify_reduction(g)
+        # the representative, least in its orbit, is met first
+        assert reports.setdefault(rep, report) == report
+    assert reports.keys() == classes.keys()
+
+
+def test_exhaustive_failures_expand_to_every_labeling(monkeypatch):
+    """An isomorphism-invariant fault: the class run lists what a run over
+    every labeled graph lists."""
+    real_dim, real_rank = reductions.dim_partials, reductions.poly_stack_rank
+
+    def dim_off_on_three_edges(f, *args, **kwargs):
+        return real_dim(f, *args, **kwargs) + (len(f.terms) == 3)
+
+    def rank_off_on_six_faces(polys, *args, **kwargs):
+        return real_rank(polys, *args, **kwargs) + (len(polys) == 12)
+
+    monkeypatch.setattr(reductions, "dim_partials", dim_off_on_three_edges)
+    monkeypatch.setattr(reductions, "poly_stack_rank", rank_off_on_six_faces)
+    labeled = [verify_reduction(g) for g in all_graphs(4)]
+    identity = [bits for bits, r in enumerate(labeled) if r.identity_holds is False]
+    basis = [bits for bits, r in enumerate(labeled) if not r.basis_verified]
+    assert 0 < len(identity) < 63 and 0 < len(basis) < 63 and identity != basis
+    summary = exhaustive_verify(4, check_basis=True)
+    assert summary["identity_failures"] == identity
+    assert summary["basis_failures"] == basis
+    assert summary["all_hold"] is False
+
+
+@pytest.mark.parametrize("n, classes", [(5, 34), (6, 156)])
+def test_exhaustive_verifies_one_graph_per_class(monkeypatch, n, classes):
+    calls = []
+    real = reductions.verify_reduction
+
+    def counting(g, **kwargs):
+        calls.append(g)
+        return real(g, **kwargs)
+
+    monkeypatch.setattr(reductions, "verify_reduction", counting)
+    summary = exhaustive_verify(n)
+    assert len(calls) == classes
+    assert summary["graphs_checked"] == 2 ** math.comb(n, 2)
+    assert summary["all_hold"] is True
+
+
+def test_exhaustive_classes_must_cover_every_edge_set(monkeypatch):
+    real = reductions.graph_classes
+    monkeypatch.setattr(reductions, "graph_classes", lambda n: list(real(n))[:-1])
+    with pytest.raises(InvariantViolation):
+        exhaustive_verify(4)
 
 
 def test_all_graphs_enumeration_count():
