@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .exact import (
@@ -97,29 +98,25 @@ def vertex_sample(
     Each trial draws a random integer weight vector and keeps the exponent
     vector maximizing the weighted sum only if the maximizer is unique;
     unique maximizers of linear functionals are exactly the vertices.  The
-    returned dict maps each vertex found to a certifying weight vector.
-    The set may be incomplete; every member is a true vertex.
+    returned dict maps each vertex found to a certifying weight vector, in
+    the order the vertices were first found.  The set may be incomplete;
+    every member is a true vertex.  A weighted sum visits the nonzero
+    exponents of its term only.
     """
     if f.is_zero:
         raise ValueError("vertex sample of the zero polynomial")
     rng = random.Random(rng_seed)
     n = len(f.vars)
+    monomials = [t.exps for t in f.terms]
+    supports = [[i for i, e in enumerate(exps) if e] for exps in monomials]
+    powers = [[e for e in exps if e] for exps in monomials]
     found: dict[ExponentVector, tuple[int, ...]] = {}
     for _ in range(trials):
         w = tuple(rng.randint(-WEIGHT_BOUND, WEIGHT_BOUND) for _ in range(n))
-        best_val: int | None = None
-        best_exps: ExponentVector | None = None
-        unique = True
-        for t in f.terms:
-            val = sum(wi * e for wi, e in zip(w, t.exps))
-            if best_val is None or val > best_val:
-                best_val = val
-                best_exps = t.exps
-                unique = True
-            elif val == best_val:
-                unique = False
-        if unique and best_exps is not None and best_exps not in found:
-            found[best_exps] = w
+        values = [sum(map(mul, map(w.__getitem__, s), p)) for s, p in zip(supports, powers)]
+        best = max(values)
+        if values.count(best) == 1:
+            found.setdefault(monomials[values.index(best)], w)
     return found
 
 

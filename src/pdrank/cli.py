@@ -211,7 +211,7 @@ def build_bound_report(
 
     t0 = time.monotonic()
     scaled = to_scaled(f)
-    stats = trace.trace_stats(f, k, budget=opts.budget)
+    stats = trace.trace_stats(scaled, k, budget=opts.budget)
     l_scaled = trace.closed_form_L(scaled, k)
     l_ordinary = trace.closed_form_L(f, k)
     timings["trace"] = time.monotonic() - t0
@@ -223,7 +223,7 @@ def build_bound_report(
     )
     # One order-k matrix serves the linearity bound and the exact rank.
     matrix = exact.build_matrix(
-        f, exact.OrderSpec.exact(k), max_rows=opts.max_rows, max_cols=opts.max_cols
+        scaled, exact.OrderSpec.exact(k), max_rows=opts.max_rows, max_cols=opts.max_cols
     )
     upper = bounds_mod.upper_bound_linearity(f, k, matrix=matrix)
     timings["bounds"] = time.monotonic() - t0
@@ -335,8 +335,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if f.is_zero:
         raise ParseError("trace statistics are undefined for the zero polynomial")
     k = args.k
-    stats = trace.trace_stats(f, k, budget=opts.budget)
     scaled = to_scaled(f)
+    stats = trace.trace_stats(scaled, k, budget=opts.budget)
     report: dict = {
         "command": "trace",
         "input": input_digest(f),
@@ -348,7 +348,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     }
     if args.oracle:
         oracle = trace.explicit_B_oracle(
-            f,
+            scaled,
             k,
             max_rows=opts.max_rows,
             max_cols=opts.max_cols,

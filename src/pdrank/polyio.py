@@ -22,9 +22,9 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
-from .errors import ParseError
+from .errors import InvariantViolation, ParseError
 
 # One natural number per variable of the ambient variable list.
 ExponentVector = tuple[int, ...]
@@ -32,7 +32,8 @@ ExponentVector = tuple[int, ...]
 ORDINARY = "ordinary"
 SCALED = "scaled"
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME)
 
 
 def total_degree(exps: ExponentVector) -> int:
@@ -194,170 +195,102 @@ def permute_vars(f: SparsePoly, perm: Sequence[int]) -> SparsePoly:
 #   factor:= var ['^' uint]
 #   coef  := int | int '/' uint | decimal
 #
-# Whitespace is insignificant.  An optional first line "vars: x1 x2 ..."
-# pins the variable order; otherwise variables are ordered by first
-# appearance.  Decimal literals become exact rationals; there is no float
-# path anywhere.
+# Whitespace is insignificant.  Variable names are ASCII: a letter, then
+# letters, digits or '_'.  An optional first line "vars: x1 x2 ..." pins
+# the variable order; otherwise variables are ordered by first appearance.
+# Decimal literals become exact rationals; there is no float path anywhere.
 # ---------------------------------------------------------------------------
 
+_COEF = r"\d+\.\d+|\d+(?:\s*/\s*\d+)?"
+_FACTOR = rf"{_NAME}(?:\s*\^\s*\d+)?"
+_MONO = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
+# One signed term and the space after it; a term ends where the next sign
+# or the text does, so a match never stops inside a token.
+_TERM_RE = re.compile(
+    rf"\s*(?:(?P<sign>[-+])\s*)?"
+    rf"(?:(?:(?P<coef>{_COEF})\s*\*\s*)?(?P<mono>{_MONO})|(?P<const>{_COEF}))"
+    rf"\s*(?=[-+]|\Z)"
+)
+_FACTOR_RE = re.compile(rf"({_NAME})\s*(?:\^\s*(\d+))?")
+# Tokens for error diagnosis only; BADDEC and BAD are lexical errors.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<DEC>\d+\.\d+)|(?P<BADDEC>\d+\.)|(?P<NUM>\d+)"
+    rf"|(?P<NAME>{_NAME})|(?P<OP>[-+*^/])|(?P<BAD>\S))"
+)
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NUM DEC NAME OP
-    text: str
-    line: int
-    col: int
+
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return text.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
+def _diagnose(body: str, pos: int) -> NoReturn:
+    """Raise the ParseError for the term at ``pos`` that ``_TERM_RE`` rejected.
+
+    The first lexical error in the rest of the text wins (an unexpected
+    character, or a decimal point without digits after it).  Otherwise the
+    term's tokens are walked by the grammar and the error names the first
+    token that does not fit, or the end of the text.  A zero denominator,
+    which the term pattern accepts, is reported here too.
+    """
+    tokens = []  # (kind, text, offset)
+    for m in _TOKEN_RE.finditer(body, pos):
+        kind = m.lastgroup
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {m[kind]!r}", *_line_col(body, m.start(kind)))
+        if kind == "BADDEC":
+            raise ParseError(
+                "malformed decimal (digits required after '.')", *_line_col(body, m.start(kind))
+            )
+        tokens.append((kind, m[kind], m.start(kind)))
+
+    def kind(i: int) -> str | None:
+        return tokens[i][0] if i < len(tokens) else None
+
+    def op(i: int) -> str | None:
+        return tokens[i][1] if kind(i) == "OP" else None
+
+    def fail(message: str, i: int) -> NoReturn:
+        if i < len(tokens):
+            offset = tokens[i][2]
+        else:
+            offset = tokens[-1][2] + len(tokens[-1][1])
+        raise ParseError(message, *_line_col(body, offset))
+
+    i = 1 if op(0) in ("+", "-") else 0
+    if kind(i) is None:
+        fail("expected a term", i)
+    name_expected = "expected a variable name"
+    if kind(i) in ("NUM", "DEC"):
+        if kind(i) == "NUM" and op(i + 1) == "/":
+            i += 2
+            if kind(i) != "NUM":
+                fail("malformed rational: expected an unsigned integer denominator", i)
+            if int(tokens[i][1]) == 0:
+                fail("malformed rational: zero denominator", i)
+        i += 1
+        if op(i) == "*":
             i += 1
-            continue
-        if ch.isspace():
-            col += 1
+        else:
+            name_expected = None  # a bare constant
+    while name_expected:
+        if kind(i) != "NAME":
+            fail(name_expected, i)
+        i += 1
+        if op(i) == "^":
             i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise ParseError("malformed decimal (digits required after '.')", line, col)
-                tokens.append(_Token("DEC", text[i:k], line, col))
-                col += k - i
-                i = k
-            else:
-                tokens.append(_Token("NUM", text[i:j], line, col))
-                col += j - i
-                i = j
-            continue
-        if ch.isalpha():
-            m = _NAME_RE.match(text, i)
-            assert m is not None
-            tokens.append(_Token("NAME", m.group(), line, col))
-            col += m.end() - i
-            i = m.end()
-            continue
-        if ch in "+-*^/":
-            tokens.append(_Token("OP", ch, line, col))
-            col += 1
+            if op(i) == "-":
+                fail("negative exponent", i)
+            if kind(i) != "NUM":
+                fail("expected an unsigned integer exponent after '^'", i)
             i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    return tokens
-
-
-class _PolyParser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> _Token | None:
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
-
-    def fail(self, message: str, tok: _Token | None = None):
-        if tok is None and self.tokens:
-            last = self.tokens[-1]
-            raise ParseError(message, last.line, last.col + len(last.text))
-        if tok is None:
-            raise ParseError(message, 1, 1)
-        raise ParseError(message, tok.line, tok.col)
-
-    def parse(self) -> list[tuple[Fraction, dict[str, int]]]:
-        """Return a list of (signed coefficient, var -> exponent) summands."""
-        out = []
-        sign = 1
-        tok = self.peek()
-        if tok is not None and tok.kind == "OP" and tok.text in "+-":
-            sign = -1 if tok.text == "-" else 1
-            self.next()
-        while True:
-            coef, exps = self.parse_sterm()
-            out.append((sign * coef, exps))
-            tok = self.next()
-            if tok is None:
-                return out
-            if tok.kind != "OP" or tok.text not in "+-":
-                self.fail(f"expected '+' or '-', got {tok.text!r}", tok)
-            sign = -1 if tok.text == "-" else 1
-
-    def parse_coef(self) -> Fraction:
-        tok = self.next()
-        assert tok is not None and tok.kind in ("NUM", "DEC")
-        if tok.kind == "DEC":
-            return Fraction(tok.text)  # exact: "1.25" -> 5/4
-        value = Fraction(int(tok.text))
-        nxt = self.peek()
-        if nxt is not None and nxt.kind == "OP" and nxt.text == "/":
-            self.next()
-            den = self.next()
-            if den is None or den.kind != "NUM":
-                self.fail("malformed rational: expected an unsigned integer denominator", den)
-            if int(den.text) == 0:
-                self.fail("malformed rational: zero denominator", den)
-            value /= int(den.text)
-        return value
-
-    def parse_factor(self, exps: dict[str, int]):
-        tok = self.next()
-        assert tok is not None and tok.kind == "NAME"
-        name = tok.text
-        power = 1
-        nxt = self.peek()
-        if nxt is not None and nxt.kind == "OP" and nxt.text == "^":
-            self.next()
-            ptok = self.next()
-            if ptok is not None and ptok.kind == "OP" and ptok.text == "-":
-                self.fail("negative exponent", ptok)
-            if ptok is None or ptok.kind != "NUM":
-                self.fail("expected an unsigned integer exponent after '^'", ptok)
-            power = int(ptok.text)
-        exps[name] = exps.get(name, 0) + power
-
-    def parse_sterm(self) -> tuple[Fraction, dict[str, int]]:
-        tok = self.peek()
-        if tok is None:
-            self.fail("expected a term")
-        coef = Fraction(1)
-        exps: dict[str, int] = {}
-        if tok.kind in ("NUM", "DEC"):
-            coef = self.parse_coef()
-            nxt = self.peek()
-            if nxt is None or not (nxt.kind == "OP" and nxt.text == "*"):
-                return coef, exps  # bare constant
-            self.next()
-            tok = self.peek()
-        if tok is None or tok.kind != "NAME":
-            self.fail("expected a variable name", tok)
-        self.parse_factor(exps)
-        while True:
-            nxt = self.peek()
-            if nxt is None or not (nxt.kind == "OP" and nxt.text == "*"):
-                return coef, exps
-            self.next()
-            tok = self.peek()
-            if tok is None or tok.kind != "NAME":
-                self.fail("expected a variable name after '*'", tok)
-            self.parse_factor(exps)
+        if op(i) != "*":
+            break
+        i += 1
+        name_expected = "expected a variable name after '*'"
+    if kind(i) is not None and op(i) not in ("+", "-"):
+        fail(f"expected '+' or '-', got {tokens[i][1]!r}", i)
+    raise InvariantViolation(f"term at offset {pos} rejected but no error found")
 
 
 def _split_header(text: str, keyword: str) -> tuple[str | None, str]:
@@ -377,9 +310,11 @@ def _split_header(text: str, keyword: str) -> tuple[str | None, str]:
 def parse_poly(text: str) -> SparsePoly:
     """Parse the text grammar into a canonical ordinary-basis polynomial.
 
-    Variables are ordered by first appearance unless a "vars:" header pins
-    the order.  Like terms merge; exact cancellation yields the zero
-    polynomial.
+    Each term is one match of a compiled pattern.  At the first term that
+    does not match, the error is diagnosed there and raised as a
+    ParseError with its line and column.  Variables are ordered by first
+    appearance unless a "vars:" header pins the order.  Like terms merge;
+    exact cancellation yields the zero polynomial.
     """
     header, body = _split_header(text, "vars")
     declared: list[str] | None = None
@@ -390,27 +325,42 @@ def parse_poly(text: str) -> SparsePoly:
                 raise ParseError(f"invalid variable name {name!r} in vars header", 1, 1)
         if len(set(declared)) != len(declared):
             raise ParseError("duplicate variable name in vars header", 1, 1)
-    tokens = _tokenize(body)
-    if not tokens:
+    if not body.strip():
         raise ParseError("empty polynomial", 1, 1)
-    summands = _PolyParser(tokens).parse()
-
-    order: list[str] = list(declared) if declared is not None else []
-    seen = set(order)
-    for _, exps in summands:
-        for name in exps:
-            if name not in seen:
-                if declared is not None:
-                    raise ParseError(f"variable {name!r} not declared in vars header")
-                seen.add(name)
-                order.append(name)
-    index = {name: i for i, name in enumerate(order)}
+    index = {name: i for i, name in enumerate(declared or ())}
+    summands: list[tuple[Fraction | int, list[tuple[int, int]]]] = []
+    pos = 0
+    while pos < len(body):
+        m = _TERM_RE.match(body, pos)
+        if m is None:
+            _diagnose(body, pos)
+        coef_text = m["coef"] or m["const"]
+        if coef_text is None:
+            coef: Fraction | int = 1
+        elif "." in coef_text:
+            coef = Fraction(coef_text)  # exact: "1.25" -> 5/4
+        elif "/" in coef_text:
+            num, den = coef_text.split("/")
+            if int(den) == 0:
+                _diagnose(body, pos)
+            coef = Fraction(int(num), int(den))
+        else:
+            coef = int(coef_text)
+        powers = []
+        if m["mono"] is not None:
+            for name, power in _FACTOR_RE.findall(m["mono"]):
+                powers.append((index.setdefault(name, len(index)), int(power) if power else 1))
+        summands.append((-coef if m["sign"] == "-" else coef, powers))
+        pos = m.end()
+    order = list(index)
+    if declared is not None and len(order) > len(declared):
+        raise ParseError(f"variable {order[len(declared)]!r} not declared in vars header")
     items = []
-    for coef, exps in summands:
+    for coef, powers in summands:
         e = [0] * len(order)
-        for name, p in exps.items():
-            e[index[name]] = p
-        items.append((tuple(e), coef))
+        for i, p in powers:
+            e[i] += p
+        items.append((e, coef))
     return SparsePoly.from_terms(order, items)
 
 
@@ -453,14 +403,26 @@ def poly_to_json_dict(f: SparsePoly) -> dict:
 
 
 def poly_from_json_dict(data: dict) -> SparsePoly:
-    """Inverse of :func:`poly_to_json_dict`; float coefficients are rejected."""
+    """Inverse of :func:`poly_to_json_dict`.
+
+    Anything but that shape is a ParseError: "vars" must be a list of
+    strings, "terms" a list of objects with "coef" (an exact string or an
+    integer; floats and booleans are rejected) and "exps" (a list of
+    integers).
+    """
     try:
-        variables = list(data["vars"])
+        variables = data["vars"]
         raw_terms = data["terms"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed polynomial JSON: missing {exc}") from exc
+    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
+        raise ParseError("malformed polynomial JSON: vars must be a list of strings")
+    if not isinstance(raw_terms, list):
+        raise ParseError("malformed polynomial JSON: terms must be a list")
     items = []
     for entry in raw_terms:
+        if not isinstance(entry, dict) or "coef" not in entry or "exps" not in entry:
+            raise ParseError('malformed polynomial JSON: a term needs "coef" and "exps"')
         coef = entry["coef"]
         if isinstance(coef, float):
             raise ParseError("floating-point coefficient rejected; use an exact string")
@@ -469,10 +431,12 @@ def poly_from_json_dict(data: dict) -> SparsePoly:
                 coef = Fraction(coef)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"malformed rational {entry['coef']!r}") from exc
-        elif not isinstance(coef, int):
+        elif isinstance(coef, bool) or not isinstance(coef, int):
             raise ParseError("coefficient must be an exact string or integer")
         exps = entry["exps"]
-        if any(not isinstance(e, int) for e in exps):
+        if not isinstance(exps, list) or any(
+            isinstance(e, bool) or not isinstance(e, int) for e in exps
+        ):
             raise ParseError("exponents must be integers")
         if any(e < 0 for e in exps):
             raise ParseError("negative exponent")

@@ -150,18 +150,37 @@ def trace_B2(
     binomial over the masks of each bucket.  Buckets with more than k
     entries -1 are never built, as their binomial is zero.
 
+    Pass one works on level masks L_j(X) = {i : X_i >= j}, j >= 1, packed
+    into one integer per term at a stride of n+1 bits.  R - P is a
+    {-1,0,1} vector exactly when L_{j+1}(R) is inside L_j(P) and L_{j+1}(P)
+    inside L_j(R) for every j; then the +1 positions are the union over j of
+    L_j(R) minus L_j(P), a union of disjoint sets, and likewise the -1
+    positions.  So a pair costs a few word operations whatever n is.  Pass
+    two reads its binomials from the rows C(z, k - j), z = 0..n, built
+    once per call.
+
     Coefficients are scaled to integers by their common denominator L and
     the integer total is divided by L^4 once.  ``budget`` caps each pass:
     the ordered pairs visited (at most s^2) and the bucket pairings
     sum_D |w_D|^2 (at most s^3).
     """
     _require_scaled(f, "trace_B2")
+    n = len(f.vars)
+    stride = n + 1
+    # Level j sits at bits (j-1)*stride .. (j-1)*stride + n-1.  The pieces
+    # of a union over levels are disjoint, so their sum is their union, and
+    # as 2^stride = 1 modulo `fold` the sum is the packed value mod `fold`
+    # (exact: the union is below 2^n < fold).
+    fold = (1 << stride) - 1
     clear = lcm_all(t.coef.denominator for t in f.terms)
-    by_degree: dict[int, list[tuple[ExponentVector, int, int]]] = {}
+    by_degree: dict[int, list[tuple[int, int, int]]] = {}
     for t in f.terms:
-        mask = sum(1 << i for i, e in enumerate(t.exps) if e)
+        # Bit i at levels 1..e_i: a run of e_i ones at the stride, shifted by i.
+        levels = sum(((1 << e * stride) - 1) // fold << i for i, e in enumerate(t.exps))
         scaled_coef = t.coef.numerator * (clear // t.coef.denominator)
-        by_degree.setdefault(sum(t.exps), []).append((t.exps, mask, scaled_coef))
+        by_degree.setdefault(sum(t.exps), []).append(
+            (levels, levels & fold, scaled_coef)
+        )
     pairs = sum(len(group) ** 2 for group in by_degree.values())
     if pairs > budget:
         raise ResourceLimitError("triple-sum", budget, pairs)
@@ -169,32 +188,25 @@ def trace_B2(
     # Equal total degree and steps in {-1,0,1} make the +1 and -1 counts equal.
     buckets: dict[tuple[int, int], dict[int, int]] = {}
     for group in by_degree.values():
-        for p_exps, p_mask, a_p in group:
-            for r_exps, _, a_r in group:
-                up = down = 0
-                bit = 1
-                for pi, ri in zip(p_exps, r_exps):
-                    if ri != pi:
-                        if ri == pi + 1:
-                            up |= bit
-                        elif ri == pi - 1:
-                            down |= bit
-                        else:
-                            break
-                    bit <<= 1
-                else:
-                    if down.bit_count() <= k:
-                        weights = buckets.setdefault((up, down), {})
-                        m = p_mask & ~(up | down)
-                        weights[m] = weights.get(m, 0) + a_p * a_r
+        for p_levels, p_mask, a_p in group:
+            p_above = p_levels >> stride
+            for r_levels, _, a_r in group:
+                if (r_levels >> stride) & ~p_levels or p_above & ~r_levels:
+                    continue
+                down = (p_levels & ~r_levels) % fold
+                if down.bit_count() <= k:
+                    up = (r_levels & ~p_levels) % fold
+                    weights = buckets.setdefault((up, down), {})
+                    m = p_mask & ~(up | down)
+                    weights[m] = weights.get(m, 0) + a_p * a_r
 
     pairings = sum(len(weights) ** 2 for weights in buckets.values())
     if pairings > budget:
         raise ResourceLimitError("triple-sum", budget, pairings)
-    n = len(f.vars)
+    n_counts = [[binom(z, k - j) for z in range(n + 1)] for j in range(min(k, n) + 1)]
     total = 0
     for (_, down), weights in buckets.items():
-        n_count = [binom(z, k - down.bit_count()) for z in range(n + 1)]
+        n_count = n_counts[down.bit_count()]
         items = list(weights.items())
         for m1, w1 in items:
             inner = 0
@@ -317,14 +329,15 @@ def semirandom_L(
     coefs: Sequence[Fraction | int],
     k: int,
 ) -> Fraction:
-    """L(f) for a fixed support with explicitly given scaled coefficients."""
-    num = Fraction(0)
-    sq = Fraction(0)
-    for exps, c in zip(support, coefs):
-        c2 = Fraction(c) ** 2
-        num += binom(support_size(exps), k) * c2
-        sq += c2
-    return num / (len(support) * sq)
+    """L(f) for a fixed support with explicitly given scaled coefficients.
+
+    The sums are taken in integers: the coefficients are scaled by their
+    common denominator, whose square cancels from the ratio.
+    """
+    clear = lcm_all(c.denominator for c in coefs)
+    squares = [(c.numerator * (clear // c.denominator)) ** 2 for c in coefs]
+    num = sum(binom(support_size(exps), k) * sq for exps, sq in zip(support, squares))
+    return Fraction(num, len(support) * sum(squares))
 
 
 def semirandom_estimate(

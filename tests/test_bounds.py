@@ -1,6 +1,7 @@
 """Elementary bounds: profiles, extremal monomials, vertex sampling, sandwich."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from pdrank import (
     upper_bound_linearity,
     vertex_sample,
 )
+from pdrank import bounds
 from pdrank.bounds import default_order_family, extremal_candidates
 from pdrank.corpus import random_polys
 from pdrank.polyio import scale
@@ -115,6 +117,41 @@ def test_vertex_sample_single_monomial_and_segment():
     found = vertex_sample(seg, trials=32, rng_seed=1)
     assert set(found) <= {(1, 0), (0, 1)}
     assert found
+
+
+def reference_vertex_sample(f, trials, rng_seed, bound):
+    """The dense loop vertex_sample replaced: every coordinate, every term."""
+    rng = random.Random(rng_seed)
+    n = len(f.vars)
+    found = {}
+    for _ in range(trials):
+        w = tuple(rng.randint(-bound, bound) for _ in range(n))
+        best_val = None
+        best_exps = None
+        unique = True
+        for t in f.terms:
+            val = sum(wi * e for wi, e in zip(w, t.exps))
+            if best_val is None or val > best_val:
+                best_val = val
+                best_exps = t.exps
+                unique = True
+            elif val == best_val:
+                unique = False
+        if unique and best_exps is not None and best_exps not in found:
+            found[best_exps] = w
+    return found
+
+
+@pytest.mark.parametrize("bound", [bounds.WEIGHT_BOUND, 2], ids=["default", "ties"])
+def test_vertex_sample_matches_dense_reference(monkeypatch, bound):
+    """Equal dicts in equal insertion order; bound 2 makes ties common."""
+    monkeypatch.setattr(bounds, "WEIGHT_BOUND", bound)
+    polys = random_polys(seed=91, count=100, max_vars=7, max_terms=12, max_degree=4)
+    polys += random_polys(seed=92, count=100, max_vars=3, max_terms=6, max_degree=6)
+    for i, f in enumerate(polys):
+        trials = (1, 8, 32)[i % 3]
+        want = reference_vertex_sample(f, trials, i, bound)
+        assert list(vertex_sample(f, trials, i).items()) == list(want.items())
 
 
 def test_lower_bound_multilinear_is_binomial():

@@ -2,11 +2,14 @@
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from pdrank import cli
+from pdrank import cli, polyio
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -50,6 +53,26 @@ def test_parser_is_built_once_per_process(capsys, poly_file, monkeypatch):
     first = len(built)
     assert run(capsys, "bounds", "--k", "1", path)[0] == 0
     assert len(built) == first
+
+
+@pytest.mark.parametrize("command", ["bounds", "dim"])
+def test_one_scaled_conversion_per_request(capsys, monkeypatch, command):
+    """The report converts f once and hands the scaled copy to every stage."""
+    calls = []
+    original = polyio.to_scaled
+
+    def counting(f):
+        calls.append(f)
+        return original(f)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "pdrank":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    path = str(DATA / "rational.poly")
+    assert run(capsys, command, "--k", "2", path, "--format", "json")[0] == 0
+    assert len(calls) == 1
 
 
 def test_dim_k0_any_nonzero_poly_is_one(capsys, poly_file):
@@ -193,10 +216,28 @@ def test_random_corpus_roundtrip(capsys):
         ("verify", "--exhaustive", "n=2"),
         ("verify", "--exhaustive", "n=8"),
         ("sym", "gap", "--fixed", "d=3"),
+        # (name, text) entries are written to a file first.
+        ("dim", "--k", "1", ("f.poly", "x1 + é")),
+        ("dim", "--k", "1", ("f.poly", "x1^²")),
+        ("dim", "--k", "1", ("f.json", '{"vars": ["x"], "terms": [{"coef": "1"}]}')),
+        ("dim", "--k", "1", ("f.json", '{"vars": ["x"], "terms": [{"exps": [1]}]}')),
+        ("dim", "--k", "1", ("f.json", '{"vars": ["x"], "terms": [1]}')),
+        ("dim", "--k", "1", ("f.json", '{"vars": ["x"], "terms": 5}')),
+        ("dim", "--k", "1", ("f.json", '{"vars": ["x"], "terms": [{"coef": "1", "exps": 1}]}')),
+        ("dim", "--k", "1", ("f.json", '{"vars": ["x"], "terms": [{"coef": true, "exps": [1]}]}')),
+        ("dim", "--k", "1", ("f.json", '{"vars": ["x"], "terms": [{"coef": "1", "exps": [true]}]}')),
+        ("dim", "--k", "1", ("f.json", '{"vars": "xy", "terms": [{"coef": "1", "exps": [1, 1]}]}')),
     ],
 )
-def test_input_errors_exit_2(capsys, argv):
-    code, _, err = run(capsys, *argv)
+def test_input_errors_exit_2(capsys, tmp_path, argv):
+    args = []
+    for arg in argv:
+        if isinstance(arg, tuple):
+            name, text = arg
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            arg = str(tmp_path / name)
+        args.append(arg)
+    code, _, err = run(capsys, *args)
     assert code == 2
     assert err
 

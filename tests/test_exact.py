@@ -400,6 +400,54 @@ def test_multilinear40_rank_needs_elimination_on_the_core_only(spec, golden):
     assert rank_exact(matrix, budget=LAZY_CORE_UPDATES) == want
 
 
+def final_rank_rows(rows, **kwargs) -> list[dict[int, int]]:
+    """The core rows as ``sparse_int_rank`` leaves them at its return."""
+    seen = []
+
+    def local(frame, event, arg):
+        if event == "return":
+            seen.append([dict(row) for row in frame.f_locals["work"]])
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is exact.sparse_int_rank.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        sparse_int_rank(rows, **kwargs)
+    finally:
+        sys.settrace(previous)
+    assert len(seen) == 1
+    return seen[0]
+
+
+def hadamard_square(rows: list[dict[int, int]]) -> int:
+    """Square of the Hadamard bound: no minor of the rows exceeds its root."""
+    return math.prod(max(1, sum(v * v for v in row.values())) for row in rows)
+
+
+def dense_rows(seed: int, size: int) -> list[dict[int, int]]:
+    rng = random.Random(seed)
+    return [{j: v for j in range(size) if (v := rng.randint(-9, 9))} for _ in range(size)]
+
+
+@pytest.mark.parametrize("case", ["dense12", "multilinear40"])
+def test_bareiss_entries_stay_within_the_hadamard_bound(case):
+    """Peeling leaves entries as they are and Bareiss entries are minors, so
+    none exceeds the Hadamard bound of the input; an elimination that never
+    divided would pass every rank test but not this one."""
+    if case == "dense12":
+        rows = dense_rows(12, 12)
+    else:
+        f = parse_poly((DATA / "multilinear40.poly").read_text())
+        rows = list(build_matrix(f, OrderSpec.all_orders()).entries)
+    bound = hadamard_square(rows)
+    work = final_rank_rows(rows)
+    assert any(len(row) > 1 for row in work)  # elimination ran on a core
+    assert all(v * v <= bound for row in work for v in row.values())
+
+
 def sympy_dim(f: SparsePoly, spec: OrderSpec) -> int:
     """Independent oracle: ``sympy.Matrix.rank`` of the derivatives
     ``sympy.Poly.diff`` takes, one row per multi-index of the requested

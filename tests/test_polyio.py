@@ -1,5 +1,7 @@
 """Polynomial / graph / complex parsing, canonicalization, basis conversion."""
 
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -22,7 +24,7 @@ from pdrank import (
     to_ordinary,
     to_scaled,
 )
-from pdrank.polyio import permute_vars, scale
+from pdrank.polyio import _split_header, permute_vars, scale
 
 
 def test_parse_basic_two_terms():
@@ -69,19 +71,19 @@ def test_parse_repeated_factor_multiplies():
     assert f.terms[0].exps == (3,)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "x1 +",  # dangling operator
-        "x1^-2",  # negative exponent
-        "3/0*x1",  # zero denominator
-        "3/*x1",  # malformed rational
-        "2 3",  # missing operator
-        "1.",  # malformed decimal
-        "",  # empty input
-        "x1 & x2",  # stray character
-    ],
-)
+PARSE_ERROR_CASES = [
+    "x1 +",  # dangling operator
+    "x1^-2",  # negative exponent
+    "3/0*x1",  # zero denominator
+    "3/*x1",  # malformed rational
+    "2 3",  # missing operator
+    "1.",  # malformed decimal
+    "",  # empty input
+    "x1 & x2",  # stray character
+]
+
+
+@pytest.mark.parametrize("text", PARSE_ERROR_CASES)
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         parse_poly(text)
@@ -91,6 +93,301 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as err:
         parse_poly("x1 +\nx2 ^ -1")
     assert err.value.line == 2
+
+
+# -- the term-pattern parser against the token parser it replaced -------------
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # NUM DEC NAME OP
+    text: str
+    line: int
+    col: int
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    line = 1
+    col = 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            if j < n and text[j] == ".":
+                k = j + 1
+                while k < n and text[k].isdigit():
+                    k += 1
+                if k == j + 1:
+                    raise ParseError("malformed decimal (digits required after '.')", line, col)
+                tokens.append(_Token("DEC", text[i:k], line, col))
+                col += k - i
+                i = k
+            else:
+                tokens.append(_Token("NUM", text[i:j], line, col))
+                col += j - i
+                i = j
+            continue
+        if ch.isalpha():
+            m = re.compile(r"[A-Za-z][A-Za-z0-9_]*").match(text, i)
+            assert m is not None
+            tokens.append(_Token("NAME", m.group(), line, col))
+            col += m.end() - i
+            i = m.end()
+            continue
+        if ch in "+-*^/":
+            tokens.append(_Token("OP", ch, line, col))
+            col += 1
+            i += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    return tokens
+
+
+class _TokenParser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> _Token | None:
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def next(self) -> _Token | None:
+        tok = self.peek()
+        if tok is not None:
+            self.pos += 1
+        return tok
+
+    def fail(self, message: str, tok: _Token | None = None):
+        if tok is None and self.tokens:
+            last = self.tokens[-1]
+            raise ParseError(message, last.line, last.col + len(last.text))
+        if tok is None:
+            raise ParseError(message, 1, 1)
+        raise ParseError(message, tok.line, tok.col)
+
+    def parse(self) -> list[tuple[Fraction, dict[str, int]]]:
+        out = []
+        sign = 1
+        tok = self.peek()
+        if tok is not None and tok.kind == "OP" and tok.text in "+-":
+            sign = -1 if tok.text == "-" else 1
+            self.next()
+        while True:
+            coef, exps = self.parse_sterm()
+            out.append((sign * coef, exps))
+            tok = self.next()
+            if tok is None:
+                return out
+            if tok.kind != "OP" or tok.text not in "+-":
+                self.fail(f"expected '+' or '-', got {tok.text!r}", tok)
+            sign = -1 if tok.text == "-" else 1
+
+    def parse_coef(self) -> Fraction:
+        tok = self.next()
+        assert tok is not None and tok.kind in ("NUM", "DEC")
+        if tok.kind == "DEC":
+            return Fraction(tok.text)
+        value = Fraction(int(tok.text))
+        nxt = self.peek()
+        if nxt is not None and nxt.kind == "OP" and nxt.text == "/":
+            self.next()
+            den = self.next()
+            if den is None or den.kind != "NUM":
+                self.fail("malformed rational: expected an unsigned integer denominator", den)
+            if int(den.text) == 0:
+                self.fail("malformed rational: zero denominator", den)
+            value /= int(den.text)
+        return value
+
+    def parse_factor(self, exps: dict[str, int]):
+        tok = self.next()
+        assert tok is not None and tok.kind == "NAME"
+        power = 1
+        nxt = self.peek()
+        if nxt is not None and nxt.kind == "OP" and nxt.text == "^":
+            self.next()
+            ptok = self.next()
+            if ptok is not None and ptok.kind == "OP" and ptok.text == "-":
+                self.fail("negative exponent", ptok)
+            if ptok is None or ptok.kind != "NUM":
+                self.fail("expected an unsigned integer exponent after '^'", ptok)
+            power = int(ptok.text)
+        exps[tok.text] = exps.get(tok.text, 0) + power
+
+    def parse_sterm(self) -> tuple[Fraction, dict[str, int]]:
+        tok = self.peek()
+        if tok is None:
+            self.fail("expected a term")
+        coef = Fraction(1)
+        exps: dict[str, int] = {}
+        if tok.kind in ("NUM", "DEC"):
+            coef = self.parse_coef()
+            nxt = self.peek()
+            if nxt is None or not (nxt.kind == "OP" and nxt.text == "*"):
+                return coef, exps
+            self.next()
+            tok = self.peek()
+        if tok is None or tok.kind != "NAME":
+            self.fail("expected a variable name", tok)
+        self.parse_factor(exps)
+        while True:
+            nxt = self.peek()
+            if nxt is None or not (nxt.kind == "OP" and nxt.text == "*"):
+                return coef, exps
+            self.next()
+            tok = self.peek()
+            if tok is None or tok.kind != "NAME":
+                self.fail("expected a variable name after '*'", tok)
+            self.parse_factor(exps)
+
+
+def reference_parse_poly(text: str) -> SparsePoly:
+    """The character tokenizer and peek/next parser that ``parse_poly`` replaced."""
+    header, body = _split_header(text, "vars")
+    declared: list[str] | None = None
+    if header is not None:
+        declared = header.split()
+        for name in declared:
+            if not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", name):
+                raise ParseError(f"invalid variable name {name!r} in vars header", 1, 1)
+        if len(set(declared)) != len(declared):
+            raise ParseError("duplicate variable name in vars header", 1, 1)
+    tokens = _tokenize(body)
+    if not tokens:
+        raise ParseError("empty polynomial", 1, 1)
+    summands = _TokenParser(tokens).parse()
+    order: list[str] = list(declared) if declared is not None else []
+    seen = set(order)
+    for _, exps in summands:
+        for name in exps:
+            if name not in seen:
+                if declared is not None:
+                    raise ParseError(f"variable {name!r} not declared in vars header")
+                seen.add(name)
+                order.append(name)
+    index = {name: i for i, name in enumerate(order)}
+    items = []
+    for coef, exps in summands:
+        e = [0] * len(order)
+        for name, p in exps.items():
+            e[index[name]] = p
+        items.append((tuple(e), coef))
+    return SparsePoly.from_terms(order, items)
+
+
+def outcome(parser, text: str):
+    """The polynomial, or the ParseError's message, line and column."""
+    try:
+        return parser(text)
+    except ParseError as err:
+        return ("ParseError", str(err), err.line, err.col)
+
+
+NAMES = ["x", "y1", "ab_2", "Z", "x10"]
+space_st = st.sampled_from(["", "", " ", "  ", "\t", "\n", " \n "])
+
+
+@st.composite
+def poly_texts(draw):
+    """Valid texts: int, rational and decimal coefficients, powers, spacing."""
+    pieces: list[str] = []
+    used: set[str] = set()
+
+    def tok(text: str) -> None:
+        pieces.append(text)
+        pieces.append(draw(space_st))
+
+    for t in range(draw(st.integers(1, 5))):
+        if t or draw(st.booleans()):
+            tok(draw(st.sampled_from("+-")))
+        coef = draw(
+            st.one_of(
+                st.none(),
+                st.integers(0, 999).map(str),
+                st.tuples(st.integers(0, 99), st.integers(1, 99)).map(lambda p: f"{p[0]}/{p[1]}"),
+                st.tuples(st.integers(0, 99), st.integers(0, 999)).map(lambda p: f"{p[0]}.{p[1]}"),
+            )
+        )
+        factors = draw(st.lists(st.sampled_from(NAMES), max_size=3))
+        if coef is None and not factors:
+            factors = [NAMES[0]]
+        if coef is not None:
+            for part in re.split(r"(/)", coef):
+                tok(part)
+            if factors:
+                tok("*")
+        for idx, name in enumerate(factors):
+            if idx:
+                tok("*")
+            tok(name)
+            used.add(name)
+            if draw(st.booleans()):
+                tok("^")
+                tok(str(draw(st.integers(0, 12))))
+    text = "".join(pieces)
+    if draw(st.booleans()):
+        header = sorted(used | set(draw(st.lists(st.sampled_from(NAMES), max_size=2))))
+        text = "vars: " + " ".join(draw(st.permutations(header))) + "\n" + text
+    return text
+
+
+@given(poly_texts())
+@settings(max_examples=150)
+def test_parser_matches_token_parser_on_valid_text(text):
+    assert parse_poly(text) == reference_parse_poly(text)
+
+
+@given(st.text(alphabet="xy1203 +-*/^.\n\t_", max_size=16))
+@settings(max_examples=400)
+def test_parser_fails_like_token_parser_on_malformed_text(text):
+    assert outcome(parse_poly, text) == outcome(reference_parse_poly, text)
+
+
+@pytest.mark.parametrize("text", PARSE_ERROR_CASES + ["x1 +\nx2 ^ -1", "vars: a\nb", "x1 + 3/0*y & z"])
+def test_parse_errors_match_token_parser(text):
+    new = outcome(parse_poly, text)
+    assert new[0] == "ParseError"
+    assert new == outcome(reference_parse_poly, text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x1 + é", "line 1, col 6: unexpected character 'é'"),
+        ("xé1", "line 1, col 2: unexpected character 'é'"),
+        ("x1^²", "line 1, col 4: unexpected character '²'"),
+    ],
+)
+def test_non_ascii_text_is_a_parse_error(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "text",
+    [" " * 10**5 + "&", "*".join(["x"] * 10**5) + " &", "x" + " " * 10**5 + "y"],
+    ids=["spaces", "long-term", "spaced-names"],
+)
+def test_parse_errors_cost_linear_time(text):
+    """A rejected term is rescanned a bounded number of times, not once per
+    way of splitting a run of spaces: quadratic work here would take minutes."""
+    with pytest.raises(ParseError):
+        parse_poly(text)
 
 
 def test_to_scaled_examples():

@@ -1,6 +1,7 @@
 """Trace statistics vs. explicit Gram materialization and quadruple counting."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -9,6 +10,7 @@ import pytest
 from pdrank import (
     OrderSpec,
     ResourceLimitError,
+    SparsePoly,
     build_matrix,
     closed_form_L,
     count_N,
@@ -27,6 +29,8 @@ from pdrank import (
     trace_stats,
     upper_bound_linearity,
 )
+from pdrank import trace as trace_module
+from pdrank.combinat import binom
 from pdrank.corpus import random_polys
 from pdrank.polyio import permute_vars, scale, support_size
 from pdrank.trace import semirandom_L
@@ -181,6 +185,72 @@ def test_trace_b2_matches_count_n_triple_sum():
             assert trace_B2(scaled, k) == triple_sum_by_count_N(scaled, k), (f, k)
 
 
+def stepped_polys(seed: int, count: int) -> list:
+    """Exponents 2..4 walked by steps of 1 and 2 between two coordinates.
+
+    Each walk keeps the total degree, so same-degree term pairs differing by
+    2 in a coordinate are common: the pair test must reject them.  About
+    half the polynomials also carry a constant term.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(2, 4)
+        support = {tuple(rng.randint(2, 4) for _ in range(n))}
+        for _ in range(rng.randint(2, 7)):
+            e = list(rng.choice(sorted(support)))
+            i, j = rng.sample(range(n), 2)
+            step = rng.choice((1, 2))
+            if e[i] + step <= 4 and e[j] - step >= 0:
+                e[i] += step
+                e[j] -= step
+                support.add(tuple(e))
+        if rng.random() < 0.5:
+            support.add((0,) * n)
+        items = [(e, Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.randint(1, 4))) for e in support]
+        out.append(SparsePoly.from_terms([f"x{i}" for i in range(1, n + 1)], items))
+    return out
+
+
+def test_trace_b2_matches_count_n_on_steps_of_two():
+    polys = stepped_polys(seed=77, count=40)
+    steps = [
+        p.exps
+        for f in polys
+        for p in f.terms
+        for r in f.terms
+        if sum(p.exps) == sum(r.exps) and 2 in (abs(a - b) for a, b in zip(p.exps, r.exps))
+    ]
+    assert steps
+    assert any(not any(t.exps) for f in polys for t in f.terms)
+    for f in polys:
+        scaled = to_scaled(f)
+        max_sup = max(support_size(t.exps) for t in f.terms)
+        for k in range(max_sup + 2):
+            assert trace_B2(scaled, k) == triple_sum_by_count_N(scaled, k), (f, k)
+
+
+def test_trace_b2_builds_binomial_rows_once(monkeypatch):
+    """At most (k+1)(n+1) binomials per call, however many buckets there are."""
+    calls = 0
+    original = trace_module.binom
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return original(a, b)
+
+    monkeypatch.setattr(trace_module, "binom", counting)
+    polys = [sym_poly(8, 4)] + stepped_polys(seed=78, count=10)
+    polys += random_polys(seed=79, count=10, max_vars=8, max_terms=20, max_degree=4)
+    for f in polys:
+        scaled = to_scaled(f)
+        for k in range(5):
+            calls = 0
+            trace_B2(scaled, k)
+            assert calls <= (k + 1) * (len(f.vars) + 1), (f, k)
+
+
 @pytest.mark.parametrize("n, d, k", [(9, 4, 3), (10, 5, 2)])
 def test_trace_b2_matches_sym_closed_form_large(n, d, k):
     assert trace_B2(to_scaled(sym_poly(n, d)), k) == sym_trace_B2(n, d, k)
@@ -316,6 +386,17 @@ def test_semirandom_mean_close_to_expectation():
     expected = semirandom_expectation(support, k)
     est = semirandom_estimate(support, k, samples=600, rng_seed=42)
     assert abs(est - expected) <= Fraction(5, 100) * expected
+
+
+def test_semirandom_L_matches_fraction_sums():
+    """The integer sums equal the term-by-term Fraction sums they replaced."""
+    for f in random_polys(seed=76, count=30, max_vars=5, max_terms=8, max_degree=4):
+        support = [t.exps for t in f.terms]
+        for coefs in ([t.coef for t in f.terms], [t.coef.numerator for t in f.terms]):
+            for k in range(4):
+                num = sum((binom(support_size(e), k) * Fraction(c) ** 2 for e, c in zip(support, coefs)), Fraction(0))
+                sq = sum((Fraction(c) ** 2 for c in coefs), Fraction(0))
+                assert semirandom_L(support, coefs, k) == num / (len(support) * sq)
 
 
 def test_semirandom_L_matches_direct_formula():
