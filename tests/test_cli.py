@@ -225,7 +225,7 @@ def test_random_corpus_roundtrip(capsys):
         ("dim", "--k", "1", ("f.json", '{"vars": ["x"], "terms": 5}')),
         ("dim", "--k", "1", ("f.json", '{"vars": ["x"], "terms": [{"coef": "1", "exps": 1}]}')),
         ("dim", "--k", "1", ("f.json", '{"vars": ["x"], "terms": [{"coef": true, "exps": [1]}]}')),
-        ("dim", "--k", "1", ("f.json", '{"vars": ["x"], "terms": [{"coef": "1", "exps": [true]}]}')),
+        ("dim", "--k", "1", ("f.json", '{"vars": ["x"], "terms": [{"coef": 1, "exps": [true]}]}')),
         ("dim", "--k", "1", ("f.json", '{"vars": "xy", "terms": [{"coef": "1", "exps": [1, 1]}]}')),
     ],
 )

@@ -357,7 +357,9 @@ def test_parser_fails_like_token_parser_on_malformed_text(text):
     assert outcome(parse_poly, text) == outcome(reference_parse_poly, text)
 
 
-@pytest.mark.parametrize("text", PARSE_ERROR_CASES + ["x1 +\nx2 ^ -1", "vars: a\nb", "x1 + 3/0*y & z"])
+@pytest.mark.parametrize(
+    "text", PARSE_ERROR_CASES + ["x1 +\nx2 ^ -1", "vars: a\nb", "x1 + 3/0*y & z"]
+)
 def test_parse_errors_match_token_parser(text):
     new = outcome(parse_poly, text)
     assert new[0] == "ParseError"

@@ -213,7 +213,7 @@ def stepped_polys(seed: int, count: int) -> list:
 
 
 def test_trace_b2_matches_count_n_on_steps_of_two():
-    polys = stepped_polys(seed=77, count=40)
+    polys = stepped_polys(seed=77, count=40) + [parse_poly("5")]  # and no variables
     steps = [
         p.exps
         for f in polys
@@ -394,8 +394,11 @@ def test_semirandom_L_matches_fraction_sums():
         support = [t.exps for t in f.terms]
         for coefs in ([t.coef for t in f.terms], [t.coef.numerator for t in f.terms]):
             for k in range(4):
-                num = sum((binom(support_size(e), k) * Fraction(c) ** 2 for e, c in zip(support, coefs)), Fraction(0))
-                sq = sum((Fraction(c) ** 2 for c in coefs), Fraction(0))
+                num = Fraction(0)
+                sq = Fraction(0)
+                for exps, c in zip(support, coefs):
+                    num += binom(support_size(exps), k) * Fraction(c) ** 2
+                    sq += Fraction(c) ** 2
                 assert semirandom_L(support, coefs, k) == num / (len(support) * sq)
 
 
