@@ -4,23 +4,29 @@ Lower bounds come from a single well-chosen monomial: the minimal or
 maximal term under a lexicographic order (any addition-compatible total
 order works), or any certified vertex of the Newton polytope.  The
 single-monomial dimension profile is computed by an exact generating
--function product.  Upper bounds use linearity of differentiation plus
-row/column counts of the order-k derivative matrix.
+-function product, once per exponent multiset.  Every candidate is a
+term, so the best term's profile entry is a ceiling: the lower bound
+takes the lex candidates first, then runs vertex trials lazily, and
+stops as soon as a candidate reaches it.  A vertex trial is one
+big-integer sum of the weights times packed exponent columns, with one
+fixed-width byte slot per term.  Upper bounds use linearity of
+differentiation plus row/column counts of the order-k derivative matrix.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import mul
-from typing import Sequence
+from itertools import accumulate, chain
+from operator import itemgetter, mul
+from typing import Iterator, Sequence
 
 from .exact import (
     DerivMatrix,
     OrderSpec,
     build_matrix,
 )
-from .polyio import ExponentVector, SparsePoly, total_degree
+from .polyio import ExponentVector, SparsePoly
 
 DEFAULT_VERTEX_TRIALS = 32
 WEIGHT_BOUND = 2**31
@@ -79,13 +85,85 @@ def monomial_dim_profile(alpha: ExponentVector) -> list[int]:
     return profile
 
 
+def _profile_entry(alpha: ExponentVector, k: int) -> int:
+    """Entry k of monomial_dim_profile(alpha), in O(k) steps per exponent.
+
+    Works modulo t^(k+1): a factor 1 + t + ... + t^a is a prefix sum
+    (times 1/(1-t)) followed by subtracting the sum shifted by a+1 (times
+    1 - t^(a+1)), so an exponent of any size costs the same.
+    """
+    coeffs = [1] + [0] * k
+    for a in alpha:
+        if a:
+            coeffs = list(accumulate(coeffs))
+            for j in range(k, a, -1):
+                coeffs[j] -= coeffs[j - a - 1]
+    return coeffs[k]
+
+
+def _profile_column(monomials: Sequence[ExponentVector], k: int) -> list[int]:
+    """Entry k of each term's profile, computed once per exponent multiset."""
+    keys = list(map(tuple, map(sorted, monomials)))
+    at_k = {key: _profile_entry(key, k) for key in set(keys)}
+    return list(map(at_k.__getitem__, keys))
+
+
+def _lex_extreme(monomials: Sequence[ExponentVector], order: MonomialOrderSpec) -> int:
+    """Index of the term extremal under the given lex order.
+
+    Keys are whole permuted exponent vectors, so no two terms tie and the
+    index never enters the comparison.  Without variables the polynomial
+    is one constant term.
+    """
+    if not order.permutation:
+        return 0
+    pick = min if order.direction == "min" else max
+    keys = map(itemgetter(*order.permutation), monomials)
+    return pick(zip(keys, range(len(monomials))))[1]
+
+
 def extremal_monomial(f: SparsePoly, order: MonomialOrderSpec) -> ExponentVector:
     """Exponent vector of the term extremal under the given lex order."""
     if f.is_zero:
         raise ValueError("extremal monomial of the zero polynomial")
-    pick = min if order.direction == "min" else max
-    best = pick(f.terms, key=lambda t: order.key(t.exps))
-    return best.exps
+    monomials = [t.exps for t in f.terms]
+    return monomials[_lex_extreme(monomials, order)]
+
+
+def _unique_maximizers(
+    monomials: Sequence[ExponentVector], trials: int, rng_seed: int
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Yield (term index, weight vector) for each trial with a unique maximizer.
+
+    Every term gets a fixed-width slot of big-endian bytes.  Column i is
+    packed as one integer holding e_{j,i} in slot j, so one big-integer
+    sum of weight times column, plus WEIGHT_BOUND * maxdeg in every slot,
+    holds each term's weighted value shifted to be nonnegative.  Slots
+    are wide enough for twice that shift, so no slot carries into the
+    next, and equal-length big-endian bytes compare like the numbers
+    they encode.  The weights are drawn in the same order as one
+    ``randint`` per coordinate per trial.
+    """
+    rng = random.Random(rng_seed)
+    bound = WEIGHT_BOUND
+    n = len(monomials[0])
+    shift = bound * max(map(sum, monomials))
+    width = (2 * shift).bit_length() // 8 + 1
+    columns = list(zip(*monomials))
+    slot_bytes = {e: e.to_bytes(width, "big") for e in set().union(*columns)}
+    packed = [
+        int.from_bytes(b"".join(map(slot_bytes.__getitem__, col)), "big") for col in columns
+    ]
+    size = width * len(monomials)
+    offset = int.from_bytes(shift.to_bytes(width, "big") * len(monomials), "big")
+    slots = [slice(s, s + width) for s in range(0, size, width)]
+    for _ in range(trials):
+        w = tuple(rng.randint(-bound, bound) for _ in range(n))
+        data = sum(map(mul, w, packed), offset).to_bytes(size, "big")
+        values = list(map(data.__getitem__, slots))
+        best = max(values)
+        if values.count(best) == 1:
+            yield values.index(best), w
 
 
 def vertex_sample(
@@ -100,23 +178,16 @@ def vertex_sample(
     unique maximizers of linear functionals are exactly the vertices.  The
     returned dict maps each vertex found to a certifying weight vector, in
     the order the vertices were first found.  The set may be incomplete;
-    every member is a true vertex.  A weighted sum visits the nonzero
-    exponents of its term only.
+    every member is a true vertex.  A trial is one big-integer sum over
+    the variables: every term has a fixed-width byte slot in packed
+    exponent columns, and the maximum is taken over the slots' bytes.
     """
     if f.is_zero:
         raise ValueError("vertex sample of the zero polynomial")
-    rng = random.Random(rng_seed)
-    n = len(f.vars)
     monomials = [t.exps for t in f.terms]
-    supports = [[i for i, e in enumerate(exps) if e] for exps in monomials]
-    powers = [[e for e in exps if e] for exps in monomials]
     found: dict[ExponentVector, tuple[int, ...]] = {}
-    for _ in range(trials):
-        w = tuple(rng.randint(-WEIGHT_BOUND, WEIGHT_BOUND) for _ in range(n))
-        values = [sum(map(mul, map(w.__getitem__, s), p)) for s, p in zip(supports, powers)]
-        best = max(values)
-        if values.count(best) == 1:
-            found.setdefault(monomials[values.index(best)], w)
+    for j, w in _unique_maximizers(monomials, trials, rng_seed):
+        found.setdefault(monomials[j], w)
     return found
 
 
@@ -149,16 +220,30 @@ def lower_bound_extremal(
 
     The order-k dimension of f dominates that of any extremal monomial
     (equivalently any Newton-polytope vertex), so the maximum over the
-    candidate family is a valid lower bound for every k.
+    candidate family is a valid lower bound for every k.  The candidates
+    are terms, so the search stops at the first one whose profile entry
+    equals the best term's; the vertex trials after it are never run.
     """
     if f.is_zero:
         raise ValueError("lower bound of the zero polynomial")
     if k < 0:
         raise ValueError("k must be nonnegative")
+    if k > f.degree:
+        return 0
+    monomials = [t.exps for t in f.terms]
+    column = _profile_column(monomials, k)
+    ceiling = max(column)
+    if orders is None:
+        orders = default_order_family(len(f.vars))
+    candidates = chain(
+        (_lex_extreme(monomials, spec) for spec in orders),
+        (j for j, _ in _unique_maximizers(monomials, vertex_trials, rng_seed)),
+    )
     best = 0
-    for m in extremal_candidates(f, orders, vertex_trials, rng_seed):
-        profile = monomial_dim_profile(m)
-        best = max(best, profile[k] if k < len(profile) else 0)
+    for j in candidates:
+        best = max(best, column[j])
+        if best == ceiling:
+            break
     return best
 
 
@@ -180,13 +265,9 @@ def upper_bound_linearity(
         return 0
     if k < 0:
         raise ValueError("k must be nonnegative")
-    per_term = 0
-    for t in f.terms:
-        d = total_degree(t.exps)
-        if k <= d:
-            per_term += monomial_dim_profile(t.exps)[k]
     if k > f.degree:
         return 0
+    per_term = sum(_profile_column([t.exps for t in f.terms], k))
     if matrix is None:
         matrix = build_matrix(f, OrderSpec.exact(k))
     row_vectors = {tuple(sorted(row.items())) for row in matrix.entries}

@@ -104,6 +104,8 @@ class Options:
                 setattr(opts, attr, flag)
             elif attr in config:
                 setattr(opts, attr, config[attr])
+        if opts.vertex_trials < 0:
+            raise ValueError("vertex-trials must be nonnegative")
         return opts
 
 

@@ -36,6 +36,15 @@ _NAME = r"[A-Za-z][A-Za-z0-9_]*"
 _NAME_RE = re.compile(_NAME)
 
 
+def _check_names(
+    names: Sequence[str], where: str, line: int | None = None, col: int | None = None
+) -> None:
+    """Reject the first name outside the text grammar's variable names."""
+    for name in names:
+        if not _NAME_RE.fullmatch(name):
+            raise ParseError(f"invalid variable name {name!r} in {where}", line, col)
+
+
 def total_degree(exps: ExponentVector) -> int:
     """Sum of the exponents."""
     return sum(exps)
@@ -320,9 +329,7 @@ def parse_poly(text: str) -> SparsePoly:
     declared: list[str] | None = None
     if header is not None:
         declared = header.split()
-        for name in declared:
-            if not _NAME_RE.fullmatch(name):
-                raise ParseError(f"invalid variable name {name!r} in vars header", 1, 1)
+        _check_names(declared, "vars header", 1, 1)
         if len(set(declared)) != len(declared):
             raise ParseError("duplicate variable name in vars header", 1, 1)
     if not body.strip():
@@ -406,9 +413,9 @@ def poly_from_json_dict(data: dict) -> SparsePoly:
     """Inverse of :func:`poly_to_json_dict`.
 
     Anything but that shape is a ParseError: "vars" must be a list of
-    strings, "terms" a list of objects with "coef" (an exact string or an
-    integer; floats and booleans are rejected) and "exps" (a list of
-    integers).
+    variable names of the text grammar, "terms" a list of objects with
+    "coef" (an exact string or an integer; floats and booleans are
+    rejected) and "exps" (a list of integers).
     """
     try:
         variables = data["vars"]
@@ -417,6 +424,7 @@ def poly_from_json_dict(data: dict) -> SparsePoly:
         raise ParseError(f"malformed polynomial JSON: missing {exc}") from exc
     if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
         raise ParseError("malformed polynomial JSON: vars must be a list of strings")
+    _check_names(variables, "JSON vars")
     if not isinstance(raw_terms, list):
         raise ParseError("malformed polynomial JSON: terms must be a list")
     items = []

@@ -1,5 +1,6 @@
 """Elementary bounds: profiles, extremal monomials, vertex sampling, sandwich."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -152,6 +153,107 @@ def test_vertex_sample_matches_dense_reference(monkeypatch, bound):
         trials = (1, 8, 32)[i % 3]
         want = reference_vertex_sample(f, trials, i, bound)
         assert list(vertex_sample(f, trials, i).items()) == list(want.items())
+
+
+def reference_lower_bound(f, k, orders, trials, rng_seed):
+    """The loop lower_bound_extremal replaced: every candidate's full profile."""
+    best = 0
+    for m in extremal_candidates(f, orders, trials, rng_seed):
+        profile = monomial_dim_profile(m)
+        best = max(best, profile[k] if k < len(profile) else 0)
+    return best
+
+
+@pytest.mark.parametrize("bound", [bounds.WEIGHT_BOUND, 2], ids=["default", "ties"])
+def test_lower_bound_matches_candidate_reference(monkeypatch, bound):
+    """Stopping at the per-term ceiling gives the full candidate maximum."""
+    monkeypatch.setattr(bounds, "WEIGHT_BOUND", bound)
+    polys = random_polys(seed=93, count=60, max_vars=6, max_terms=10, max_degree=5)
+    polys += random_polys(seed=94, count=60, max_vars=3, max_terms=6, max_degree=7)
+    rng = random.Random(95)
+    for i, f in enumerate(polys):
+        if f.is_zero:
+            continue
+        n = len(f.vars)
+        perm = tuple(rng.sample(range(n), n))
+        orders = (None, [], [MonomialOrderSpec(perm, rng.choice(["min", "max"]))])[i % 3]
+        trials = (0, 1, 8, 32)[i % 4]
+        for k in range(f.degree + 2):
+            want = reference_lower_bound(f, k, orders, trials, i)
+            assert lower_bound_extremal(f, k, orders, trials, i) == want
+
+
+def test_lower_bound_without_candidates_is_zero():
+    f = parse_poly("x1^2*x2 + x2^3")
+    for k in range(5):
+        assert lower_bound_extremal(f, k, orders=[], vertex_trials=0) == 0
+    assert lower_bound_extremal(f, 1, orders=[], vertex_trials=8) == 2
+
+
+def test_lower_bound_constant_without_variables():
+    f = parse_poly("5")
+    assert f.vars == ()
+    assert vertex_sample(f, 4) == {(): ()}
+    assert [lower_bound_extremal(f, k) for k in range(3)] == [1, 0, 0]
+    assert lower_bound_extremal(f, 0, orders=[], vertex_trials=0) == 0
+    assert extremal_monomial(f, MonomialOrderSpec((), "max")) == ()
+
+
+def test_lower_bound_one_variable():
+    f = parse_poly("x1^3 + 2*x1 + 1")
+    for k in range(5):
+        for trials in (0, 8):
+            want = reference_lower_bound(f, k, None, trials, 0)
+            assert lower_bound_extremal(f, k, vertex_trials=trials) == want
+    assert list(vertex_sample(f, 16, 4).items()) == list(
+        reference_vertex_sample(f, 16, 4, bounds.WEIGHT_BOUND).items()
+    )
+
+
+def test_lower_bound_huge_exponent_needs_a_wide_slot():
+    """2^31 * 2^40 needs a ten-byte slot; profiles never expand x1^(2^40)."""
+    big = 2**40
+    f = parse_poly(f"x1^{big} + x2^3 + x1*x2")
+    assert list(vertex_sample(f, 32, 7).items()) == list(
+        reference_vertex_sample(f, 32, 7, bounds.WEIGHT_BOUND).items()
+    )
+    assert (1, 1) in vertex_sample(f, 32, 7)
+    ks = [0, 1, 2, 3, 4, big + 1]
+    assert [lower_bound_extremal(f, k, rng_seed=7) for k in ks] == [1, 2, 1, 1, 1, 0]
+
+
+def test_profile_column_matches_full_profiles():
+    polys = random_polys(seed=96, count=40, max_vars=5, max_terms=8, max_degree=6)
+    for f in polys:
+        monomials = [t.exps for t in f.terms]
+        for k in range(8):
+            want = [
+                monomial_dim_profile(m)[k] if k <= sum(m) else 0 for m in monomials
+            ]
+            assert bounds._profile_column(monomials, k) == want
+    assert bounds._profile_entry((2**40, 3), 2) == 3
+
+
+def test_extremal_monomial_matches_key_reference():
+    polys = random_polys(seed=97, count=40, max_vars=4, max_terms=8, max_degree=4)
+    for f in polys:
+        if f.is_zero:
+            continue
+        for perm in itertools.permutations(range(len(f.vars))):
+            for direction, pick in (("min", min), ("max", max)):
+                spec = MonomialOrderSpec(perm, direction)
+                want = pick(f.terms, key=lambda t: spec.key(t.exps)).exps
+                assert extremal_monomial(f, spec) == want
+
+
+def test_vertex_sample_slots_hold_the_extreme_values(monkeypatch):
+    """With bound 2 and degree 64 a term reaches 2 * 2 * 64 = 256 after the shift."""
+    monkeypatch.setattr(bounds, "WEIGHT_BOUND", 2)
+    for text in ("x1^64 + x2", "x1^64 + x2^64 + x1^32*x2^32", "x1^63*x2 + x1 + x2^64"):
+        f = parse_poly(text)
+        for seed in range(5):
+            want = reference_vertex_sample(f, 64, seed, 2)
+            assert list(vertex_sample(f, 64, seed).items()) == list(want.items())
 
 
 def test_lower_bound_multilinear_is_binomial():

@@ -227,6 +227,8 @@ def test_random_corpus_roundtrip(capsys):
         ("dim", "--k", "1", ("f.json", '{"vars": ["x"], "terms": [{"coef": true, "exps": [1]}]}')),
         ("dim", "--k", "1", ("f.json", '{"vars": ["x"], "terms": [{"coef": 1, "exps": [true]}]}')),
         ("dim", "--k", "1", ("f.json", '{"vars": "xy", "terms": [{"coef": "1", "exps": [1, 1]}]}')),
+        ("bounds", "--k", "1", "--vertex-trials", "-5", ("f.poly", "x1 + x2")),
+        ("dim", "--k", "1", ("f.json", '{"vars": ["a b", "1x"], "terms": [{"coef": "1", "exps": [1, 1]}]}')),
     ],
 )
 def test_input_errors_exit_2(capsys, tmp_path, argv):
@@ -240,6 +242,16 @@ def test_input_errors_exit_2(capsys, tmp_path, argv):
     code, _, err = run(capsys, *args)
     assert code == 2
     assert err
+
+
+def test_negative_vertex_trials_in_config_exit_2(capsys, poly_file, tmp_path, monkeypatch):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"vertex-trials": -5}))
+    monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+    code, out, err = run(capsys, "bounds", "--k", "1", poly_file("x1 + x2"))
+    assert code == 2
+    assert not out
+    assert "vertex-trials" in err
 
 
 def test_parse_error_exit_2(capsys, poly_file):

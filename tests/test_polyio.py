@@ -447,6 +447,37 @@ def test_json_roundtrip(f):
     assert poly_from_json_dict(poly_to_json_dict(f)) == f
 
 
+@st.composite
+def json_polys(draw, max_vars=4, max_terms=5, max_exp=3):
+    """JSON polynomials whose variable names are any names of the text grammar."""
+    names = draw(
+        st.lists(
+            st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,6}", fullmatch=True),
+            min_size=1,
+            max_size=max_vars,
+            unique=True,
+        )
+    )
+    items = [
+        (tuple(draw(st.integers(0, max_exp)) for _ in names), draw(coef_st))
+        for _ in range(draw(st.integers(0, max_terms)))
+    ]
+    return poly_to_json_dict(SparsePoly.from_terms(names, items))
+
+
+@given(json_polys())
+def test_json_text_json_roundtrip(data):
+    text = format_poly(poly_from_json_dict(data))
+    assert poly_to_json_dict(parse_poly(text)) == data
+
+
+@pytest.mark.parametrize("name", ["a b", "1x", "", "x-1", "é", "x1\n"])
+def test_poly_json_rejects_names_outside_the_grammar(name):
+    data = {"vars": ["x", name], "terms": [{"coef": "1", "exps": [1, 1]}]}
+    with pytest.raises(ParseError, match=r"^invalid variable name .* in JSON vars$"):
+        poly_from_json_dict(data)
+
+
 @given(polys())
 def test_scaled_conversion_is_bijective(f):
     if f.is_zero:
