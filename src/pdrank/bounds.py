@@ -86,12 +86,17 @@ def monomial_dim_profile(alpha: ExponentVector) -> list[int]:
 
 
 def _profile_entry(alpha: ExponentVector, k: int) -> int:
-    """Entry k of monomial_dim_profile(alpha), in O(k) steps per exponent.
+    """Entry k of monomial_dim_profile(alpha), in O(min(k, |alpha| - k))
+    steps per exponent.
 
-    Works modulo t^(k+1): a factor 1 + t + ... + t^a is a prefix sum
-    (times 1/(1-t)) followed by subtracting the sum shifted by a+1 (times
-    1 - t^(a+1)), so an exponent of any size costs the same.
+    The profile is palindromic, so entry k equals entry |alpha| - k, and it
+    is 0 past |alpha|.  Works modulo t^(k+1): a factor 1 + t + ... + t^a is
+    a prefix sum (times 1/(1-t)) followed by subtracting the sum shifted by
+    a+1 (times 1 - t^(a+1)), so an exponent of any size costs the same.
     """
+    k = min(k, sum(alpha) - k)
+    if k < 0:
+        return 0
     coeffs = [1] + [0] * k
     for a in alpha:
         if a:

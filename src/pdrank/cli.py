@@ -27,7 +27,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -46,16 +46,7 @@ from .polyio import (
 )
 
 CONFIG_ENV = "PDRANK_CONFIG"
-
-_CONFIG_KEYS = {
-    "max-rows": "max_rows",
-    "max-cols": "max_cols",
-    "elimination-budget": "elimination_budget",
-    "budget": "budget",
-    "vertex-trials": "vertex_trials",
-    "seed": "seed",
-    "threads": "threads",
-}
+MAX_VERTEX_TRIALS = 10_000  # at most 0.3 ms each on 1000 terms
 
 
 def frac_str(value: Fraction) -> str:
@@ -68,31 +59,26 @@ def frac_dec(value: Fraction, digits: int = 12) -> str:
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
-def load_config() -> dict:
-    path = os.environ.get(CONFIG_ENV)
-    if not path:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    out = {}
-    for key, value in raw.items():
-        if key not in _CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r} in {path}")
-        out[_CONFIG_KEYS[key]] = int(value)
-    return out
+def _knob(default: int, commands: str):
+    """An Options field, read by the handlers of the named subcommands."""
+    return field(default=default, metadata={"commands": commands.split()})
 
 
 @dataclass
 class Options:
-    """Resolved knobs: CLI flag > config file > default."""
+    """Resolved knobs: CLI flag > config file > default.
 
-    max_rows: int = exact.DEFAULT_MAX_ROWS
-    max_cols: int = exact.DEFAULT_MAX_COLS
-    elimination_budget: int = exact.DEFAULT_ELIMINATION_BUDGET
-    budget: int = trace.DEFAULT_TRIPLE_BUDGET
-    vertex_trials: int = bounds_mod.DEFAULT_VERTEX_TRIALS
-    seed: int = 0
-    threads: int = 1
+    Each field is a flag on the subcommands its metadata names and a
+    ``PDRANK_CONFIG`` key, both its name with dashes for underscores.
+    """
+
+    seed: int = _knob(0, "dim bounds trace random-corpus")
+    max_rows: int = _knob(exact.DEFAULT_MAX_ROWS, "dim bounds trace reduce")
+    max_cols: int = _knob(exact.DEFAULT_MAX_COLS, "dim bounds trace reduce")
+    elimination_budget: int = _knob(exact.DEFAULT_ELIMINATION_BUDGET, "dim trace reduce")
+    budget: int = _knob(trace.DEFAULT_TRIPLE_BUDGET, "dim bounds trace")
+    vertex_trials: int = _knob(bounds_mod.DEFAULT_VERTEX_TRIALS, "dim bounds")
+    threads: int = _knob(1, "verify")
 
     @classmethod
     def resolve(cls, args: argparse.Namespace) -> "Options":
@@ -106,7 +92,24 @@ class Options:
                 setattr(opts, attr, config[attr])
         if opts.vertex_trials < 0:
             raise ValueError("vertex-trials must be nonnegative")
+        if opts.vertex_trials > MAX_VERTEX_TRIALS:
+            raise ValueError(f"vertex-trials must be at most {MAX_VERTEX_TRIALS}")
         return opts
+
+
+def load_config() -> dict:
+    path = os.environ.get(CONFIG_ENV)
+    if not path:
+        return {}
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    attrs = {knob.name.replace("_", "-"): knob.name for knob in fields(Options)}
+    out = {}
+    for key, value in raw.items():
+        if key not in attrs:
+            raise ValueError(f"unknown config key {key!r} in {path}")
+        out[attrs[key]] = int(value)
+    return out
 
 
 def read_text(path: str) -> str:
@@ -133,19 +136,8 @@ def input_digest(f: SparsePoly) -> dict:
     }
 
 
-def trace_stats_dict(stats: trace.TraceStats) -> dict:
-    return {
-        "k": stats.k,
-        "monomial_count": stats.monomial_count,
-        "tr_b": frac_str(stats.tr_b),
-        "tr_b2": frac_str(stats.tr_b2),
-        "proxy": frac_str(stats.proxy),
-        "vacuous": stats.vacuous,
-    }
-
-
 def emit(payload: dict, args: argparse.Namespace) -> None:
-    if getattr(args, "format", "text") == "json":
+    if args.format == "json":
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         _emit_text(payload)
@@ -175,19 +167,40 @@ def _emit_text(payload: dict, indent: int = 0) -> None:
 # ---------------------------------------------------------------------------
 
 
+def trace_section(f: SparsePoly, k: int, opts: Options):
+    """The trace part of a dim --k, bounds or trace report.
+
+    Returns the scaled copy of f, which the later stages reuse, its trace
+    statistics, the scaled-basis L and the report entries.
+    """
+    scaled = to_scaled(f)
+    stats = trace.trace_stats(scaled, k, budget=opts.budget)
+    l_scaled = trace.closed_form_L(scaled, k)
+    entries = {
+        "trace": {
+            "k": stats.k,
+            "monomial_count": stats.monomial_count,
+            "tr_b": frac_str(stats.tr_b),
+            "tr_b2": frac_str(stats.tr_b2),
+            "proxy": frac_str(stats.proxy),
+            "vacuous": stats.vacuous,
+        },
+        "L_ordinary_coefficients": frac_str(trace.closed_form_L(f, k)),
+    }
+    return scaled, stats, l_scaled, entries
+
+
 def parse_order_flag(args: argparse.Namespace, nvars: int):
-    """--order perm=2,1,3 narrows the lex candidate family to one permutation."""
-    spec = getattr(args, "order", None)
-    if spec is None:
-        return None
-    if not spec.startswith("perm="):
+    """The lex orders to try: the default family, or one permutation given
+    as --order perm=2,1,3."""
+    if args.order is None:
+        return bounds_mod.default_order_family(nvars)
+    if not args.order.startswith("perm="):
         raise ValueError("--order expects perm=<comma-separated 1-based indices>")
-    perm = tuple(int(p) - 1 for p in spec[len("perm=") :].split(","))
+    perm = tuple(int(p) - 1 for p in args.order[len("perm=") :].split(","))
     if sorted(perm) != list(range(nvars)):
         raise ValueError("--order permutation must mention every variable once")
-    directions = [getattr(args, "order_dir", None) or "min"]
-    if getattr(args, "order_dir", None) is None:
-        directions = ["min", "max"]
+    directions = [args.order_dir] if args.order_dir else ["min", "max"]
     return [bounds_mod.MonomialOrderSpec(perm, d) for d in directions]
 
 
@@ -200,7 +213,7 @@ def build_bound_report(
 ) -> dict:
     timings: dict[str, float] = {}
     if f.is_zero:
-        report = {
+        return {
             "input": input_digest(f),
             "k": k,
             "exact_dim": {"value": 0, "status": "zero-poly"},
@@ -209,13 +222,9 @@ def build_bound_report(
             "provenance": {"exact_dim": "zero polynomial spans nothing"},
             "seed": opts.seed,
         }
-        return report
 
     t0 = time.monotonic()
-    scaled = to_scaled(f)
-    stats = trace.trace_stats(scaled, k, budget=opts.budget)
-    l_scaled = trace.closed_form_L(scaled, k)
-    l_ordinary = trace.closed_form_L(f, k)
+    scaled, stats, l_scaled, trace_entries = trace_section(f, k, opts)
     timings["trace"] = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -240,9 +249,6 @@ def build_bound_report(
             exact_entry = {"value": None, "status": f"skipped:caps:{err.what}"}
         timings["exact"] = time.monotonic() - t0
 
-    n_orders = len(orders) if orders is not None else len(
-        bounds_mod.default_order_family(len(f.vars))
-    )
     report = {
         "input": input_digest(f),
         "k": k,
@@ -253,11 +259,10 @@ def build_bound_report(
             "proxy_lower": frac_str(stats.proxy),
             "linearity_upper": upper,
         },
-        "trace": trace_stats_dict(stats),
-        "L_ordinary_coefficients": frac_str(l_ordinary),
+        **trace_entries,
         "provenance": {
             "extremal_lower": (
-                f"max single-monomial profile over {n_orders} lex orders "
+                f"max single-monomial profile over {len(orders)} lex orders "
                 f"plus {opts.vertex_trials} certified vertex trials (seed {opts.seed})"
             ),
             "L_lower": "closed-form trace bound, scaled-basis coefficients",
@@ -268,7 +273,7 @@ def build_bound_report(
         },
         "seed": opts.seed,
     }
-    if getattr(args, "timing", False):
+    if args.timing:
         report["timings_seconds"] = {k2: round(v, 6) for k2, v in timings.items()}
 
     if exact_entry["status"] == "computed":
@@ -289,9 +294,11 @@ def build_bound_report(
 
 
 def cmd_dim(args: argparse.Namespace) -> int:
+    mode = args.mode
+    if mode == "k" and args.k is None:
+        raise ValueError("dim requires --k (or --mode star|plus)")
     opts = Options.resolve(args)
     f = load_poly(args.file)
-    mode = getattr(args, "mode", "k")
     if mode == "k":
         report = build_bound_report(f, args.k, args, opts, with_exact=True)
         report["command"] = "dim"
@@ -337,15 +344,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if f.is_zero:
         raise ParseError("trace statistics are undefined for the zero polynomial")
     k = args.k
-    scaled = to_scaled(f)
-    stats = trace.trace_stats(scaled, k, budget=opts.budget)
+    scaled, stats, l_scaled, trace_entries = trace_section(f, k, opts)
     report: dict = {
         "command": "trace",
         "input": input_digest(f),
         "k": k,
-        "trace": trace_stats_dict(stats),
-        "L_lower": frac_str(trace.closed_form_L(scaled, k)),
-        "L_ordinary_coefficients": frac_str(trace.closed_form_L(f, k)),
+        **trace_entries,
+        "L_lower": frac_str(l_scaled),
         "seed": opts.seed,
     }
     if args.oracle:
@@ -519,21 +524,12 @@ def cmd_random_corpus(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, with_poly_opts: bool = True) -> None:
+def _add_knobs(sub: argparse.ArgumentParser, command: str) -> None:
+    """--format and the flag of each Options field the command's handler reads."""
     sub.add_argument("--format", choices=["json", "text"], default="text")
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--max-rows", dest="max_rows", type=int, default=None)
-    sub.add_argument("--max-cols", dest="max_cols", type=int, default=None)
-    sub.add_argument(
-        "--elimination-budget", dest="elimination_budget", type=int, default=None
-    )
-    sub.add_argument("--budget", type=int, default=None)
-    sub.add_argument("--threads", type=int, default=None)
-    if with_poly_opts:
-        sub.add_argument("--order", default=None, help="perm=<1-based indices>")
-        sub.add_argument("--order-dir", dest="order_dir", choices=["min", "max"], default=None)
-        sub.add_argument("--vertex-trials", dest="vertex_trials", type=int, default=None)
-        sub.add_argument("--timing", action="store_true")
+    for knob in fields(Options):
+        if command in knob.metadata["commands"]:
+            sub.add_argument("--" + knob.name.replace("_", "-"), type=int)
 
 
 @functools.cache
@@ -556,34 +552,39 @@ def build_parser() -> argparse.ArgumentParser:
     p_dim.add_argument("file", help="polynomial file (text grammar or JSON), - for stdin")
     p_dim.add_argument("--k", type=int, default=None)
     p_dim.add_argument("--mode", choices=["k", "star", "plus"], default="k")
-    _add_common(p_dim)
+    _add_knobs(p_dim, "dim")
     p_dim.set_defaults(func=cmd_dim)
 
     p_bounds = subs.add_parser("bounds", help="fast bounds only")
     p_bounds.add_argument("file")
     p_bounds.add_argument("--k", type=int, required=True)
-    _add_common(p_bounds)
+    _add_knobs(p_bounds, "bounds")
     p_bounds.set_defaults(func=cmd_bounds)
+
+    for sub in (p_dim, p_bounds):
+        sub.add_argument("--order", help="perm=<1-based indices>")
+        sub.add_argument("--order-dir", choices=["min", "max"])
+        sub.add_argument("--timing", action="store_true")
 
     p_trace = subs.add_parser("trace", help="trace statistics")
     p_trace.add_argument("file")
     p_trace.add_argument("--k", type=int, required=True)
     p_trace.add_argument("--oracle", action="store_true", help="cross-check explicitly")
     p_trace.add_argument("--samples", type=int, default=None, help="semirandom experiment")
-    _add_common(p_trace)
+    _add_knobs(p_trace, "trace")
     p_trace.set_defaults(func=cmd_trace)
 
     p_reduce = subs.add_parser("reduce", help="graph/complex construction report")
     p_reduce.add_argument("kind", choices=["graph", "complex"])
     p_reduce.add_argument("file")
-    _add_common(p_reduce, with_poly_opts=False)
+    _add_knobs(p_reduce, "reduce")
     p_reduce.set_defaults(func=cmd_reduce)
 
     p_verify = subs.add_parser("verify", help="exhaustive identity verification")
     p_verify.add_argument("--exhaustive", action="store_true", required=True)
     p_verify.add_argument("params", nargs="+", help="n=<N>")
     p_verify.add_argument("--check-basis", dest="check_basis", action="store_true")
-    _add_common(p_verify, with_poly_opts=False)
+    _add_knobs(p_verify, "verify")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sym = subs.add_parser("sym", help="symmetric polynomial experiments")
@@ -601,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_corpus.add_argument("--max-vars", dest="max_vars", type=int, default=8)
     p_corpus.add_argument("--max-terms", dest="max_terms", type=int, default=10)
     p_corpus.add_argument("--max-degree", dest="max_degree", type=int, default=4)
-    _add_common(p_corpus, with_poly_opts=False)
+    _add_knobs(p_corpus, "random-corpus")
     p_corpus.set_defaults(func=cmd_random_corpus)
 
     return parser
@@ -613,13 +614,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.subcommand == "dim" and args.mode == "k" and args.k is None:
-            raise ValueError("dim requires --k (or --mode star|plus)")
         return args.func(args)
-    except ParseError as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as err:
+    except (ValueError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
     except ResourceLimitError as err:

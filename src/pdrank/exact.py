@@ -76,11 +76,6 @@ class OrderSpec:
             raise ValueError("interior-orders mode requires degree >= 2")
         return range(1, degree)
 
-    def label(self) -> str:
-        if self.mode == MODE_EXACT:
-            return f"k={self.k}"
-        return "*" if self.mode == MODE_ALL else "+"
-
 
 @dataclass(frozen=True)
 class DerivMatrix:

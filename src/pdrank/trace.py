@@ -259,11 +259,10 @@ class ExplicitOracle:
     """Explicit materialization of M (0/1 row indices) and B = M^T M.
 
     The cross-check oracle for the closed-form traces: everything here is
-    computed directly from the matrices.  ``gram`` is B as exact rationals.
+    computed directly from the matrices.
     """
 
     matrix: DerivMatrix
-    gram: tuple[tuple[Fraction, ...], ...]
     stats: TraceStats
     rank_b: int
 
@@ -281,7 +280,8 @@ def explicit_B_oracle(
     The rows of a term x^alpha are the k-subsets of its support; rows whose
     derivative vanishes never appear (they contribute nothing to the traces
     or the rank).  C(n, k) bounds the row count and is checked against
-    ``max_rows`` up front.  B, its traces, and rank(B) are computed directly.
+    ``max_rows`` up front.  B, its traces, and rank(B) are computed directly;
+    B is kept sparse, summed over the pairs of entries within each row of M.
     """
     if f.is_zero:
         raise ValueError("oracle is undefined for the zero polynomial")
@@ -295,33 +295,23 @@ def explicit_B_oracle(
         max_rows=max_rows,
         max_cols=max_cols,
     )
-    ncols = matrix.ncols
-    denom = matrix.clear_factor
-    gram_int = [[0] * ncols for _ in range(ncols)]
+    sums: list[dict[int, int]] = [{} for _ in range(matrix.ncols)]
     for row in matrix.entries:
-        items = sorted(row.items())  # accumulate strictly in the upper triangle
-        for idx, (j1, v1) in enumerate(items):
-            gram_row = gram_int[j1]
-            for j2, v2 in items[idx:]:
-                gram_row[j2] += v1 * v2
-    for j1 in range(ncols):
-        for j2 in range(j1 + 1, ncols):
-            gram_int[j2][j1] = gram_int[j1][j2]
-    tr_b = Fraction(sum(gram_int[j][j] for j in range(ncols)), denom**2)
-    tr_b2 = Fraction(
-        sum(v * v for grow in gram_int for v in grow), denom**4
-    )
-    sparse_gram = [
-        {j: v for j, v in enumerate(grow) if v} for grow in gram_int
-    ]
-    rank_b = sparse_int_rank(sparse_gram, budget=budget)
+        for j1, v1 in row.items():
+            gram_row = sums[j1]
+            for j2, v2 in row.items():
+                gram_row[j2] = gram_row.get(j2, 0) + v1 * v2
+    # Ascending keys give sparse_int_rank the rows, and so the elimination
+    # budget counts, of the dense Gram matrix.
+    gram = [{j: grow[j] for j in sorted(grow) if grow[j]} for grow in sums]
+    denom = matrix.clear_factor
+    tr_b = Fraction(sum(grow.get(j, 0) for j, grow in enumerate(gram)), denom**2)
+    tr_b2 = Fraction(sum(v * v for grow in gram for v in grow.values()), denom**4)
+    rank_b = sparse_int_rank(gram, budget=budget)
     vacuous = tr_b2 == 0
     proxy = Fraction(0) if vacuous else tr_b * tr_b / tr_b2
     stats = TraceStats(k, len(scaled.terms), tr_b, tr_b2, proxy, vacuous)
-    gram = tuple(
-        tuple(Fraction(v, denom**2) for v in grow) for grow in gram_int
-    )
-    return ExplicitOracle(matrix, gram, stats, rank_b)
+    return ExplicitOracle(matrix, stats, rank_b)
 
 
 def semirandom_L(

@@ -229,6 +229,7 @@ def test_random_corpus_roundtrip(capsys):
         ("dim", "--k", "1", ("f.json", '{"vars": "xy", "terms": [{"coef": "1", "exps": [1, 1]}]}')),
         ("bounds", "--k", "1", "--vertex-trials", "-5", ("f.poly", "x1 + x2")),
         ("dim", "--k", "1", ("f.json", '{"vars": ["a b", "1x"], "terms": [{"coef": "1", "exps": [1, 1]}]}')),
+        ("bounds", "--k", "1", "--vertex-trials", "10001", ("f.poly", "x1 + x2")),
     ],
 )
 def test_input_errors_exit_2(capsys, tmp_path, argv):
@@ -244,9 +245,12 @@ def test_input_errors_exit_2(capsys, tmp_path, argv):
     assert err
 
 
-def test_negative_vertex_trials_in_config_exit_2(capsys, poly_file, tmp_path, monkeypatch):
+@pytest.mark.parametrize("trials", [-5, 10001])
+def test_vertex_trials_out_of_range_in_config_exit_2(
+    capsys, poly_file, tmp_path, monkeypatch, trials
+):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"vertex-trials": -5}))
+    config.write_text(json.dumps({"vertex-trials": trials}))
     monkeypatch.setenv(cli.CONFIG_ENV, str(config))
     code, out, err = run(capsys, "bounds", "--k", "1", poly_file("x1 + x2"))
     assert code == 2
@@ -315,6 +319,78 @@ def test_config_file_env(capsys, poly_file, tmp_path, monkeypatch):
     # explicit flag overrides the config file
     code2, _, _ = run(capsys, "dim", "--k", "3", path, "--max-rows", "10000")
     assert code2 == 0
+
+
+def test_config_seed_reaches_dim_report(capsys, poly_file, tmp_path, monkeypatch):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 5}))
+    monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+    code, out, _ = run(capsys, "dim", "--k", "1", poly_file("x1*x2 + x3"), "--format", "json")
+    report = json.loads(out)
+    assert (code, report["seed"]) == (0, 5)
+    assert "(seed 5)" in report["provenance"]["extremal_lower"]
+
+
+# The flags of the knobs each subcommand's handler reads, and the flags of
+# its own arguments; every subcommand also takes --format.
+KNOB_FLAGS = {
+    "dim": "--seed --max-rows --max-cols --elimination-budget --budget "
+    "--vertex-trials --order --order-dir --timing",
+    "bounds": "--seed --max-rows --max-cols --budget --vertex-trials --order --order-dir --timing",
+    "trace": "--seed --max-rows --max-cols --elimination-budget --budget",
+    "reduce": "--max-rows --max-cols --elimination-budget",
+    "verify": "--threads",
+    "random-corpus": "--seed",
+}
+OWN_FLAGS = {
+    "dim": "--k --mode",
+    "bounds": "--k",
+    "trace": "--k --oracle --samples",
+    "reduce": "",
+    "verify": "--exhaustive --check-basis",
+    "random-corpus": "--count --max-vars --max-terms --max-degree",
+}
+# Knob flags a subcommand no longer declares, as its handler never read them.
+REFUSED_FLAGS = {
+    "dim": "--threads",
+    "bounds": "--elimination-budget --threads",
+    "trace": "--vertex-trials --order --order-dir --timing --threads",
+    "reduce": "--seed --budget --threads",
+    "verify": "--seed --max-rows --max-cols --elimination-budget --budget",
+    "random-corpus": "--max-rows --max-cols --elimination-budget --budget --threads",
+}
+
+
+@pytest.mark.parametrize("command", sorted(KNOB_FLAGS))
+def test_subcommand_declares_only_the_flags_it_reads(command):
+    (subs,) = [
+        action
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    declared = {flag for action in subs.choices[command]._actions for flag in action.option_strings}
+    own = {"-h", "--help", "--format", *OWN_FLAGS[command].split()}
+    assert declared == own | set(KNOB_FLAGS[command].split())
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [(command, flag) for command, flags in REFUSED_FLAGS.items() for flag in flags.split()],
+)
+def test_flags_a_subcommand_does_not_read_exit_2(capsys, poly_file, command, flag):
+    poly = poly_file("x1*x2 + x3")
+    argv = {
+        "dim": ["dim", "--k", "1", poly],
+        "bounds": ["bounds", "--k", "1", poly],
+        "trace": ["trace", "--k", "1", poly],
+        "reduce": ["reduce", "graph", poly_file("p 3\n1 2\n", "g.edges")],
+        "verify": ["verify", "--exhaustive", "n=3"],
+        "random-corpus": ["random-corpus", "--count", "1"],
+    }[command]
+    value = {"--timing": [], "--order": ["perm=1,2,3"], "--order-dir": ["min"]}.get(flag, ["1"])
+    code, out, err = run(capsys, *argv, flag, *value)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag}" in err
 
 
 def test_text_format_renders(capsys, poly_file):

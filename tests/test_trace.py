@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -171,6 +172,30 @@ def test_traces_match_oracle_on_random_corpus():
             oracle = explicit_B_oracle(f, k)
             assert trace_B(scaled, k) == oracle.stats.tr_b
             assert trace_B2(scaled, k) == oracle.stats.tr_b2
+
+
+def test_oracle_gram_stays_sparse():
+    """720 columns: a dense 720 x 720 Gram matrix alone would take about 30 MB."""
+    rng = random.Random(1)
+    supports = set()
+    while len(supports) < 200:
+        supports.add(tuple(sorted(rng.sample(range(1, 31), 4))))
+    f = parse_poly(
+        " + ".join(
+            f"{rng.randint(1, 9)}*" + "*".join(f"x{i}" for i in support)
+            for support in sorted(supports)
+        )
+    )
+    tracemalloc.start()
+    try:
+        oracle = explicit_B_oracle(f, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert oracle.matrix.ncols == 720
+    scaled = to_scaled(f)
+    assert (oracle.stats.tr_b, oracle.stats.tr_b2) == (trace_B(scaled, 1), trace_B2(scaled, 1))
+    assert peak < 10_000_000
 
 
 def test_trace_b2_matches_count_n_triple_sum():
