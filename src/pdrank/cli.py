@@ -69,7 +69,9 @@ class Options:
     """Resolved knobs: CLI flag > config file > default.
 
     Each field is a flag on the subcommands its metadata names and a
-    ``PDRANK_CONFIG`` key, both its name with dashes for underscores.
+    ``PDRANK_CONFIG`` key, both its name with dashes for underscores.  A
+    config value is applied and checked only on those subcommands; the
+    others keep the default.
     """
 
     seed: int = _knob(0, "dim bounds trace random-corpus")
@@ -84,12 +86,14 @@ class Options:
     def resolve(cls, args: argparse.Namespace) -> "Options":
         config = load_config()
         opts = cls()
-        for attr in vars(opts):
-            flag = getattr(args, attr, None)
+        for knob in fields(cls):
+            if args.subcommand not in knob.metadata["commands"]:
+                continue
+            flag = getattr(args, knob.name)
             if flag is not None:
-                setattr(opts, attr, flag)
-            elif attr in config:
-                setattr(opts, attr, config[attr])
+                setattr(opts, knob.name, flag)
+            elif knob.name in config:
+                setattr(opts, knob.name, config[knob.name])
         if opts.vertex_trials < 0:
             raise ValueError("vertex-trials must be nonnegative")
         if opts.vertex_trials > MAX_VERTEX_TRIALS:

@@ -11,7 +11,10 @@ F_1..F_m of size d maps to the multilinear polynomial
 of degree d+1 in n+m variables, whose span of derivatives of orders
 1..deg-1 has dimension exactly twice the face count, with an explicit
 basis: the face monomials and the face derivatives of f.  Everything here
-is verified against the exact rank oracle.
+is verified against the exact rank oracle.  ``verify_reduction`` checks
+the basis on integer rows built from the face bitmasks;
+``partial_plus_basis`` and ``poly_stack_rank`` build and rank it as
+polynomials, the reference the tests compare the rows against.
 """
 
 from __future__ import annotations
@@ -119,21 +122,51 @@ def _face_marks(sc: SimplicialComplex, cap: int) -> bytearray:
     return marks
 
 
+def _face_masks(marks: bytearray) -> Iterator[int]:
+    """The faces marked in a :func:`_face_marks` table, as ascending bitmasks."""
+    mask = marks.find(1)
+    while mask != -1:
+        yield mask
+        mask = marks.find(1, mask + 1)
+
+
 def count_faces(sc: SimplicialComplex, *, cap: int = DEFAULT_GROUND_CAP) -> int:
     """Number of nonempty subsets contained in some facet."""
     return _face_marks(sc, cap).count(1)
+
+
+def _face_basis_rows(sc: SimplicialComplex, marks: bytearray) -> list[dict[int, int]]:
+    """Integer coefficient rows of the explicit basis, built from face bitmasks.
+
+    One row {X_F: 1} per face F marked in ``marks``, then the derivative
+    of every face: the term Y_g * X_G of facet G (index g) contributes
+    Y_g * X_{G minus F} to the derivative of each nonempty submask F of G.
+    Column keys: X_F is F's mask, Y_g * X_H is (g + 1) << ground | H.
+    These are the coefficient vectors of the polynomials
+    :func:`partial_plus_basis` returns, with rows and columns permuted, so
+    the rank is the same.  Each column holds one row.
+    """
+    rows = [{face: 1} for face in _face_masks(marks)]
+    derivatives: dict[int, dict[int, int]] = {}
+    for g, facet in enumerate(sc.facets):
+        mask = sum(1 << (v - 1) for v in facet)
+        y = (g + 1) << sc.ground
+        sub = mask
+        while sub:
+            derivatives.setdefault(sub, {})[y | (mask ^ sub)] = 1
+            sub = (sub - 1) & mask
+    rows.extend(derivatives.values())
+    return rows
 
 
 def enumerate_faces(
     sc: SimplicialComplex, *, cap: int = DEFAULT_GROUND_CAP
 ) -> list[frozenset[int]]:
     """All faces (nonempty subsets of facets), sorted by size then vertices."""
-    marks = _face_marks(sc, cap)
-    faces = []
-    mask = marks.find(1)
-    while mask != -1:
-        faces.append(frozenset(i + 1 for i in range(sc.ground) if mask >> i & 1))
-        mask = marks.find(1, mask + 1)
+    faces = [
+        frozenset(i + 1 for i in range(sc.ground) if mask >> i & 1)
+        for mask in _face_masks(_face_marks(sc, cap))
+    ]
     faces.sort(key=lambda f: (len(f), tuple(sorted(f))))
     return faces
 
@@ -185,6 +218,8 @@ def partial_plus_basis(
     first, then derivatives, faces in sorted order.  The derivatives are
     built in one pass over the facet terms: each term lands, with X_F
     divided out, in the derivative of every face F it contains.
+    ``verify_reduction`` ranks the same vectors as bitmask rows
+    (``_face_basis_rows``); this is the tests' reference.
     """
     f = complex_to_poly(sc)
     nvars = len(f.vars)
@@ -215,6 +250,7 @@ def poly_stack_rank(
 
     Rows are cleared to integers per polynomial (row scaling preserves
     rank); columns are the union of monomials in lexicographic order.
+    The tests' reference rank of ``partial_plus_basis``.
     """
     all_exps = sorted({t.exps for p in polys for t in p.terms})
     col_index = {e: i for i, e in enumerate(all_exps)}
@@ -243,7 +279,9 @@ def verify_reduction(
 
     For graphs: dim = 2 * (2^n - Ind(G) - 1) and faces = 2^n - Ind(G) - 1.
     For pure complexes: dim = 2 * faces.  ``basis_verified`` additionally
-    confirms the explicit basis has full rank 2 * faces.
+    confirms the explicit basis has full rank 2 * faces, as the exact rank
+    of its coefficient rows built from the face bitmasks
+    (``_face_basis_rows``).
     """
     if isinstance(obj, Graph):
         ind: int | None = count_independent_sets(obj, cap=cap)
@@ -261,7 +299,8 @@ def verify_reduction(
             f, note = complex_to_poly(obj), ""
         else:
             f, note = None, "identity not applicable: empty complex gives the zero polynomial"
-    faces = count_faces(sc, cap=cap)
+    marks = _face_marks(sc, cap)
+    faces = marks.count(1)
     dim_plus, identity, basis_ok = 0, None, True
     if f is not None:
         dim_plus = dim_partials(
@@ -269,8 +308,8 @@ def verify_reduction(
         )
         identity = dim_plus == 2 * faces and (ind is None or faces == 2**sc.ground - ind - 1)
         if check_basis:
-            basis = partial_plus_basis(sc, cap=cap)
-            basis_ok = poly_stack_rank(basis, budget=budget) == 2 * faces
+            rows = _face_basis_rows(sc, marks)
+            basis_ok = sparse_int_rank(rows, budget=budget) == 2 * faces
     return ReductionReport(
         n=sc.ground,
         m=len(sc.facets),

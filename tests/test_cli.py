@@ -258,6 +258,18 @@ def test_vertex_trials_out_of_range_in_config_exit_2(
     assert "vertex-trials" in err
 
 
+def test_config_knob_applies_only_where_read(capsys, poly_file, tmp_path, monkeypatch):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"vertex-trials": 20000}))
+    monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+    code, out, _ = run(capsys, "verify", "--exhaustive", "n=3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["all_hold"] is True
+    code, _, err = run(capsys, "bounds", "--k", "1", poly_file("x1 + x2"))
+    assert code == 2
+    assert "vertex-trials" in err
+
+
 def test_parse_error_exit_2(capsys, poly_file):
     path = poly_file("x1^-1")
     code, _, err = run(capsys, "dim", "--k", "1", path)

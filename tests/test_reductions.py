@@ -20,6 +20,7 @@ from pdrank import (
     parse_complex,
     parse_graph,
     partial_plus_basis,
+    sparse_int_rank,
     to_ordinary,
     to_scaled,
     verify_reduction,
@@ -200,6 +201,34 @@ def test_partial_plus_basis_matches_face_derivatives():
         assert partial_plus_basis(sc)[len(faces) :] == expected
 
 
+def test_face_basis_rows_are_the_explicit_basis():
+    """The bitmask rows are the coefficient rows of ``partial_plus_basis``,
+    up to row and column order, and rank as they do at 2 * faces.  Every
+    column holds one row, so the singleton peel finds the whole rank and
+    Bareiss never runs (``budget=0``)."""
+    complexes = random_pure_complexes(seed=31, count=10, max_ground=6, max_facets=5)
+    complexes += random_pure_complexes(seed=37, count=15, max_ground=7, max_facets=6)
+    complexes += [graph_complex(g) for n in (3, 4, 5) for g in all_graphs(n) if g.m]
+
+    def column(exps, ground):
+        """The row key of a basis monomial: its X mask, Y_g as (g + 1) << ground."""
+        x = sum(1 << i for i in range(ground) if exps[i])
+        y = next((i + 1 for i, e in enumerate(exps[ground:]) if e), 0)
+        return y << ground | x
+
+    for sc in complexes:
+        marks = reductions._face_marks(sc, reductions.DEFAULT_GROUND_CAP)
+        rows = reductions._face_basis_rows(sc, marks)
+        faces = marks.count(1)
+        basis = partial_plus_basis(sc)
+        polys = Counter(
+            frozenset((column(t.exps, sc.ground), t.coef) for t in p.terms) for p in basis
+        )
+        assert Counter(frozenset(row.items()) for row in rows) == polys
+        assert max(Counter(j for row in rows for j in row).values()) == 1
+        assert sparse_int_rank(rows, budget=0) == poly_stack_rank(basis) == 2 * faces
+
+
 def test_verify_reduction_k3():
     report = verify_reduction(K3)
     assert report.ind_count == 4
@@ -258,7 +287,7 @@ def test_exhaustive_parallel_matches_serial():
 
 def test_exhaustive_lists_failures_by_edge_bitmask(monkeypatch):
     monkeypatch.setattr(reductions, "dim_partials", lambda *a, **kw: 0)
-    monkeypatch.setattr(reductions, "poly_stack_rank", lambda *a, **kw: 0)
+    monkeypatch.setattr(reductions, "sparse_int_rank", lambda *a, **kw: 0)
     summary = exhaustive_verify(3, check_basis=True)
     # the empty graph (bitmask 0) is not applicable and its basis is trivially fine
     assert summary["identity_failures"] == list(range(1, 8))
@@ -339,16 +368,16 @@ def test_every_labeling_reports_as_its_class_representative():
 def test_exhaustive_failures_expand_to_every_labeling(monkeypatch):
     """An isomorphism-invariant fault: the class run lists what a run over
     every labeled graph lists."""
-    real_dim, real_rank = reductions.dim_partials, reductions.poly_stack_rank
+    real_dim, real_rank = reductions.dim_partials, reductions.sparse_int_rank
 
     def dim_off_on_three_edges(f, *args, **kwargs):
         return real_dim(f, *args, **kwargs) + (len(f.terms) == 3)
 
-    def rank_off_on_six_faces(polys, *args, **kwargs):
-        return real_rank(polys, *args, **kwargs) + (len(polys) == 12)
+    def rank_off_on_six_faces(rows, *args, **kwargs):
+        return real_rank(rows, *args, **kwargs) + (len(rows) == 12)
 
     monkeypatch.setattr(reductions, "dim_partials", dim_off_on_three_edges)
-    monkeypatch.setattr(reductions, "poly_stack_rank", rank_off_on_six_faces)
+    monkeypatch.setattr(reductions, "sparse_int_rank", rank_off_on_six_faces)
     labeled = [verify_reduction(g) for g in all_graphs(4)]
     identity = [bits for bits, r in enumerate(labeled) if r.identity_holds is False]
     basis = [bits for bits, r in enumerate(labeled) if not r.basis_verified]
