@@ -231,9 +231,7 @@ def lower_bound_extremal(
     """
     if f.is_zero:
         raise ValueError("lower bound of the zero polynomial")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k > f.degree:
+    if not 0 <= k <= f.degree:  # no derivative of order k
         return 0
     monomials = [t.exps for t in f.terms]
     column = _profile_column(monomials, k)
@@ -266,11 +264,7 @@ def upper_bound_linearity(
     is the order-k derivative matrix of f; when it is not given it is built
     here under the default caps.
     """
-    if f.is_zero:
-        return 0
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if k > f.degree:
+    if f.is_zero or not 0 <= k <= f.degree:
         return 0
     per_term = sum(_profile_column([t.exps for t in f.terms], k))
     if matrix is None:

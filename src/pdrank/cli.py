@@ -59,9 +59,9 @@ def frac_dec(value: Fraction, digits: int = 12) -> str:
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
-def _knob(default: int, commands: str):
-    """An Options field, read by the handlers of the named subcommands."""
-    return field(default=default, metadata={"commands": commands.split()})
+def _knob(default: int, commands: str, least: int | None = 0):
+    """An Options field, read by the named subcommands' handlers, >= ``least`` unless None."""
+    return field(default=default, metadata={"commands": commands.split(), "least": least})
 
 
 @dataclass
@@ -71,16 +71,16 @@ class Options:
     Each field is a flag on the subcommands its metadata names and a
     ``PDRANK_CONFIG`` key, both its name with dashes for underscores.  A
     config value is applied and checked only on those subcommands; the
-    others keep the default.
+    others keep the default.  A value below its field's ``least`` is an input error.
     """
 
-    seed: int = _knob(0, "dim bounds trace random-corpus")
+    seed: int = _knob(0, "dim bounds trace random-corpus", least=None)
     max_rows: int = _knob(exact.DEFAULT_MAX_ROWS, "dim bounds trace reduce")
     max_cols: int = _knob(exact.DEFAULT_MAX_COLS, "dim bounds trace reduce")
     elimination_budget: int = _knob(exact.DEFAULT_ELIMINATION_BUDGET, "dim trace reduce")
     budget: int = _knob(trace.DEFAULT_TRIPLE_BUDGET, "dim bounds trace")
     vertex_trials: int = _knob(bounds_mod.DEFAULT_VERTEX_TRIALS, "dim bounds")
-    threads: int = _knob(1, "verify")
+    threads: int = _knob(1, "verify", least=1)
 
     @classmethod
     def resolve(cls, args: argparse.Namespace) -> "Options":
@@ -94,8 +94,9 @@ class Options:
                 setattr(opts, knob.name, flag)
             elif knob.name in config:
                 setattr(opts, knob.name, config[knob.name])
-        if opts.vertex_trials < 0:
-            raise ValueError("vertex-trials must be nonnegative")
+            least = knob.metadata["least"]
+            if least is not None and getattr(opts, knob.name) < least:
+                raise ValueError(f"{knob.name.replace('_', '-')} must be >= {least}")
         if opts.vertex_trials > MAX_VERTEX_TRIALS:
             raise ValueError(f"vertex-trials must be at most {MAX_VERTEX_TRIALS}")
         return opts
@@ -380,7 +381,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 f"({frac_str(stats.tr_b)}, {frac_str(stats.tr_b2)}) vs oracle "
                 f"({frac_str(oracle.stats.tr_b)}, {frac_str(oracle.stats.tr_b2)})"
             )
-    if args.samples:
+    if args.samples is not None:
         support = [t.exps for t in f.terms]
         mean = trace.semirandom_estimate(support, k, args.samples, opts.seed)
         expectation = trace.semirandom_expectation(support, k)
@@ -528,6 +529,14 @@ def cmd_random_corpus(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _order_k(text: str) -> int:
+    """The type of --k on dim, bounds and trace: a nonnegative order."""
+    k = int(text)
+    if k < 0:
+        raise argparse.ArgumentTypeError("k must be nonnegative")
+    return k
+
+
 def _add_knobs(sub: argparse.ArgumentParser, command: str) -> None:
     """--format and the flag of each Options field the command's handler reads."""
     sub.add_argument("--format", choices=["json", "text"], default="text")
@@ -554,14 +563,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dim = subs.add_parser("dim", help="exact dimension plus all bounds")
     p_dim.add_argument("file", help="polynomial file (text grammar or JSON), - for stdin")
-    p_dim.add_argument("--k", type=int, default=None)
+    p_dim.add_argument("--k", type=_order_k, default=None)
     p_dim.add_argument("--mode", choices=["k", "star", "plus"], default="k")
     _add_knobs(p_dim, "dim")
     p_dim.set_defaults(func=cmd_dim)
 
     p_bounds = subs.add_parser("bounds", help="fast bounds only")
     p_bounds.add_argument("file")
-    p_bounds.add_argument("--k", type=int, required=True)
+    p_bounds.add_argument("--k", type=_order_k, required=True)
     _add_knobs(p_bounds, "bounds")
     p_bounds.set_defaults(func=cmd_bounds)
 
@@ -572,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = subs.add_parser("trace", help="trace statistics")
     p_trace.add_argument("file")
-    p_trace.add_argument("--k", type=int, required=True)
+    p_trace.add_argument("--k", type=_order_k, required=True)
     p_trace.add_argument("--oracle", action="store_true", help="cross-check explicitly")
     p_trace.add_argument("--samples", type=int, default=None, help="semirandom experiment")
     _add_knobs(p_trace, "trace")

@@ -2,19 +2,21 @@
 
 This is the trusted oracle of the package: derivative matrices are
 materialized with exact integer entries (a single common denominator is
-cleared) and ranks are computed exactly, with deterministic pivoting.  A
-rank takes every singleton pivot first (a column or a row with one entry,
-O(1) work per entry removed), then runs fraction-free Bareiss elimination
-on the core that is left.  Derivative matrices are very sparse, and the
-core is usually empty or a few rows.  Everything here is exact and
-deterministic; sizes are guarded by explicit caps.
+cleared) and keyed by packed monomials: each exponent vector is one int,
+whose int order is the lex order of the vectors.  Ranks are computed
+exactly, with deterministic pivoting.  A rank takes every singleton pivot
+first (a column or a row with one entry, O(1) work per entry removed),
+then runs fraction-free Bareiss elimination on the core that is left.
+Derivative matrices are very sparse, and the core is usually empty or a
+few rows.  Everything here is exact and deterministic; sizes are guarded
+by explicit caps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import sub
+from operator import mul
 from typing import Callable, Iterable
 
 from .combinat import all_sub_indices, lcm_all, sub_indices_of_order
@@ -79,37 +81,28 @@ class OrderSpec:
 
 @dataclass(frozen=True)
 class DerivMatrix:
-    """Integer matrix of derivative coefficients with exponent-vector labels.
+    """Integer matrix of derivative coefficients, keyed by packed monomials.
 
-    Row labels are differentiation multi-indices, column labels are result
-    monomials, both sorted lexicographically.  Entries are the scaled-basis
+    A monomial x^e is packed into one int: each exponent gets a slot as
+    wide as the bit length of the polynomial's largest exponent, with x1
+    in the most significant slot, so int order is the lex order of the
+    exponent vectors.  ``rows`` holds the packed differentiation
+    multi-indices, ascending; ``entries`` holds one {packed result
+    monomial: value} dict per row, filled in term order; ``ncols`` counts
+    the distinct result monomials.  Entries are the scaled-basis
     coefficients times ``clear_factor`` (the lcm of their denominators), so
     the stored matrix is integral.  Rows and columns are never identically
-    zero.  ``entries`` holds one {column index: value} dict per row; treat
-    it as read-only.
+    zero.  Treat ``entries`` as read-only.
     """
 
-    rows: tuple[ExponentVector, ...]
-    cols: tuple[ExponentVector, ...]
+    rows: tuple[int, ...]
     entries: tuple[dict[int, int], ...]
+    ncols: int
     clear_factor: int
 
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        return len(self.cols)
-
-    def dense(self) -> list[list[int]]:
-        out = []
-        for row in self.entries:
-            dense_row = [0] * self.ncols
-            for j, v in row.items():
-                dense_row[j] = v
-            out.append(dense_row)
-        return out
 
 
 def derivative(f: SparsePoly, beta: ExponentVector) -> SparsePoly:
@@ -140,50 +133,51 @@ def assemble(
 
     One pass over the terms: a term a * x^alpha (a cleared to an integer)
     puts a at column alpha - beta of row beta for each beta in
-    ``sub_indices(alpha)``, which must all satisfy beta <= alpha.  So the
-    work is O(n) per nonzero entry, plus sorting the labels.  Each row
-    gets its entries in term order.  Both caps are checked as each row or
-    column is added, so ``actual`` is one past the cap.  When the columns
-    overflow, the entries are dropped and the walk goes on over the row
-    labels alone: if the rows overflow too, ``rows`` is reported.
+    ``sub_indices(alpha)``, which must all satisfy beta <= alpha.  Keys are
+    packed (see :class:`DerivMatrix`): packing beta is a sum of slot units,
+    and since beta <= alpha in every slot no subtraction borrows, so the
+    column key is packed(alpha) - packed(beta).  The work is O(n) per
+    nonzero entry, plus sorting the row keys.  Both caps are checked as
+    each row or column is added, so ``actual`` is one past the cap.  When
+    the columns overflow, the entries are dropped and the walk goes on over
+    the row keys alone: if the rows overflow too, ``rows`` is reported.
     """
     clear = lcm_all([t.coef.denominator for t in scaled.terms])
-    by_row: dict[ExponentVector, dict[ExponentVector, int]] = {}
-    col_set: set[ExponentVector] = set()
+    width = max(chain.from_iterable(t.exps for t in scaled.terms), default=0).bit_length()
+    units = [1 << width * i for i in reversed(range(len(scaled.vars)))]
+
+    def pack(exps: ExponentVector) -> int:
+        return sum(map(mul, exps, units))
+
+    by_row: dict[int, dict[int, int]] = {}
+    col_set: set[int] = set()
     terms = iter(scaled.terms)
     for t in terms:
-        alpha = t.exps
+        top = pack(t.exps)
         a = t.coef.numerator * (clear // t.coef.denominator)
-        betas = iter(sub_indices(alpha))
+        betas = map(pack, sub_indices(t.exps))
         for beta in betas:
             row = by_row.get(beta)
             if row is None:
                 if len(by_row) >= max_rows:
                     raise ResourceLimitError("rows", max_rows, len(by_row) + 1)
                 row = by_row[beta] = {}
-            gamma = tuple(map(sub, alpha, beta))
+            gamma = top - beta
             if gamma not in col_set:
                 if len(col_set) >= max_cols:
                     seen = set(by_row)
                     by_row.clear()
-                    rest = chain(betas, (b for u in terms for b in sub_indices(u.exps)))
+                    rest = chain(betas, (pack(b) for u in terms for b in sub_indices(u.exps)))
                     _check_row_cap(seen, rest, max_rows)
                     raise ResourceLimitError("cols", max_cols, max_cols + 1)
                 col_set.add(gamma)
             row[gamma] = a
     rows = sorted(by_row)
-    cols = tuple(sorted(col_set))
-    col_index = {g: i for i, g in enumerate(cols)}
-    entries = tuple(
-        {col_index[g]: a for g, a in by_row[beta].items()} for beta in rows
-    )
-    return DerivMatrix(rows=tuple(rows), cols=cols, entries=entries, clear_factor=clear)
+    return DerivMatrix(tuple(rows), tuple(map(by_row.get, rows)), len(col_set), clear)
 
 
-def _check_row_cap(
-    seen: set[ExponentVector], betas: Iterable[ExponentVector], max_rows: int
-) -> None:
-    """Raise the row-cap error if ``betas`` brings ``seen`` past ``max_rows``."""
+def _check_row_cap(seen: set[int], betas: Iterable[int], max_rows: int) -> None:
+    """Raise the row-cap error if the packed ``betas`` bring ``seen`` past ``max_rows``."""
     for beta in betas:
         if beta not in seen:
             if len(seen) >= max_rows:

@@ -295,17 +295,17 @@ def explicit_B_oracle(
         max_rows=max_rows,
         max_cols=max_cols,
     )
-    sums: list[dict[int, int]] = [{} for _ in range(matrix.ncols)]
+    sums: dict[int, dict[int, int]] = {}
     for row in matrix.entries:
         for j1, v1 in row.items():
-            gram_row = sums[j1]
+            gram_row = sums.setdefault(j1, {})
             for j2, v2 in row.items():
                 gram_row[j2] = gram_row.get(j2, 0) + v1 * v2
     # Ascending keys give sparse_int_rank the rows, and so the elimination
     # budget counts, of the dense Gram matrix.
-    gram = [{j: grow[j] for j in sorted(grow) if grow[j]} for grow in sums]
+    gram = [{j: grow[j] for j in sorted(grow) if grow[j]} for _, grow in sorted(sums.items())]
     denom = matrix.clear_factor
-    tr_b = Fraction(sum(grow.get(j, 0) for j, grow in enumerate(gram)), denom**2)
+    tr_b = Fraction(sum(grow[j] for j, grow in sums.items()), denom**2)
     tr_b2 = Fraction(sum(v * v for grow in gram for v in grow.values()), denom**4)
     rank_b = sparse_int_rank(gram, budget=budget)
     vacuous = tr_b2 == 0

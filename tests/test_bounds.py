@@ -190,6 +190,13 @@ def test_lower_bound_without_candidates_is_zero():
     assert lower_bound_extremal(f, 1, orders=[], vertex_trials=8) == 2
 
 
+def test_bounds_vanish_outside_the_orders_of_f():
+    # No derivative has a negative order or one past the degree: the span is 0.
+    f = parse_poly("x1^2*x2 + x2^3")
+    for k in (-2, -1, 4):
+        assert lower_bound_extremal(f, k) == upper_bound_linearity(f, k) == 0
+
+
 def test_lower_bound_constant_without_variables():
     f = parse_poly("5")
     assert f.vars == ()

@@ -258,6 +258,75 @@ def test_vertex_trials_out_of_range_in_config_exit_2(
     assert "vertex-trials" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dim", "--k", "-1"),
+        ("dim", "--mode", "star", "--k", "-1"),
+        ("bounds", "--k", "-1"),
+        ("trace", "--k", "-1"),
+        ("trace", "--k", "-1", "--oracle"),
+    ],
+)
+def test_negative_order_exit_2(capsys, poly_file, argv):
+    code, out, err = run(capsys, *argv, poly_file("x1*x2 + x3"))
+    assert code == 2
+    assert not out
+    assert "k must be nonnegative" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_trace_samples_below_one_exit_2(capsys, poly_file, samples):
+    code, out, err = run(capsys, "trace", "--k", "1", poly_file("x1*x2 + x3"), "--samples", samples)
+    assert code == 2
+    assert not out
+    assert "samples must be >= 1" in err
+
+
+@pytest.mark.parametrize(
+    "command, knob, value",
+    [
+        ("dim", "max-rows", -1),
+        ("dim", "max-cols", -1),
+        ("dim", "elimination-budget", -1),
+        ("dim", "budget", -1),
+        ("bounds", "vertex-trials", -1),
+        ("trace", "max-rows", -1),
+        ("reduce", "max-cols", -2),
+        ("verify", "threads", 0),
+        ("verify", "threads", -4),
+    ],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_knob_below_its_least_value_exit_2(
+    capsys, poly_file, tmp_path, monkeypatch, command, knob, value, source
+):
+    argv = {
+        "dim": ["dim", "--k", "1", poly_file("x1*x2 + x3")],
+        "bounds": ["bounds", "--k", "1", poly_file("x1*x2 + x3")],
+        "trace": ["trace", "--k", "1", poly_file("x1*x2 + x3")],
+        "reduce": ["reduce", "graph", poly_file("p 3\n1 2\n", "g.graph")],
+        "verify": ["verify", "--exhaustive", "n=3"],
+    }[command]
+    if source == "flag":
+        argv += [f"--{knob}", str(value)]
+    else:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({knob: value}))
+        monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert not out
+    assert f"{knob} must be >= " in err
+
+
+def test_zero_caps_and_any_seed_are_accepted(capsys, poly_file):
+    path = poly_file("x1*x2 + x3")
+    assert run(capsys, "dim", "--k", "1", path, "--seed", "-7")[0] == 0
+    assert run(capsys, "bounds", "--k", "1", path, "--vertex-trials", "0")[0] == 0
+    assert run(capsys, "dim", "--k", "1", path, "--max-rows", "0")[0] == 3
+
+
 def test_config_knob_applies_only_where_read(capsys, poly_file, tmp_path, monkeypatch):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"vertex-trials": 20000}))

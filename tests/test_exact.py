@@ -30,7 +30,8 @@ from pdrank import (
 from pdrank import combinat, exact
 from pdrank.combinat import all_sub_indices, lcm_all, sub_indices_of_order
 from pdrank.corpus import random_homogeneous_polys, random_polys
-from pdrank.polyio import permute_vars, scale
+from pdrank.polyio import Graph, permute_vars, scale
+from pdrank.reductions import graph_classes, graph_to_poly
 
 
 def ordinary_derivative(f: SparsePoly, beta) -> SparsePoly:
@@ -83,10 +84,11 @@ def test_derivative_requires_scaled_basis():
 
 
 def test_build_matrix_identity_pattern():
+    # One bit per slot, x1 in the high bit: x2 packs to 1 and x1 to 2.
     m = build_matrix(parse_poly("x1*x2"), OrderSpec.exact(1))
-    assert m.rows == ((0, 1), (1, 0))
-    assert m.cols == ((0, 1), (1, 0))
-    assert m.dense() == [[0, 1], [1, 0]]
+    assert m.rows == (1, 2)
+    assert m.entries == ({2: 1}, {1: 1})
+    assert m.ncols == 2
 
 
 def test_build_matrix_monomial_all_orders_row_count():
@@ -102,38 +104,59 @@ def test_build_matrix_three_rows_rank_three():
     assert rank_exact(m) == 3
 
 
-def row_scan_matrix(f: SparsePoly, spec: OrderSpec) -> DerivMatrix:
-    """Reference assembly: every row multi-index checked against every term.
+def tuple_reference(f: SparsePoly, spec: OrderSpec):
+    """Reference assembly on exponent tuples: every row checked against every term.
 
-    Rows are the sub-indices of the requested orders of some term, sorted;
-    each row is filled by scanning the terms in order.
+    Returns the row multi-indices, sorted; per row, the (result monomial,
+    cleared value) pairs of the terms it divides, in term order; and the
+    cleared denominator.
     """
     scaled = to_scaled(f)
     orders = spec.orders(scaled.degree)
-    rows = sorted(
-        {
-            beta
-            for t in scaled.terms
-            for beta in itertools.product(*(range(a + 1) for a in t.exps))
-            if sum(beta) in orders
-        }
-    )
+    rows = set()
+    for t in scaled.terms:
+        box = [()]  # the prefixes of sub-indices, pruned past the top order
+        for a in t.exps:
+            box = [b + (e,) for b in box for e in range(a + 1) if sum(b) + e <= orders[-1]]
+        rows.update(b for b in box if sum(b) in orders)
+    rows = sorted(rows)
     clear = lcm_all([t.coef.denominator for t in scaled.terms])
     row_pairs = [
         [
-            (tuple(a - b for a, b in zip(t.exps, beta)), t.coef)
+            (
+                tuple(a - b for a, b in zip(t.exps, beta)),
+                t.coef.numerator * (clear // t.coef.denominator),
+            )
             for t in scaled.terms
             if all(b <= a for b, a in zip(beta, t.exps))
         ]
         for beta in rows
     ]
-    cols = tuple(sorted({g for pairs in row_pairs for g, _ in pairs}))
-    col_index = {g: i for i, g in enumerate(cols)}
-    entries = tuple(
-        {col_index[g]: a.numerator * (clear // a.denominator) for g, a in pairs}
-        for pairs in row_pairs
-    )
-    return DerivMatrix(tuple(rows), cols, entries, clear)
+    return rows, row_pairs, clear
+
+
+def row_scan_matrix(f: SparsePoly, spec: OrderSpec) -> DerivMatrix:
+    """The tuple reference with its keys packed as ``DerivMatrix`` documents:
+    x1 in the top slot, each slot the bit length of f's largest exponent."""
+    rows, row_pairs, clear = tuple_reference(f, spec)
+    width = max((e for t in f.terms for e in t.exps), default=0).bit_length()
+
+    def pack(exps):
+        key = 0
+        for e in exps:
+            key = key << width | e
+        return key
+
+    entries = tuple({pack(g): a for g, a in pairs} for pairs in row_pairs)
+    ncols = len({g for pairs in row_pairs for g, _ in pairs})
+    return DerivMatrix(tuple(map(pack, rows)), entries, ncols, clear)
+
+
+def tuple_keyed_rows(f: SparsePoly, spec: OrderSpec) -> list[dict[int, int]]:
+    """The rows as a tuple-labelled assembly gives them: {lex column index: value}."""
+    _, row_pairs, _ = tuple_reference(f, spec)
+    index = {g: i for i, g in enumerate(sorted({g for pairs in row_pairs for g, _ in pairs}))}
+    return [{index[g]: a for g, a in pairs} for pairs in row_pairs]
 
 
 def test_build_matrix_matches_row_scan_reference():
@@ -153,6 +176,77 @@ def test_build_matrix_matches_row_scan_reference():
             assert [list(r.items()) for r in got.entries] == [
                 list(r.items()) for r in want.entries
             ]
+
+
+def assert_same_elimination(f: SparsePoly, spec: OrderSpec) -> None:
+    """Packed keys and lex column indices give the same peel and the same rank.
+
+    Packing is monotone in the lex order, so the core must hold the same
+    rows, in the same order, each with its entries in the same order.
+    """
+    m = build_matrix(f, spec)
+    ref = tuple_keyed_rows(f, spec)
+    index = {g: i for i, g in enumerate(sorted({g for row in m.entries for g in row}))}
+    got_rank, got_core = exact._peel_singletons([dict(r) for r in m.entries])
+    want_rank, want_core = exact._peel_singletons([dict(r) for r in ref])
+    assert got_rank == want_rank, (f, spec)
+    assert [[(index[g], v) for g, v in row.items()] for row in got_core] == [
+        list(row.items()) for row in want_core
+    ], (f, spec)
+    assert rank_exact(m) == sparse_int_rank(ref), (f, spec)
+
+
+def test_packed_keys_match_tuple_reference_on_random_polys():
+    polys = random_polys(seed=83, count=30, max_vars=5, max_terms=20, max_degree=4)
+    cores = 0
+    for f in polys:
+        specs = [OrderSpec.all_orders(), OrderSpec.exact(f.degree // 2)]
+        if f.degree >= 2:
+            specs.append(OrderSpec.interior())
+        for spec in specs:
+            assert_same_elimination(f, spec)
+            rows = [dict(r) for r in build_matrix(f, spec).entries]
+            cores += bool(exact._peel_singletons(rows)[1])
+    assert cores >= 10  # so Bareiss sees the cores in the same order too
+
+
+def test_packed_keys_match_tuple_reference_on_graph_classes():
+    pairs = list(itertools.combinations(range(1, 7), 2))
+    for bits, _ in graph_classes(6):
+        if bits:
+            g = Graph.make(6, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            assert_same_elimination(graph_to_poly(g), OrderSpec.interior())
+
+
+def test_constant_polynomial_has_one_row_and_one_column():
+    f = parse_poly("5")
+    assert f.vars == ()
+    for spec in (OrderSpec.all_orders(), OrderSpec.exact(0)):
+        m = build_matrix(f, spec)
+        assert (m.rows, m.entries, m.ncols) == ((0,), ({0: 5},), 1)
+        assert rank_exact(m) == dim_partials(f, spec) == 1
+
+
+def test_exponent_wider_than_a_byte_gets_a_wider_slot():
+    f = parse_poly("x1^300*x2 + 3*x1^299*x2^2 + x2^257")
+    for spec in (OrderSpec.exact(1), OrderSpec.exact(150), OrderSpec.all_orders()):
+        m = build_matrix(f, spec)
+        assert m == row_scan_matrix(f, spec)
+        assert rank_exact(m) == sparse_int_rank(tuple_keyed_rows(f, spec))
+    assert max(build_matrix(f, OrderSpec.exact(0)).entries[0]) == 300 << 9 | 1
+
+
+def test_thirty_variables_give_keys_past_64_bits():
+    xs = [f"x{i}" for i in range(1, 31)]
+    f = parse_poly(
+        "x1^7*" + "*".join(xs[1:]) + " + 2*x30^5*x2 + x1*x15*x29 + 3*x3^6*x30"
+    )
+    for k in (1, 2):
+        spec = OrderSpec.exact(k)
+        m = build_matrix(f, spec)
+        assert max(g for row in m.entries for g in row) >= 2**64
+        assert m == row_scan_matrix(f, spec)
+        assert_same_elimination(f, spec)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -141,13 +141,6 @@ def test_trace_b2_matches_quadruple_count_for_01_polys():
             assert trace_B2(f, k) == quadruple_count(f, k), (text, k)
 
 
-def _labelled_rows(matrix):
-    return {
-        matrix.rows[i]: {matrix.cols[j]: v for j, v in row.items()}
-        for i, row in enumerate(matrix.entries)
-    }
-
-
 def test_oracle_matrix_is_the_01_part_of_the_derivative_matrix():
     polys = random_polys(seed=73, count=20, max_vars=5, max_terms=6, max_degree=3)
     assert any(f.is_multilinear for f in polys)
@@ -156,10 +149,13 @@ def test_oracle_matrix_is_the_01_part_of_the_derivative_matrix():
         for k in range(f.degree + 1):
             oracle = explicit_B_oracle(f, k).matrix
             full = build_matrix(f, OrderSpec.exact(k))
-            # rows sorted, as for every DerivMatrix: the 0/1 rows of the full matrix
-            assert list(oracle.rows) == [b for b in full.rows if max(b, default=0) <= 1]
-            full_rows = _labelled_rows(full)
-            assert _labelled_rows(oracle) == {b: full_rows[b] for b in oracle.rows}
+            # One packing for both: the oracle's rows are full rows, ascending,
+            # one per k-subset of some support, with the same entries.
+            supports = [[i for i, a in enumerate(t.exps) if a] for t in f.terms]
+            assert oracle.nrows == len({s for sup in supports for s in combinations(sup, k)})
+            assert list(oracle.rows) == sorted(oracle.rows)
+            full_rows = dict(zip(full.rows, full.entries))
+            assert oracle.entries == tuple(full_rows[b] for b in oracle.rows)
             if f.is_multilinear:
                 assert oracle == full
 
