@@ -302,6 +302,8 @@ def cmd_dim(args: argparse.Namespace) -> int:
     mode = args.mode
     if mode == "k" and args.k is None:
         raise ValueError("dim requires --k (or --mode star|plus)")
+    if mode != "k" and args.k is not None:
+        raise ValueError(f"--k applies to --mode k only, not to --mode {mode}")
     opts = Options.resolve(args)
     f = load_poly(args.file)
     if mode == "k":
@@ -344,6 +346,8 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    if args.samples is not None and args.samples < 1:
+        raise ValueError("samples must be >= 1")
     opts = Options.resolve(args)
     f = load_poly(args.file)
     if f.is_zero:

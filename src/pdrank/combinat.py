@@ -1,15 +1,18 @@
 """Exact combinatorics helpers: binomials and bounded multi-index enumeration.
 
-The sub-index enumerators are the inner loop of derivative-matrix assembly.
-Each index they yield costs O(n) work and they draw no candidate that they
-then discard, so their time is proportional to what they yield.
+The packed sub-index enumerators are the inner loop of derivative-matrix
+assembly.  They yield each beta <= alpha as a packed int, a sum of slot
+units taken over alpha's support only, so a sub-index costs no work per
+variable: the C-level ``combinations`` and ``product`` draw the units and
+``sum`` adds them.  They draw no candidate that they then discard, so
+their time is proportional to what they yield.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
-from typing import Iterator
+from itertools import chain, combinations, compress, islice, product
+from typing import Iterable, Iterator, Sequence
 
 
 def binom(n: int, k: int) -> int:
@@ -19,41 +22,81 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def sub_indices_of_order(alpha: tuple[int, ...], order: int) -> Iterator[tuple[int, ...]]:
-    """All beta with 0 <= beta_i <= alpha_i and sum(beta) == order, each once.
+def packed_subsets(units: Iterable[int], k: int) -> Iterator[int]:
+    """The sums of the k-subsets of ``units``: the packed 0/1 sub-indices of order k."""
+    return map(sum, combinations(units, k)) if k >= 0 else iter(())
 
-    The order of the indices is unspecified.  A recursion over the
-    variables with alpha_i >= 2 enters only the branches that can still
-    reach ``order``; under each of its leaves the rest of the order is
-    spread by ``combinations`` over the variables with alpha_i == 1 (for a
-    0/1 alpha that is the whole walk).  No candidate is drawn and thrown
-    away, so each index costs O(n), and k > deg alpha returns at once.
+
+def packed_sub_indices(
+    alpha: tuple[int, ...], units: Sequence[int], order: int
+) -> Iterator[int]:
+    """Every beta with 0 <= beta <= alpha and sum(beta) == order, packed, each once.
+
+    Variable i counts ``units[i]`` in the packed key.  The order of the
+    keys is unspecified.  The variables with alpha_i == 1 are placed by
+    ``packed_subsets``; for a 0/1 alpha that is the whole walk.  Otherwise
+    a depth-first walk over the variables with alpha_i >= 2, carrying the
+    packed key of the exponents chosen so far, enters only the branches
+    that can still reach ``order``, and under each of its leaves the rest
+    of the order goes to the ones.  A branch with nothing left to place, or
+    with room for exactly what is left, is a leaf of one key at once; then
+    an inner node forks, or has one child, a leaf, so the walk costs O(1)
+    per key.  No candidate is drawn and thrown away, and k > deg alpha
+    returns at once.
     """
-    if not 0 <= order <= sum(alpha):
-        return iter(())
-    ones = [i for i, a in enumerate(alpha) if a == 1]
-    multi = [i for i, a in enumerate(alpha) if a > 1]
-    # room[j]: the largest order that multi[j:] and the ones can still take
+    # Selected in C: a term's setup takes no Python step per variable.
+    ones = list(compress(units, map((1).__eq__, alpha)))
+    multi = list(compress(zip(alpha, units), map((1).__lt__, alpha)))
+    if not multi:
+        return packed_subsets(ones, order)
+    # room[j]: the largest order that multi[j:] and the ones can still
+    # take; full[j]: the packed key that takes all of it
     room = [len(ones)] * (len(multi) + 1)
+    full = [sum(ones)] * (len(multi) + 1)
     for j in range(len(multi) - 1, -1, -1):
-        room[j] = room[j + 1] + alpha[multi[j]]
-    beta = [0] * len(alpha)
+        a, u = multi[j]
+        room[j] = room[j + 1] + a
+        full[j] = full[j + 1] + a * u
+    if not 0 <= order <= room[0]:
+        return iter(())
 
-    def rec(j: int, rem: int) -> Iterator[tuple[int, ...]]:
-        if j == len(multi):
-            for chosen in combinations(ones, rem):
-                out = beta.copy()
-                for i in chosen:
-                    out[i] = 1
-                yield tuple(out)
-            return
-        i = multi[j]
-        for b in range(max(0, rem - room[j + 1]), min(alpha[i], rem) + 1):
-            beta[i] = b
-            yield from rec(j + 1, rem - b)
-        beta[i] = 0
+    def leaves() -> Iterator[Iterable[int]]:
+        stack = [(0, order, 0)]  # (next multi variable, order left, packed key so far)
+        while stack:
+            j, rem, base = stack.pop()
+            if rem == 0:
+                yield (base,)
+            elif rem == room[j]:
+                yield (base + full[j],)
+            elif j == len(multi):
+                yield map(base.__add__, packed_subsets(ones, rem))
+            else:
+                a, u = multi[j]
+                for b in range(max(0, rem - room[j + 1]), min(a, rem) + 1):
+                    stack.append((j + 1, rem - b, base + b * u))
 
-    return rec(0, order)
+    return chain.from_iterable(leaves())
+
+
+def packed_box(
+    alpha: tuple[int, ...],
+    units: Sequence[int],
+    *,
+    drop_zero: bool = False,
+    drop_top: bool = False,
+) -> Iterator[int]:
+    """Every beta with 0 <= beta <= alpha, packed, in lex order of beta.
+
+    One ``product`` over the support of alpha draws each slot's multiples
+    of its unit, and ``sum`` packs them; with the units decreasing, x1 in
+    the top slot, the keys ascend.  beta = 0 comes first and beta = alpha
+    last: ``drop_zero`` and ``drop_top`` leave those out.
+    """
+    slots = [range(0, (a + 1) * u, u) for a, u in compress(zip(alpha, units), alpha)]
+    box = map(sum, product(*slots))
+    if not (drop_zero or drop_top):
+        return box
+    return islice(box, int(drop_zero), math.prod(map(len, slots)) - drop_top)
 
 
 def all_sub_indices(alpha: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -19,7 +19,7 @@ from itertools import chain
 from operator import mul
 from typing import Callable, Iterable
 
-from .combinat import all_sub_indices, lcm_all, sub_indices_of_order
+from .combinat import lcm_all, packed_box, packed_sub_indices
 from .errors import ResourceLimitError
 from .polyio import (
     SCALED,
@@ -124,38 +124,36 @@ def derivative(f: SparsePoly, beta: ExponentVector) -> SparsePoly:
 
 def assemble(
     scaled: SparsePoly,
-    sub_indices: Callable[[ExponentVector], Iterable[ExponentVector]],
+    sub_indices: Callable[[ExponentVector, list[int]], Iterable[int]],
     *,
     max_rows: int,
     max_cols: int,
 ) -> DerivMatrix:
-    """The derivative matrix whose rows are the multi-indices ``sub_indices`` gives.
+    """The derivative matrix whose rows are the keys ``sub_indices`` gives.
 
     One pass over the terms: a term a * x^alpha (a cleared to an integer)
-    puts a at column alpha - beta of row beta for each beta in
-    ``sub_indices(alpha)``, which must all satisfy beta <= alpha.  Keys are
-    packed (see :class:`DerivMatrix`): packing beta is a sum of slot units,
-    and since beta <= alpha in every slot no subtraction borrows, so the
-    column key is packed(alpha) - packed(beta).  The work is O(n) per
-    nonzero entry, plus sorting the row keys.  Both caps are checked as
-    each row or column is added, so ``actual`` is one past the cap.  When
-    the columns overflow, the entries are dropped and the walk goes on over
-    the row keys alone: if the rows overflow too, ``rows`` is reported.
+    puts a at column alpha - beta of row beta for each packed beta in
+    ``sub_indices(alpha, units)``, where ``units[i]`` is variable i's slot
+    unit (see :class:`DerivMatrix`); each beta must satisfy beta <= alpha.
+    Since no slot borrows, the column key is packed(alpha) - beta.  The
+    enumerators of :mod:`pdrank.combinat` draw each beta as a sum of units
+    over alpha's support in C-level ``combinations`` or ``product``, so a
+    nonzero entry costs a few dict and set operations whatever the number
+    of variables, plus sorting the row keys.  Both caps are checked as each
+    row or column is added, so ``actual`` is one past the cap.  When the
+    columns overflow, the entries are dropped and the walk goes on over the
+    row keys alone: if the rows overflow too, ``rows`` is reported.
     """
     clear = lcm_all([t.coef.denominator for t in scaled.terms])
     width = max(chain.from_iterable(t.exps for t in scaled.terms), default=0).bit_length()
     units = [1 << width * i for i in reversed(range(len(scaled.vars)))]
-
-    def pack(exps: ExponentVector) -> int:
-        return sum(map(mul, exps, units))
-
     by_row: dict[int, dict[int, int]] = {}
     col_set: set[int] = set()
     terms = iter(scaled.terms)
     for t in terms:
-        top = pack(t.exps)
+        top = sum(map(mul, t.exps, units))
         a = t.coef.numerator * (clear // t.coef.denominator)
-        betas = map(pack, sub_indices(t.exps))
+        betas = iter(sub_indices(t.exps, units))
         for beta in betas:
             row = by_row.get(beta)
             if row is None:
@@ -167,7 +165,7 @@ def assemble(
                 if len(col_set) >= max_cols:
                     seen = set(by_row)
                     by_row.clear()
-                    rest = chain(betas, (pack(b) for u in terms for b in sub_indices(u.exps)))
+                    rest = chain(betas, (b for u in terms for b in sub_indices(u.exps, units)))
                     _check_row_cap(seen, rest, max_rows)
                     raise ResourceLimitError("cols", max_cols, max_cols + 1)
                 col_set.add(gamma)
@@ -195,25 +193,33 @@ def build_matrix(
     """Materialize the derivative matrix for the requested orders.
 
     Rows are exactly the multi-indices with a nonzero derivative (those
-    dividing some term), so no zero row or column is ever stored.  The
-    cost is O(n) per nonzero entry (see :func:`assemble`); the interior
-    orders also draw, and drop, beta = 0 and at most one beta = alpha per
-    term.
+    dividing some term), so no zero row or column is ever stored.  Order k
+    draws each term's sub-indices of order k (:func:`packed_sub_indices`);
+    all orders and the interior orders draw each term's whole box of
+    sub-indices in one ``product`` (:func:`packed_box`), the interior
+    orders leaving out beta = 0 and, on the terms of top degree,
+    beta = alpha.  Either way each drawn key is one nonzero entry, at a
+    cost that does not grow with the number of variables (see
+    :func:`assemble`).
     """
     if f.is_zero:
         raise ValueError("derivative matrix of the zero polynomial")
     scaled = f if f.basis == SCALED else to_scaled(f)
-    orders = spec.orders(scaled.degree)
-    if len(orders) == 1:
-        k = orders[0]
+    if spec.mode == MODE_EXACT:
+        k = spec.k
 
-        def sub_indices(alpha):
-            return sub_indices_of_order(alpha, k)
+        def sub_indices(alpha, units):
+            return packed_sub_indices(alpha, units, k)
 
     else:
+        # These orders run from 0 or 1 up to deg or deg - 1: only beta = 0
+        # can fall below them, and only beta = alpha with |alpha| = deg above.
+        orders = spec.orders(scaled.degree)
 
-        def sub_indices(alpha):
-            return (b for b in all_sub_indices(alpha) if sum(b) in orders)
+        def sub_indices(alpha, units):
+            return packed_box(
+                alpha, units, drop_zero=orders[0] > 0, drop_top=sum(alpha) > orders[-1]
+            )
 
     return assemble(scaled, sub_indices, max_rows=max_rows, max_cols=max_cols)
 

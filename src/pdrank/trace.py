@@ -34,9 +34,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Sequence
 
-from .combinat import binom, lcm_all, sub_indices_of_order
+from .combinat import binom, lcm_all, packed_subsets
 from .errors import ResourceLimitError
 from .exact import (
     DEFAULT_ELIMINATION_BUDGET,
@@ -291,7 +292,7 @@ def explicit_B_oracle(
         raise ResourceLimitError("rows", max_rows, binom(n, k))
     matrix = assemble(
         scaled,
-        lambda alpha: sub_indices_of_order(tuple(min(a, 1) for a in alpha), k),
+        lambda alpha, units: packed_subsets(compress(units, alpha), k),
         max_rows=max_rows,
         max_cols=max_cols,
     )

@@ -283,6 +283,26 @@ def test_trace_samples_below_one_exit_2(capsys, poly_file, samples):
     assert "samples must be >= 1" in err
 
 
+def test_trace_samples_checked_before_any_work(capsys, monkeypatch):
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran before the sample count was checked")
+
+    monkeypatch.setattr(cli.trace, "explicit_B_oracle", no_oracle)
+    argv = ("trace", "--k", "3", "--oracle", "--samples", "0", str(DATA / "multilinear40.poly"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "input error: samples must be >= 1\n"
+
+
+@pytest.mark.parametrize("mode", ["star", "plus"])
+def test_dim_star_and_plus_refuse_k(capsys, mode):
+    # The all-orders value of this input is 21: --k must not be dropped silently.
+    argv = ("dim", "--mode", mode, "--k", "2", str(DATA / "rational.poly"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "--k" in err
+
+
 @pytest.mark.parametrize(
     "command, knob, value",
     [

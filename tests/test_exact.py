@@ -7,6 +7,7 @@ import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
+from operator import le, sub
 from pathlib import Path
 
 import pytest
@@ -28,10 +29,17 @@ from pdrank import (
     to_scaled,
 )
 from pdrank import combinat, exact
-from pdrank.combinat import all_sub_indices, lcm_all, sub_indices_of_order
+from pdrank.combinat import (
+    all_sub_indices,
+    lcm_all,
+    packed_box,
+    packed_sub_indices,
+    packed_subsets,
+)
 from pdrank.corpus import random_homogeneous_polys, random_polys
 from pdrank.polyio import Graph, permute_vars, scale
 from pdrank.reductions import graph_classes, graph_to_poly
+from pdrank.trace import explicit_B_oracle
 
 
 def ordinary_derivative(f: SparsePoly, beta) -> SparsePoly:
@@ -115,31 +123,28 @@ def tuple_reference(f: SparsePoly, spec: OrderSpec):
     orders = spec.orders(scaled.degree)
     rows = set()
     for t in scaled.terms:
-        box = [()]  # the prefixes of sub-indices, pruned past the top order
-        for a in t.exps:
-            box = [b + (e,) for b in box for e in range(a + 1) if sum(b) + e <= orders[-1]]
-        rows.update(b for b in box if sum(b) in orders)
+        support = [i for i, a in enumerate(t.exps) if a]
+        box = [()]  # sub-indices on the support, pruned past the top order
+        for i in support:
+            box = [b + (e,) for b in box for e in range(t.exps[i] + 1) if sum(b) + e <= orders[-1]]
+        for b in box:
+            if sum(b) in orders:
+                beta = [0] * len(t.exps)
+                for i, e in zip(support, b):
+                    beta[i] = e
+                rows.add(tuple(beta))
     rows = sorted(rows)
     clear = lcm_all([t.coef.denominator for t in scaled.terms])
+    cleared = [(t.exps, t.coef.numerator * (clear // t.coef.denominator)) for t in scaled.terms]
     row_pairs = [
-        [
-            (
-                tuple(a - b for a, b in zip(t.exps, beta)),
-                t.coef.numerator * (clear // t.coef.denominator),
-            )
-            for t in scaled.terms
-            if all(b <= a for b, a in zip(beta, t.exps))
-        ]
+        [(tuple(map(sub, exps, beta)), a) for exps, a in cleared if all(map(le, beta, exps))]
         for beta in rows
     ]
     return rows, row_pairs, clear
 
 
-def row_scan_matrix(f: SparsePoly, spec: OrderSpec) -> DerivMatrix:
-    """The tuple reference with its keys packed as ``DerivMatrix`` documents:
-    x1 in the top slot, each slot the bit length of f's largest exponent."""
-    rows, row_pairs, clear = tuple_reference(f, spec)
-    width = max((e for t in f.terms for e in t.exps), default=0).bit_length()
+def packer(width: int):
+    """Pack an exponent tuple as ``DerivMatrix`` documents: x1 in the top slot."""
 
     def pack(exps):
         key = 0
@@ -147,6 +152,18 @@ def row_scan_matrix(f: SparsePoly, spec: OrderSpec) -> DerivMatrix:
             key = key << width | e
         return key
 
+    return pack
+
+
+def row_scan_matrix(f: SparsePoly, spec: OrderSpec) -> DerivMatrix:
+    """The tuple reference with its keys packed as ``DerivMatrix`` documents:
+    x1 in the top slot, each slot the bit length of f's largest exponent."""
+    return packed_reference(f, *tuple_reference(f, spec))
+
+
+def packed_reference(f: SparsePoly, rows, row_pairs, clear: int) -> DerivMatrix:
+    """The ``DerivMatrix`` of a tuple reference of f."""
+    pack = packer(max((e for t in f.terms for e in t.exps), default=0).bit_length())
     entries = tuple({pack(g): a for g, a in pairs} for pairs in row_pairs)
     ncols = len({g for pairs in row_pairs for g, _ in pairs})
     return DerivMatrix(tuple(map(pack, rows)), entries, ncols, clear)
@@ -170,12 +187,66 @@ def test_build_matrix_matches_row_scan_reference():
         if f.degree >= 2:
             specs.append(OrderSpec.interior())
         for spec in specs:
-            got, want = build_matrix(f, spec), row_scan_matrix(f, spec)
-            assert got == want, (f, spec)
-            # dict insertion order too: each row lists its entries in term order
-            assert [list(r.items()) for r in got.entries] == [
-                list(r.items()) for r in want.entries
-            ]
+            assert_same_matrix(build_matrix(f, spec), row_scan_matrix(f, spec))
+
+
+def assert_same_matrix(got: DerivMatrix, want: DerivMatrix) -> None:
+    """Equal field by field, and each row lists its entries in term order."""
+    assert got == want
+    assert [list(r.items()) for r in got.entries] == [list(r.items()) for r in want.entries]
+
+
+def graph_class_polys(n: int) -> list[SparsePoly]:
+    """The graph polynomial of one graph per nonempty isomorphism class on [n]."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    return [
+        graph_to_poly(Graph.make(n, [e for i, e in enumerate(pairs) if bits >> i & 1]))
+        for bits, _ in graph_classes(n)
+        if bits
+    ]
+
+
+def test_packed_enumeration_matches_tuple_reference():
+    """Modes star, plus and k, and the trace oracle, against the tuple reference.
+
+    The reference is assembled once, for all orders; the other matrices
+    are its rows of the orders they span (0/1 rows only for the oracle).
+    """
+    k7 = graph_to_poly(Graph.make(7, list(itertools.combinations(range(1, 8), 2))))
+    assert len(k7.vars) == 28
+    wide = [  # exponents >= 4: slots of three bits and more
+        parse_poly("x1^4*x2*x3 + 2/3*x1^2*x2^5 + x3^7 + 5*x1*x2*x3*x4"),
+        parse_poly("x1^9*x4^4 + x2^4*x3^4*x4 - x1*x2^2*x3^3 + 7"),
+    ]
+    # Degree 5 and not homogeneous: in interior mode only the degree-5
+    # terms lose beta = alpha, so x2*x4^2 and x3 keep their own rows.
+    mixed = parse_poly("x1^2*x2*x3^2 + x1*x2*x3*x4*x5 + 3*x2*x4^2 - x3")
+    polys = graph_class_polys(6) + [k7] + wide + [mixed]
+    for i, f in enumerate(polys):
+        betas, row_pairs, clear = tuple_reference(f, OrderSpec.all_orders())
+        full = packed_reference(f, betas, row_pairs, clear)
+
+        def rows_where(keep) -> DerivMatrix:
+            picked = [j for j, beta in enumerate(betas) if keep(beta)]
+            rows = tuple(full.rows[j] for j in picked)
+            entries = tuple(full.entries[j] for j in picked)
+            ncols = len({g for row in entries for g in row})
+            return DerivMatrix(rows, entries, ncols, full.clear_factor)
+
+        k = i % (f.degree + 1)  # every order across the graph classes
+        assert_same_matrix(build_matrix(f, OrderSpec.all_orders()), full)
+        assert_same_matrix(
+            build_matrix(f, OrderSpec.interior()), rows_where(lambda b: 0 < sum(b) < f.degree)
+        )
+        assert_same_matrix(build_matrix(f, OrderSpec.exact(k)), rows_where(lambda b: sum(b) == k))
+        assert_same_matrix(
+            explicit_B_oracle(f, k).matrix,
+            rows_where(lambda b: sum(b) == k and max(b, default=0) <= 1),
+        )
+    pack = packer(2)
+    plus_rows = set(build_matrix(mixed, OrderSpec.interior()).rows)
+    assert {pack((0, 1, 0, 2, 0)), pack((0, 0, 1, 0, 0))} <= plus_rows
+    assert not {pack((2, 1, 2, 0, 0)), pack((1, 1, 1, 1, 1)), 0} & plus_rows
 
 
 def assert_same_elimination(f: SparsePoly, spec: OrderSpec) -> None:
@@ -249,25 +320,43 @@ def test_thirty_variables_give_keys_past_64_bits():
         assert_same_elimination(f, spec)
 
 
+def slot_units(n: int, width: int) -> list[int]:
+    """Each variable's unit in a packed key, x1 in the top slot."""
+    return [1 << width * i for i in reversed(range(n))]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_sub_index_enumerators_match_brute_force(seed):
+    """The packed enumerators give the packed brute-force box, as documented."""
     rng = random.Random(seed)
     for _ in range(40):
         n = rng.randint(0, 6)
         top = 1 if rng.random() < 0.4 else 4
         alpha = tuple(rng.randint(0, top) for _ in range(n))
+        width = max(alpha, default=0).bit_length() + rng.randint(0, 2)
+        units, pack = slot_units(n, width), packer(width)
         box = list(itertools.product(*(range(a + 1) for a in alpha)))
         assert list(all_sub_indices(alpha)) == box  # lex order
+        packed = list(map(pack, box))
+        assert list(packed_box(alpha, units)) == packed  # ascending
+        assert list(packed_box(alpha, units, drop_zero=True)) == packed[1:]
+        assert list(packed_box(alpha, units, drop_top=True)) == packed[:-1]
+        assert list(packed_box(alpha, units, drop_zero=True, drop_top=True)) == packed[1:-1]
+        support = [u for a, u in zip(alpha, units) if a]
         for k in range(sum(alpha) + 3):
-            got = list(sub_indices_of_order(alpha, k))
+            got = list(packed_sub_indices(alpha, units, k))
             assert len(got) == len(set(got))
-            assert set(got) == {b for b in box if sum(b) == k}, (alpha, k)
+            assert set(got) == {pack(b) for b in box if sum(b) == k}, (alpha, k)
+            subsets = list(packed_subsets(support, k))
+            assert len(subsets) == len(set(subsets))
+            assert set(subsets) == {pack(b) for b in box if sum(b) == k and max(b, default=0) <= 1}
+        assert list(packed_subsets(support, -1)) == []
 
 
 def test_sub_indices_above_the_degree_are_empty_at_once():
     # Walking the candidates here would not finish: C(10^4 + 2, 2) multisets.
-    assert list(sub_indices_of_order((3, 2, 1), 10**4)) == []
-    assert list(sub_indices_of_order((1, 1, 0, 1), 10**4)) == []
+    assert list(packed_sub_indices((3, 2, 1), slot_units(3, 2), 10**4)) == []
+    assert list(packed_sub_indices((1, 1, 0, 1), slot_units(4, 1), 10**4)) == []
 
 
 @contextmanager
@@ -298,8 +387,28 @@ def combinat_steps(limit: int):
         sys.settrace(previous)
 
 
-# Lines of ``pdrank.combinat`` allowed per variable per sub-index drawn.
-STEPS_PER_VAR = 4
+# Lines of ``pdrank.combinat`` allowed per nonzero entry, whatever the
+# number of variables.  A 0/1 term takes about 2 (its setup, then C-level
+# ``combinations``); the walk over the variables with alpha_i >= 2 about 18.
+STEPS_PER_ENTRY = 20
+
+
+@contextmanager
+def counted_draws(monkeypatch):
+    """Record every packed sub-index that ``exact`` draws from ``pdrank.combinat``."""
+    drawn: list[int] = []
+
+    def counting(enumerate_keys):
+        def wrapper(*args, **kwargs):
+            for beta in enumerate_keys(*args, **kwargs):
+                drawn.append(beta)
+                yield beta
+
+        return wrapper
+
+    monkeypatch.setattr(exact, "packed_sub_indices", counting(packed_sub_indices))
+    monkeypatch.setattr(exact, "packed_box", counting(packed_box))
+    yield drawn
 
 
 @pytest.mark.parametrize("top", [1, 3])
@@ -318,39 +427,36 @@ def test_build_matrix_work_is_one_step_per_nonzero(monkeypatch, top):
         items[tuple(exps)] = Fraction(rng.randint(1, 9), rng.randint(1, 10))
     f = SparsePoly.from_terms([f"x{i}" for i in range(1, 15)], items.items())
     assert f.is_multilinear == (top == 1)
-    drawn = 0
-
-    def counting(alpha, order):
-        nonlocal drawn
-        for beta in sub_indices_of_order(alpha, order):
-            drawn += 1
-            yield beta
-
-    monkeypatch.setattr(exact, "sub_indices_of_order", counting)
-    for k in (1, 2, 3):
-        drawn = 0
-        with combinat_steps(10**9) as steps:
-            m = build_matrix(f, OrderSpec.exact(k))
+    specs = [OrderSpec.exact(k) for k in (1, 2, 3)]
+    for spec in specs + [OrderSpec.all_orders(), OrderSpec.interior()]:
+        with counted_draws(monkeypatch) as drawn, combinat_steps(10**9) as steps:
+            m = build_matrix(f, spec)
         nnz = sum(len(row) for row in m.entries)
-        assert drawn == nnz
-        assert steps[0] <= STEPS_PER_VAR * 14 * nnz
-        if top == 1:
-            assert nnz == sum(math.comb(sum(t.exps), k) for t in f.terms)
+        assert len(drawn) == nnz
+        assert steps[0] <= STEPS_PER_ENTRY * nnz
+        if top == 1 and spec.mode == exact.MODE_EXACT:
+            assert nnz == sum(math.comb(sum(t.exps), spec.k) for t in f.terms)
 
 
-def test_row_cap_bounds_the_enumeration_work():
+def test_row_cap_bounds_the_enumeration_work(monkeypatch):
     """x1^2*x2*...*x30 at k=15 has about 2.3e8 rows: the cap ends the walk.
 
     Lex order over multisets would put C(41, 12) invalid candidates (all
     starting x1^3) before the first valid row; the enumerator must instead
-    reach the row cap within O(n) steps per row.
+    draw only valid rows, and the cap must stop it at the first row past it.
     """
     f = parse_poly("x1^2*" + "*".join(f"x{i}" for i in range(2, 31)))
     max_rows = 2000
-    with combinat_steps(STEPS_PER_VAR * 30 * (max_rows + 1)):
-        with pytest.raises(ResourceLimitError) as err:
-            build_matrix(f, OrderSpec.exact(15), max_rows=max_rows)
+    with counted_draws(monkeypatch) as drawn:
+        with combinat_steps(STEPS_PER_ENTRY * (max_rows + 1)):
+            with pytest.raises(ResourceLimitError) as err:
+                build_matrix(f, OrderSpec.exact(15), max_rows=max_rows)
     assert (err.value.what, err.value.actual) == ("rows", max_rows + 1)
+    assert len(drawn) == len(set(drawn)) == max_rows + 1
+    # Unpacked (two-bit slots, x1 on top), every row drawn is in the box.
+    for beta in drawn:
+        exps = [beta >> 2 * i & 3 for i in reversed(range(30))]
+        assert sum(exps) == 15 and exps[0] <= 2 and max(exps[1:]) <= 1
 
 
 def test_rank_identity_and_duplicate_rows():
