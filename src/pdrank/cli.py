@@ -30,6 +30,7 @@ import time
 from dataclasses import dataclass, field, fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import Sequence
 
 from . import bounds as bounds_mod
 from . import exact, reductions, symmetric, trace
@@ -47,10 +48,24 @@ from .polyio import (
 
 CONFIG_ENV = "PDRANK_CONFIG"
 MAX_VERTEX_TRIALS = 10_000  # at most 0.3 ms each on 1000 terms
+MAX_GAP_POINTS = 20_000  # sym gap --fixed d=5 k=2 n=7..20000: 1.1 s, 6.5 MB of JSON
+MAX_GAP_SCALE = 300  # sym gap --scaled kp=1 dp=2 np=5 m=1..300: 2.5 s
+
+
+def exact_str(value) -> str:
+    """``str(value)``, in full also for an int past the int-to-str digit limit.
+
+    The interpreter's limit stays in force, as it guards ``int()`` on input
+    text; ``Decimal`` converts an int of any size exactly without it.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        return str(Decimal(value))
 
 
 def frac_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
+    return f"{exact_str(value.numerator)}/{exact_str(value.denominator)}"
 
 
 def frac_dec(value: Fraction, digits: int = 12) -> str:
@@ -143,9 +158,41 @@ def input_digest(f: SparsePoly) -> dict:
 
 def emit(payload: dict, args: argparse.Namespace) -> None:
     if args.format == "json":
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json_text(payload) + "\n")
     else:
         _emit_text(payload)
+
+
+def json_text(payload: dict) -> str:
+    """The JSON report, every int in full.
+
+    ``json`` writes an int with ``int.__repr__``, which refuses one past the
+    digit limit.  Such an int goes in as the string of its digits, and the
+    quotes around that string are dropped.
+    """
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True)
+    except ValueError:
+        pass
+    long_ints: list[str] = []
+
+    def spell(value):
+        if isinstance(value, dict):
+            return {key: spell(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [spell(item) for item in value]
+        if isinstance(value, int):
+            try:
+                str(value)
+            except ValueError:
+                long_ints.append(str(Decimal(value)))
+                return long_ints[-1]
+        return value
+
+    text = json.dumps(spell(payload), indent=2, sort_keys=True)
+    for digits in long_ints:
+        text = text.replace(f'"{digits}"', digits)
+    return text
 
 
 def _emit_text(payload: dict, indent: int = 0) -> None:
@@ -162,9 +209,9 @@ def _emit_text(payload: dict, indent: int = 0) -> None:
                     _emit_text(item, indent + 1)
                     sys.stdout.write("\n")
                 else:
-                    sys.stdout.write(f"{pad}  {item}\n")
+                    sys.stdout.write(f"{pad}  {exact_str(item)}\n")
         else:
-            sys.stdout.write(f"{pad}{key}: {value}\n")
+            sys.stdout.write(f"{pad}{key}: {exact_str(value)}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +477,18 @@ def _parse_keyvals(pairs: list[str]) -> dict[str, str]:
     return out
 
 
-def _parse_range(text: str) -> list[int]:
+def _parse_range(text: str) -> Sequence[int]:
+    """``lo..hi`` or a comma list: a nonempty series of at most ``MAX_GAP_POINTS``."""
     if ".." in text:
         lo, _, hi = text.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in text.split(",")]
+        values: Sequence[int] = range(int(lo), int(hi) + 1)
+    else:
+        values = [int(v) for v in text.split(",")]
+    if not values:
+        raise ValueError(f"empty range {text!r}")
+    if len(values) > MAX_GAP_POINTS:
+        raise ValueError(f"a gap series has at most {MAX_GAP_POINTS} points, got {len(values)}")
+    return values
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -482,8 +536,11 @@ def cmd_sym_gap(args: argparse.Namespace) -> int:
         needed = {"kp", "dp", "np", "m"}
         if set(params) != needed:
             raise ValueError("sym gap --scaled expects kp=<k'> dp=<d'> np=<n'> m=<range>")
+        m_values = _parse_range(params["m"])
+        if max(m_values) > MAX_GAP_SCALE:
+            raise ValueError(f"m must be at most {MAX_GAP_SCALE}")
         points = symmetric.sym_gap_series_scaled(
-            int(params["kp"]), int(params["dp"]), int(params["np"]), _parse_range(params["m"])
+            int(params["kp"]), int(params["dp"]), int(params["np"]), m_values
         )
         mode = "scaled"
     if args.format == "csv":
@@ -494,7 +551,7 @@ def cmd_sym_gap(args: argparse.Namespace) -> int:
         sys.stdout.write(",".join(fields) + "\n")
         for p in points:
             row = _gap_point_dict(p)
-            sys.stdout.write(",".join(str(row[f]) for f in fields) + "\n")
+            sys.stdout.write(",".join(exact_str(row[f]) for f in fields) + "\n")
         return 0
     payload = {
         "command": "sym-gap",

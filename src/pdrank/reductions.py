@@ -40,7 +40,7 @@ from .exact import (
 )
 from .polyio import ORDINARY, Graph, SimplicialComplex, SparsePoly, Term
 
-DEFAULT_GROUND_CAP = 24
+GROUND_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -62,22 +62,13 @@ class ReductionReport:
     note: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "ind_count": self.ind_count,
-            "face_count": self.face_count,
-            "dim_plus": self.dim_plus,
-            "identity_holds": self.identity_holds,
-            "basis_verified": self.basis_verified,
-            "note": self.note,
-        }
+        return dict(vars(self))
 
 
-def count_independent_sets(g: Graph, *, cap: int = DEFAULT_GROUND_CAP) -> int:
-    """Exact Ind(G) (empty set included) by bitmask subset enumeration."""
-    if g.n > cap:
-        raise ResourceLimitError("vertices", cap, g.n)
+def count_independent_sets(g: Graph) -> int:
+    """Exact Ind(G) (empty set included) by bitmask subset enumeration, n <= ``GROUND_CAP``."""
+    if g.n > GROUND_CAP:
+        raise ResourceLimitError("vertices", GROUND_CAP, g.n)
     n = g.n
     adj = [0] * n
     for u, v in g.edges:
@@ -104,14 +95,14 @@ def graph_complex(g: Graph) -> SimplicialComplex:
     return SimplicialComplex.make(g.n, (full - {u, v} for u, v in g.edges))
 
 
-def _face_marks(sc: SimplicialComplex, cap: int) -> bytearray:
+def _face_marks(sc: SimplicialComplex) -> bytearray:
     """Byte per subset of the ground set, set to 1 exactly on the faces.
 
     Each facet marks its nonempty submasks; the table is 2^ground bytes
-    whatever the facet sizes, so the ground cap bounds its memory.
+    whatever the facet sizes, so ``GROUND_CAP`` bounds its memory.
     """
-    if sc.ground > cap:
-        raise ResourceLimitError("ground", cap, sc.ground)
+    if sc.ground > GROUND_CAP:
+        raise ResourceLimitError("ground", GROUND_CAP, sc.ground)
     marks = bytearray(1 << sc.ground)
     for f in sc.facets:
         mask = sum(1 << (v - 1) for v in f)
@@ -130,9 +121,9 @@ def _face_masks(marks: bytearray) -> Iterator[int]:
         mask = marks.find(1, mask + 1)
 
 
-def count_faces(sc: SimplicialComplex, *, cap: int = DEFAULT_GROUND_CAP) -> int:
+def count_faces(sc: SimplicialComplex) -> int:
     """Number of nonempty subsets contained in some facet."""
-    return _face_marks(sc, cap).count(1)
+    return _face_marks(sc).count(1)
 
 
 def _face_basis_rows(sc: SimplicialComplex, marks: bytearray) -> list[dict[int, int]]:
@@ -159,13 +150,11 @@ def _face_basis_rows(sc: SimplicialComplex, marks: bytearray) -> list[dict[int, 
     return rows
 
 
-def enumerate_faces(
-    sc: SimplicialComplex, *, cap: int = DEFAULT_GROUND_CAP
-) -> list[frozenset[int]]:
+def enumerate_faces(sc: SimplicialComplex) -> list[frozenset[int]]:
     """All faces (nonempty subsets of facets), sorted by size then vertices."""
     faces = [
         frozenset(i + 1 for i in range(sc.ground) if mask >> i & 1)
-        for mask in _face_masks(_face_marks(sc, cap))
+        for mask in _face_masks(_face_marks(sc))
     ]
     faces.sort(key=lambda f: (len(f), tuple(sorted(f))))
     return faces
@@ -206,11 +195,7 @@ def graph_to_poly(g: Graph) -> SparsePoly:
     return _poly_from_facets(g.n, facets, [f"Y_{u}_{v}" for u, v in edges])
 
 
-def partial_plus_basis(
-    sc: SimplicialComplex,
-    *,
-    cap: int = DEFAULT_GROUND_CAP,
-) -> list[SparsePoly]:
+def partial_plus_basis(sc: SimplicialComplex) -> list[SparsePoly]:
     """The 2 * |faces| polynomials spanning the order-1..deg-1 derivatives.
 
     For each face F: the monomial prod_{j in F} X_j, and the derivative of
@@ -226,7 +211,7 @@ def partial_plus_basis(
     # X_F as an exponent vector: the monomial, and the derivative's multi-index
     face_exps = [
         tuple(1 if i < sc.ground and (i + 1) in face else 0 for i in range(nvars))
-        for face in enumerate_faces(sc, cap=cap)
+        for face in enumerate_faces(sc)
     ]
     # f is multilinear, so its scaled and ordinary coefficients agree.
     pad = (0,) * (nvars - sc.ground)
@@ -270,7 +255,6 @@ def verify_reduction(
     obj: Graph | SimplicialComplex,
     *,
     check_basis: bool = True,
-    cap: int = DEFAULT_GROUND_CAP,
     max_rows: int = DEFAULT_MAX_ROWS,
     max_cols: int = DEFAULT_MAX_COLS,
     budget: int = DEFAULT_ELIMINATION_BUDGET,
@@ -284,7 +268,7 @@ def verify_reduction(
     (``_face_basis_rows``).
     """
     if isinstance(obj, Graph):
-        ind: int | None = count_independent_sets(obj, cap=cap)
+        ind: int | None = count_independent_sets(obj)
         if obj.m:
             sc, f = graph_complex(obj), graph_to_poly(obj)
             note = "facets have n-2 elements (faces of dimension n-3 under the |X|-1 convention)"
@@ -299,7 +283,7 @@ def verify_reduction(
             f, note = complex_to_poly(obj), ""
         else:
             f, note = None, "identity not applicable: empty complex gives the zero polynomial"
-    marks = _face_marks(sc, cap)
+    marks = _face_marks(sc)
     faces = marks.count(1)
     dim_plus, identity, basis_ok = 0, None, True
     if f is not None:

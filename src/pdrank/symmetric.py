@@ -26,9 +26,10 @@ from .combinat import binom
 from .errors import InvariantViolation, ResourceLimitError
 from .exact import DEFAULT_ELIMINATION_BUDGET, sparse_int_rank
 from .polyio import SparsePoly
+from .trace import proxy_from_traces
 
-DEFAULT_TERM_CAP = 100_000
-DEFAULT_CROSS_CHECK_CELLS = 250_000
+TERM_CAP = 100_000
+CROSS_CHECK_CELLS = 250_000
 
 
 @dataclass(frozen=True)
@@ -44,12 +45,12 @@ class SymGapPoint:
     ratio: Fraction
 
 
-def sym_poly(n: int, d: int, *, term_cap: int = DEFAULT_TERM_CAP) -> SparsePoly:
-    """Sym_{d,n}: the sum of all C(n,d) multilinear degree-d monomials."""
+def sym_poly(n: int, d: int) -> SparsePoly:
+    """Sym_{d,n}: the sum of all C(n,d) multilinear degree-d monomials, at most ``TERM_CAP``."""
     if not 1 <= d <= n:
         raise ValueError("need 1 <= d <= n")
-    if binom(n, d) > term_cap:
-        raise ResourceLimitError("terms", term_cap, binom(n, d))
+    if binom(n, d) > TERM_CAP:
+        raise ResourceLimitError("terms", TERM_CAP, binom(n, d))
     variables = [f"x{i}" for i in range(1, n + 1)]
     items = []
     for subset in combinations(range(n), d):
@@ -72,26 +73,30 @@ def disjointness_matrix(n: int, d: int, k: int) -> list[dict[int, int]]:
     return rows
 
 
+def _check_range(n: int, d: int, k: int) -> None:
+    if not (0 <= k <= d <= n):
+        raise ValueError("need 0 <= k <= d <= n")
+
+
 def sym_exact_dim(
     n: int,
     d: int,
     k: int,
     *,
     cross_check: bool | None = None,
-    cross_check_cells: int = DEFAULT_CROSS_CHECK_CELLS,
     budget: int = DEFAULT_ELIMINATION_BUDGET,
 ) -> int:
     """dim of the order-k derivative span of Sym_{d,n}: min(C(n,k), C(n,d-k)).
 
     The disjointness matrix has full rank, which the closed form relies on;
-    with ``cross_check`` (on by default for small sizes) the matrix is
-    materialized and its exact rank compared.
+    with ``cross_check`` (on by default when the matrix has at most
+    ``CROSS_CHECK_CELLS`` cells) the matrix is materialized and its exact
+    rank compared.
     """
-    if not (0 <= k <= d <= n):
-        raise ValueError("need 0 <= k <= d <= n")
+    _check_range(n, d, k)
     value = min(binom(n, k), binom(n, d - k))
     if cross_check is None:
-        cross_check = binom(n, k) * binom(n, d - k) <= cross_check_cells
+        cross_check = binom(n, k) * binom(n, d - k) <= CROSS_CHECK_CELLS
     if cross_check:
         rank = sparse_int_rank(disjointness_matrix(n, d, k), budget=budget)
         if rank != value:
@@ -103,15 +108,13 @@ def sym_exact_dim(
 
 def sym_trace_B(n: int, d: int, k: int) -> int:
     """Tr(B) = C(n-k, d-k) * C(n, k) (every diagonal entry is C(n-k, d-k))."""
-    if not (0 <= k <= d <= n):
-        raise ValueError("need 0 <= k <= d <= n")
+    _check_range(n, d, k)
     return binom(n - k, d - k) * binom(n, k)
 
 
 def sym_trace_B2(n: int, d: int, k: int) -> int:
     """Tr(B^2) by grouping index pairs (I, J) by their overlap size t."""
-    if not (0 <= k <= d <= n):
-        raise ValueError("need 0 <= k <= d <= n")
+    _check_range(n, d, k)
     total = 0
     for t in range(k + 1):
         pairs = binom(n, k) * binom(k, t) * binom(n - k, k - t)
@@ -121,11 +124,7 @@ def sym_trace_B2(n: int, d: int, k: int) -> int:
 
 def sym_proxy(n: int, d: int, k: int) -> Fraction:
     """v = Tr(B)^2 / Tr(B^2) from the closed forms."""
-    tb2 = sym_trace_B2(n, d, k)
-    if tb2 == 0:
-        return Fraction(0)
-    tb = sym_trace_B(n, d, k)
-    return Fraction(tb * tb, tb2)
+    return proxy_from_traces(sym_trace_B(n, d, k), sym_trace_B2(n, d, k))
 
 
 def sym_upper_v(n: int, d: int, k: int) -> Fraction:
@@ -141,7 +140,7 @@ def sym_upper_v(n: int, d: int, k: int) -> Fraction:
 
 
 def _gap_point(n: int, d: int, k: int) -> SymGapPoint:
-    u = min(binom(n, k), binom(n, d - k))
+    u = sym_exact_dim(n, d, k, cross_check=False)
     v = sym_proxy(n, d, k)
     upper = sym_upper_v(n, d, k)
     return SymGapPoint(n=n, d=d, k=k, u=u, v=v, upper_v=upper, ratio=v / u)

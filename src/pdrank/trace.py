@@ -34,7 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
 from typing import Iterable, Sequence
 
 from .combinat import binom, lcm_all, packed_subsets
@@ -59,21 +59,31 @@ DEFAULT_TRIPLE_BUDGET = 10**9
 COEF_BOUND = 2**30
 
 
+def proxy_from_traces(tr_b: Fraction | int, tr_b2: Fraction | int) -> Fraction:
+    """The rank bound Tr(B)^2 / Tr(B^2); 0 when B = 0, where both traces vanish."""
+    return Fraction(tr_b * tr_b, tr_b2) if tr_b2 else Fraction(0)
+
+
 @dataclass(frozen=True)
 class TraceStats:
     """Exact trace statistics of B = M^T M for a polynomial at order k.
 
     ``vacuous`` is set when B = 0 (k exceeds every support size): the
-    rank bound then says nothing and ``proxy`` is reported as 0 instead of
-    dividing by zero.  Tr(B) and Tr(B^2) vanish together, always.
+    rank bound then says nothing and ``proxy`` is 0.
     """
 
     k: int
     monomial_count: int
     tr_b: Fraction
     tr_b2: Fraction
-    proxy: Fraction
-    vacuous: bool
+
+    @property
+    def proxy(self) -> Fraction:
+        return proxy_from_traces(self.tr_b, self.tr_b2)
+
+    @property
+    def vacuous(self) -> bool:
+        return self.tr_b2 == 0
 
 
 def _require_scaled(f: SparsePoly, who: str) -> None:
@@ -83,13 +93,20 @@ def _require_scaled(f: SparsePoly, who: str) -> None:
         raise ValueError(f"{who} is undefined for the zero polynomial")
 
 
+def _support_sum(support: Iterable[ExponentVector], weights: Iterable[int], k: int) -> int:
+    """The integer sum over P of C(sup(P), k) * w_P."""
+    return sum(binom(support_size(exps), k) * w for exps, w in zip(support, weights))
+
+
 def trace_B(f: SparsePoly, k: int) -> Fraction:
-    """Tr(B) = sum over terms of C(sup(P), k) * a_P^2 (scaled coefficients)."""
+    """Tr(B) = sum over terms of C(sup(P), k) * a_P^2 (scaled coefficients).
+
+    Summed in integers, with the common denominator L cleared: one division by L^2.
+    """
     _require_scaled(f, "trace_B")
-    return sum(
-        (binom(support_size(t.exps), k) * t.coef * t.coef for t in f.terms),
-        Fraction(0),
-    )
+    clear = lcm_all(t.coef.denominator for t in f.terms)
+    squares = ((t.coef.numerator * (clear // t.coef.denominator)) ** 2 for t in f.terms)
+    return Fraction(_support_sum((t.exps for t in f.terms), squares, k), clear * clear)
 
 
 def count_N(
@@ -223,7 +240,7 @@ def proxy_rank(
     *,
     budget: int = DEFAULT_TRIPLE_BUDGET,
 ) -> Fraction:
-    """The rank lower bound Tr(B)^2 / Tr(B^2); 0 when B = 0 (vacuous case)."""
+    """The rank lower bound Tr(B)^2 / Tr(B^2) of :func:`proxy_from_traces`."""
     return trace_stats(f, k, budget=budget).proxy
 
 
@@ -235,11 +252,9 @@ def trace_stats(
 ) -> TraceStats:
     """Compute Tr(B), Tr(B^2) and the proxy rank for f at order k."""
     scaled = f if f.basis == SCALED else to_scaled(f)
-    tb = trace_B(scaled, k)
-    tb2 = trace_B2(scaled, k, budget=budget)
-    if tb2 == 0:
-        return TraceStats(k, len(scaled.terms), tb, tb2, Fraction(0), True)
-    return TraceStats(k, len(scaled.terms), tb, tb2, tb * tb / tb2, False)
+    return TraceStats(
+        k, len(scaled.terms), trace_B(scaled, k), trace_B2(scaled, k, budget=budget)
+    )
 
 
 def closed_form_L(f: SparsePoly, k: int) -> Fraction:
@@ -309,10 +324,7 @@ def explicit_B_oracle(
     tr_b = Fraction(sum(grow[j] for j, grow in sums.items()), denom**2)
     tr_b2 = Fraction(sum(v * v for grow in gram for v in grow.values()), denom**4)
     rank_b = sparse_int_rank(gram, budget=budget)
-    vacuous = tr_b2 == 0
-    proxy = Fraction(0) if vacuous else tr_b * tr_b / tr_b2
-    stats = TraceStats(k, len(scaled.terms), tr_b, tr_b2, proxy, vacuous)
-    return ExplicitOracle(matrix, stats, rank_b)
+    return ExplicitOracle(matrix, TraceStats(k, len(scaled.terms), tr_b, tr_b2), rank_b)
 
 
 def semirandom_L(
@@ -327,8 +339,7 @@ def semirandom_L(
     """
     clear = lcm_all(c.denominator for c in coefs)
     squares = [(c.numerator * (clear // c.denominator)) ** 2 for c in coefs]
-    num = sum(binom(support_size(exps), k) * sq for exps, sq in zip(support, squares))
-    return Fraction(num, len(support) * sum(squares))
+    return Fraction(_support_sum(support, squares, k), len(support) * sum(squares))
 
 
 def semirandom_estimate(
@@ -365,4 +376,4 @@ def semirandom_estimate(
 def semirandom_expectation(support: Sequence[ExponentVector], k: int) -> Fraction:
     """The exact expectation of L(f): sum_P C(sup(P), k) / |support|^2."""
     s = len(support)
-    return Fraction(sum(binom(support_size(e), k) for e in support), s * s)
+    return Fraction(_support_sum(support, repeat(1), k), s * s)

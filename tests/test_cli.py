@@ -2,12 +2,14 @@
 
 import argparse
 import json
+import math
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
-from pdrank import cli, polyio
+from pdrank import cli, polyio, symmetric
 
 DATA = Path(__file__).parent / "data"
 
@@ -553,3 +555,110 @@ def test_reduction_reports_match_golden_bytes(capsys, argv, golden):
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert out == (GOLDEN_DIR / golden).read_text()
+
+
+# Exact values past the interpreter's int-to-str digit limit (4300 digits).
+
+
+def _digits(n: int) -> str:
+    return str(Decimal(n))
+
+
+@pytest.mark.parametrize(
+    "command, text, tr_b, fmt",
+    [
+        # scaled coefficients 2000! and 3!: Tr(B) at k=1 is 2*(2000!)^2 + 1*6^2
+        ("dim", "x1^2000*x2 + x2^3", 2 * math.factorial(2000) ** 2 + 36, "json"),
+        ("dim", "x1^2000*x2 + x2^3", 2 * math.factorial(2000) ** 2 + 36, "text"),
+        ("bounds", "x1^3000 + x2", math.factorial(3000) ** 2 + 1, "json"),
+        ("trace", "x1^3000 + x2", math.factorial(3000) ** 2 + 1, "text"),
+    ],
+    ids=["dim-json", "dim-text", "bounds-json", "trace-text"],
+)
+def test_long_exact_values_are_written_in_full(capsys, poly_file, command, text, tr_b, fmt):
+    assert len(_digits(tr_b)) > sys.get_int_max_str_digits() > 0
+    code, out, err = run(capsys, command, "--k", "1", poly_file(text), "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        assert json.loads(out)["trace"]["tr_b"] == f"{_digits(tr_b)}/1"
+    else:
+        assert f"  tr_b: {_digits(tr_b)}/1\n" in out
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sym_gap_writes_a_long_rank_in_full(capsys, fmt):
+    n = 10**45
+    u = math.comb(n, 110)  # 4772 digits
+    argv = ("sym", "gap", "--fixed", "d=220", "k=110", f"n={n}", "--format", fmt)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        (point,) = json.loads(out, parse_int=Decimal)["points"]
+        assert point["u"] == Decimal(u)
+        v = symmetric.sym_proxy(n, 220, 110)
+        assert point["v"] == f"{_digits(v.numerator)}/{_digits(v.denominator)}"
+    else:
+        assert out.split("\n")[1].split(",")[3] == _digits(u)
+
+
+def test_long_ints_in_json_and_text_reports(capsys):
+    payload = {"long": 10**5000, "short": "5", "list": [3, 10**4400, True, None]}
+    text = cli.json_text(payload)
+    assert text.startswith('{\n  "list": [\n    3,\n    1' + "0" * 4400 + ",\n    true")
+    assert '"long": 1' + "0" * 5000 + ",\n" in text
+    assert text.endswith('"short": "5"\n}')
+    cli._emit_text(payload)
+    assert capsys.readouterr().out == (
+        f"list: [4 entries]\n  3\n  1{'0' * 4400}\n  True\n  None\n"
+        f"long: 1{'0' * 5000}\nshort: 5\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [
+        (("--fixed", "d=5", "k=2", "n=9..7"), "empty range '9..7'"),
+        (("--scaled", "kp=1", "dp=2", "np=5", "m=3..1"), "empty range '3..1'"),
+        (("--fixed", "d=5", "k=2", "n=7..100000000"), "at most 20000 points, got 99999994"),
+        (("--fixed", "d=5", "k=2", "n=1..20001"), "at most 20000 points, got 20001"),
+        (("--scaled", "kp=1", "dp=2", "np=5", "m=2400"), "m must be at most 300"),
+        (("--scaled", "kp=1", "dp=2", "np=5", "m=1,301"), "m must be at most 300"),
+    ],
+)
+def test_sym_gap_series_limits_exit_2_before_any_point(capsys, monkeypatch, params, message):
+    def no_point(*args):
+        raise AssertionError("a point was computed before the series was checked")
+
+    monkeypatch.setattr(cli.symmetric, "_gap_point", no_point)
+    code, out, err = run(capsys, "sym", "gap", *params, "--format", "json")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "params, points",
+    [
+        (("--fixed", "d=5", "k=2", "n=7..2000"), 1994),
+        (("--scaled", "kp=1", "dp=2", "np=5", "m=1..30"), 30),
+        (("--scaled", "kp=1", "dp=2", "np=5", "m=300"), 1),
+    ],
+)
+def test_sym_gap_limits_admit_long_series(capsys, params, points):
+    code, out, _ = run(capsys, "sym", "gap", *params, "--format", "json")
+    assert code == 0
+    assert len(json.loads(out)["points"]) == points
+
+
+@pytest.mark.parametrize(
+    "kind, text, message",
+    [
+        ("graph", "p 25\n", "vertices limit exceeded: 25 > 24"),
+        ("complex", "ground 25\n1 2\n", "ground limit exceeded: 25 > 24"),
+    ],
+)
+def test_reduce_ground_cap_exit_3(capsys, tmp_path, kind, text, message):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "reduce", kind, str(path), "--format", "json")
+    assert (code, out) == (3, "")
+    assert message in err

@@ -217,7 +217,7 @@ def test_face_basis_rows_are_the_explicit_basis():
         return y << ground | x
 
     for sc in complexes:
-        marks = reductions._face_marks(sc, reductions.DEFAULT_GROUND_CAP)
+        marks = reductions._face_marks(sc)
         rows = reductions._face_basis_rows(sc, marks)
         faces = marks.count(1)
         basis = partial_plus_basis(sc)

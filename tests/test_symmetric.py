@@ -34,7 +34,7 @@ def test_sym_poly_shapes():
 
 def test_sym_poly_cap():
     with pytest.raises(ResourceLimitError):
-        sym_poly(30, 15, term_cap=1000)
+        sym_poly(30, 15)  # C(30, 15) terms, over TERM_CAP
 
 
 def test_sym_exact_dim_values():
