@@ -28,8 +28,9 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import bounds as bounds_mod
@@ -47,9 +48,18 @@ from .polyio import (
 )
 
 CONFIG_ENV = "PDRANK_CONFIG"
+DEC12 = Context(prec=12)  # the 12 significant digits of frac_dec
 MAX_VERTEX_TRIALS = 10_000  # at most 0.3 ms each on 1000 terms
 MAX_GAP_POINTS = 20_000  # sym gap --fixed d=5 k=2 n=7..20000: 1.1 s, 6.5 MB of JSON
 MAX_GAP_SCALE = 300  # sym gap --scaled kp=1 dp=2 np=5 m=1..300: 2.5 s
+MAX_GAP_POINT_SIZE = 35_000_000  # slowest admitted shapes, d=1000 k=999 n=2^32: 1.2-1.3 s
+# random-corpus sizes, least..most: all four at most take 2.3 s and write 20 MB of JSON
+CORPUS_RANGES = {
+    "count": (0, 10_000),
+    "max_vars": (2, 16),
+    "max_terms": (1, 16),
+    "max_degree": (0, 16),
+}
 
 
 def exact_str(value) -> str:
@@ -68,10 +78,8 @@ def frac_str(value: Fraction) -> str:
     return f"{exact_str(value.numerator)}/{exact_str(value.denominator)}"
 
 
-def frac_dec(value: Fraction, digits: int = 12) -> str:
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return str(Decimal(value.numerator) / Decimal(value.denominator))
+def frac_dec(value: Fraction) -> str:
+    return str(DEC12.divide(Decimal(value.numerator), Decimal(value.denominator)))
 
 
 def _knob(default: int, commands: str, least: int | None = 0):
@@ -123,12 +131,16 @@ def load_config() -> dict:
         return {}
     with open(path, encoding="utf-8") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path} must hold a JSON object of integer knobs")
     attrs = {knob.name.replace("_", "-"): knob.name for knob in fields(Options)}
     out = {}
     for key, value in raw.items():
         if key not in attrs:
             raise ValueError(f"unknown config key {key!r} in {path}")
-        out[attrs[key]] = int(value)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"config key {key!r} in {path} must be a JSON integer")
+        out[attrs[key]] = value
     return out
 
 
@@ -163,36 +175,33 @@ def emit(payload: dict, args: argparse.Namespace) -> None:
         _emit_text(payload)
 
 
-def json_text(payload: dict) -> str:
-    """The JSON report, every int in full.
+def json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, with every int in full.
 
-    ``json`` writes an int with ``int.__repr__``, which refuses one past the
-    digit limit.  Such an int goes in as the string of its digits, and the
-    quotes around that string are dropped.
+    Writes dicts with ``str`` keys, lists, str, int, float, bool and None;
+    anything else raises ``TypeError``.
     """
-    try:
-        return json.dumps(payload, indent=2, sort_keys=True)
-    except ValueError:
-        pass
-    long_ints: list[str] = []
-
-    def spell(value):
-        if isinstance(value, dict):
-            return {key: spell(item) for key, item in value.items()}
-        if isinstance(value, list):
-            return [spell(item) for item in value]
-        if isinstance(value, int):
-            try:
-                str(value)
-            except ValueError:
-                long_ints.append(str(Decimal(value)))
-                return long_ints[-1]
-        return value
-
-    text = json.dumps(spell(payload), indent=2, sort_keys=True)
-    for digits in long_ints:
-        text = text.replace(f'"{digits}"', digits)
-    return text
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return exact_str(value)
+    if isinstance(value, float):
+        return float.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, list):
+        ends, items = "[]", [json_text(item, inner) for item in value]
+    elif isinstance(value, dict):
+        ends = "{}"
+        items = [
+            encode_basestring_ascii(k) + ": " + json_text(value[k], inner) for k in sorted(value)
+        ]
+    else:
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
 
 
 def _emit_text(payload: dict, indent: int = 0) -> None:
@@ -491,6 +500,21 @@ def _parse_range(text: str) -> Sequence[int]:
     return values
 
 
+def _check_gap_point(n: int, d: int) -> None:
+    """Refuse a Sym_{d,n} gap point of size above ``MAX_GAP_POINT_SIZE``.
+
+    With b = bit_length(n), every binomial of the point has at most d*b bits,
+    and the work of the point grows like d*b*(d + b).
+    """
+    b = n.bit_length()
+    size = d * b * (d + b)
+    if size > MAX_GAP_POINT_SIZE:
+        raise ValueError(
+            f"gap point too large: d*b*(d+b) = {size} > {MAX_GAP_POINT_SIZE}, "
+            f"where d = {d} and b = bit_length(n) = {b}"
+        )
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     opts = Options.resolve(args)
     params = _parse_keyvals(args.params)
@@ -528,9 +552,9 @@ def cmd_sym_gap(args: argparse.Namespace) -> int:
         needed = {"d", "k", "n"}
         if set(params) != needed:
             raise ValueError("sym gap --fixed expects d=<d> k=<k> n=<range>")
-        points = symmetric.sym_gap_series_fixed(
-            int(params["d"]), int(params["k"]), _parse_range(params["n"])
-        )
+        d, n_values = int(params["d"]), _parse_range(params["n"])
+        _check_gap_point(max(n_values), d)
+        points = symmetric.sym_gap_series_fixed(d, int(params["k"]), n_values)
         mode = "fixed"
     else:
         needed = {"kp", "dp", "np", "m"}
@@ -539,31 +563,31 @@ def cmd_sym_gap(args: argparse.Namespace) -> int:
         m_values = _parse_range(params["m"])
         if max(m_values) > MAX_GAP_SCALE:
             raise ValueError(f"m must be at most {MAX_GAP_SCALE}")
-        points = symmetric.sym_gap_series_scaled(
-            int(params["kp"]), int(params["dp"]), int(params["np"]), m_values
-        )
+        dp, np_ = int(params["dp"]), int(params["np"])
+        _check_gap_point(np_ * max(m_values), dp * max(m_values))
+        points = symmetric.sym_gap_series_scaled(int(params["kp"]), dp, np_, m_values)
         mode = "scaled"
+    rows = [_gap_point_dict(p) for p in points]
     if args.format == "csv":
-        fields = [
-            "n", "d", "k", "u",
-            "v", "v_dec", "upper_v", "upper_v_dec", "ratio", "ratio_dec",
-        ]
-        sys.stdout.write(",".join(fields) + "\n")
-        for p in points:
-            row = _gap_point_dict(p)
-            sys.stdout.write(",".join(exact_str(row[f]) for f in fields) + "\n")
+        sys.stdout.write(",".join(rows[0]) + "\n")
+        for row in rows:
+            sys.stdout.write(",".join(exact_str(value) for value in row.values()) + "\n")
         return 0
     payload = {
         "command": "sym-gap",
         "mode": mode,
         "params": {k: v for k, v in sorted(params.items())},
-        "points": [_gap_point_dict(p) for p in points],
+        "points": rows,
     }
     emit(payload, args)
     return 0
 
 
 def cmd_random_corpus(args: argparse.Namespace) -> int:
+    for name, (least, most) in CORPUS_RANGES.items():
+        value = getattr(args, name)
+        if not least <= value <= most:
+            raise ValueError(f"--{name.replace('_', '-')} must be in {least}..{most}, got {value}")
     opts = Options.resolve(args)
     polys = random_polys(
         opts.seed,

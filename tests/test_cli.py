@@ -5,9 +5,12 @@ import json
 import math
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pdrank import cli, polyio, symmetric
 
@@ -614,6 +617,35 @@ def test_long_ints_in_json_and_text_reports(capsys):
     )
 
 
+# Keys and strings with quotes, backslashes, control and non-ASCII characters.
+json_strings = st.text(st.sampled_from('ab"\\/\n\t\x00\x1f\x7fé€\U0001d11e'), max_size=6)
+json_leaves = (
+    json_strings
+    | st.integers(-(2**70), 2**70)
+    | st.booleans()
+    | st.none()
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(json_values)
+def test_json_text_matches_the_stdlib_encoder(value):
+    assert cli.json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value", [Fraction(1, 2), (1, 2), {1: "one"}, {"a": [{None: 1}]}, {"a": {1, 2}}]
+)
+def test_json_text_refuses_what_it_does_not_write(value):
+    with pytest.raises(TypeError):
+        cli.json_text(value)
+
+
 @pytest.mark.parametrize(
     "params, message",
     [
@@ -623,6 +655,13 @@ def test_long_ints_in_json_and_text_reports(capsys):
         (("--fixed", "d=5", "k=2", "n=1..20001"), "at most 20000 points, got 20001"),
         (("--scaled", "kp=1", "dp=2", "np=5", "m=2400"), "m must be at most 300"),
         (("--scaled", "kp=1", "dp=2", "np=5", "m=1,301"), "m must be at most 300"),
+        (
+            ("--fixed", "d=10400", "k=5200", "n=15600"),
+            "gap point too large: d*b*(d+b) = 1516278400 > 35000000, "
+            "where d = 10400 and b = bit_length(n) = 14",
+        ),
+        (("--fixed", "d=2600", "k=1300", "n=3899..3900"), "= 81494400 > 35000000"),
+        (("--scaled", "kp=5", "dp=10", "np=21", "m=1..300"), "= 117507000 > 35000000"),
     ],
 )
 def test_sym_gap_series_limits_exit_2_before_any_point(capsys, monkeypatch, params, message):
@@ -647,6 +686,68 @@ def test_sym_gap_limits_admit_long_series(capsys, params, points):
     code, out, _ = run(capsys, "sym", "gap", *params, "--format", "json")
     assert code == 0
     assert len(json.loads(out)["points"]) == points
+
+
+def test_sym_gap_point_size_bound_is_d_b_times_d_plus_b(capsys, monkeypatch):
+    # d = 5: n = 2047 has b = 11, size 5*11*16 = 880; n = 2048 has b = 12, size 1020.
+    monkeypatch.setattr(cli, "MAX_GAP_POINT_SIZE", 880)
+    code, out, _ = run(capsys, "sym", "gap", "--fixed", "d=5", "k=2", "n=2047", "--format", "json")
+    assert code == 0
+    code, out, err = run(capsys, "sym", "gap", "--fixed", "d=5", "k=2", "n=2047..2048")
+    assert (code, out) == (2, "")
+    assert "d*b*(d+b) = 1020 > 880" in err
+    # --scaled sizes its largest point: m = 10 gives d = 20, n = 50 (b = 6), 20*6*26 = 3120.
+    monkeypatch.setattr(cli, "MAX_GAP_POINT_SIZE", 3119)
+    code, _, err = run(capsys, "sym", "gap", "--scaled", "kp=1", "dp=2", "np=5", "m=1..10")
+    assert code == 2
+    assert "= 3120 > 3119" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "must hold a JSON object of integer knobs"),
+        ('{"max-rows": 2.9}', "config key 'max-rows'"),
+        ('{"vertex-trials": true}', "config key 'vertex-trials'"),
+        ('{"max-rows": "12"}', "config key 'max-rows'"),
+        ('{"seed": null}', "config key 'seed'"),
+    ],
+)
+def test_config_values_must_be_json_integers(capsys, tmp_path, monkeypatch, text, message):
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+    code, out, err = run(capsys, "dim", "--k", "1", str(DATA / "rational.poly"))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--count", -1, "--count must be in 0..10000, got -1"),
+        ("--count", 10_001, "--count must be in 0..10000, got 10001"),
+        ("--max-vars", 1, "--max-vars must be in 2..16, got 1"),
+        ("--max-vars", 17, "--max-vars must be in 2..16, got 17"),
+        ("--max-terms", 0, "--max-terms must be in 1..16, got 0"),
+        ("--max-terms", 17, "--max-terms must be in 1..16, got 17"),
+        ("--max-degree", -1, "--max-degree must be in 0..16, got -1"),
+        ("--max-degree", 17, "--max-degree must be in 0..16, got 17"),
+    ],
+)
+def test_random_corpus_sizes_out_of_range_exit_2(capsys, flag, value, message):
+    code, out, err = run(capsys, "random-corpus", flag, str(value), "--format", "json")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_random_corpus_admits_its_size_bounds(capsys):
+    sizes = ("--max-vars", "2", "--max-terms", "1", "--max-degree", "0")
+    code, out, _ = run(capsys, "random-corpus", "--count", "0", *sizes, "--format", "json")
+    assert (code, json.loads(out)["polys"]) == (0, [])
+    sizes = ("--max-vars", "16", "--max-terms", "16", "--max-degree", "16")
+    code, out, _ = run(capsys, "random-corpus", "--count", "3", *sizes, "--format", "json")
+    assert (code, len(json.loads(out)["polys"])) == (0, 3)
 
 
 @pytest.mark.parametrize(
