@@ -51,8 +51,10 @@ CONFIG_ENV = "PDRANK_CONFIG"
 DEC12 = Context(prec=12)  # the 12 significant digits of frac_dec
 MAX_VERTEX_TRIALS = 10_000  # at most 0.3 ms each on 1000 terms
 MAX_GAP_POINTS = 20_000  # sym gap --fixed d=5 k=2 n=7..20000: 1.1 s, 6.5 MB of JSON
-MAX_GAP_SCALE = 300  # sym gap --scaled kp=1 dp=2 np=5 m=1..300: 2.5 s
+MAX_GAP_SCALE = 300  # sym gap --scaled kp=1 dp=2 np=5 m=300: 0.04 s
 MAX_GAP_POINT_SIZE = 35_000_000  # slowest admitted shapes, d=1000 k=999 n=2^32: 1.2-1.3 s
+MAX_GAP_SERIES_SIZE = 40_000_000  # summed point sizes: d=6 k=3 n=9..20000, 31,312,722, takes 1.1 s
+MAX_TRACE_SAMPLES = 4000  # the exact running mean: 1.2 s on multilinear40 at k=2
 # random-corpus sizes, least..most: all four at most take 2.3 s and write 20 MB of JSON
 CORPUS_RANGES = {
     "count": (0, 10_000),
@@ -402,8 +404,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    if args.samples is not None and args.samples < 1:
-        raise ValueError("samples must be >= 1")
+    if args.samples is not None:
+        if args.samples < 1:
+            raise ValueError("samples must be >= 1")
+        if args.samples > MAX_TRACE_SAMPLES:
+            raise ValueError(f"samples must be at most {MAX_TRACE_SAMPLES}, got {args.samples}")
     opts = Options.resolve(args)
     f = load_poly(args.file)
     if f.is_zero:
@@ -500,18 +505,27 @@ def _parse_range(text: str) -> Sequence[int]:
     return values
 
 
-def _check_gap_point(n: int, d: int) -> None:
-    """Refuse a Sym_{d,n} gap point of size above ``MAX_GAP_POINT_SIZE``.
+def _check_gap_series(shapes: Sequence[tuple[int, int]]) -> None:
+    """Refuse a Sym_{d,n} gap series, given by its (n, d) pairs, that is too large.
 
-    With b = bit_length(n), every binomial of the point has at most d*b bits,
-    and the work of the point grows like d*b*(d + b).
+    With b = bit_length(n), every binomial of a point has at most d*b bits,
+    and the work of the point grows like its size d*b*(d + b).  No point may
+    have a size above ``MAX_GAP_POINT_SIZE``, and the sizes may not sum to
+    more than ``MAX_GAP_SERIES_SIZE``.
     """
-    b = n.bit_length()
-    size = d * b * (d + b)
-    if size > MAX_GAP_POINT_SIZE:
+    sizes = [d * n.bit_length() * (d + n.bit_length()) for n, d in shapes]
+    largest = max(sizes)
+    if largest > MAX_GAP_POINT_SIZE:
+        n, d = shapes[sizes.index(largest)]
         raise ValueError(
-            f"gap point too large: d*b*(d+b) = {size} > {MAX_GAP_POINT_SIZE}, "
-            f"where d = {d} and b = bit_length(n) = {b}"
+            f"gap point too large: d*b*(d+b) = {largest} > {MAX_GAP_POINT_SIZE}, "
+            f"where d = {d} and b = bit_length(n) = {n.bit_length()}"
+        )
+    total = sum(sizes)
+    if total > MAX_GAP_SERIES_SIZE:
+        raise ValueError(
+            f"gap series too large: d*b*(d+b) summed over {len(sizes)} points "
+            f"= {total} > {MAX_GAP_SERIES_SIZE}"
         )
 
 
@@ -553,7 +567,7 @@ def cmd_sym_gap(args: argparse.Namespace) -> int:
         if set(params) != needed:
             raise ValueError("sym gap --fixed expects d=<d> k=<k> n=<range>")
         d, n_values = int(params["d"]), _parse_range(params["n"])
-        _check_gap_point(max(n_values), d)
+        _check_gap_series([(n, d) for n in n_values])
         points = symmetric.sym_gap_series_fixed(d, int(params["k"]), n_values)
         mode = "fixed"
     else:
@@ -564,7 +578,7 @@ def cmd_sym_gap(args: argparse.Namespace) -> int:
         if max(m_values) > MAX_GAP_SCALE:
             raise ValueError(f"m must be at most {MAX_GAP_SCALE}")
         dp, np_ = int(params["dp"]), int(params["np"])
-        _check_gap_point(np_ * max(m_values), dp * max(m_values))
+        _check_gap_series([(np_ * m, dp * m) for m in m_values])
         points = symmetric.sym_gap_series_scaled(int(params["kp"]), dp, np_, m_values)
         mode = "scaled"
     rows = [_gap_point_dict(p) for p in points]

@@ -21,7 +21,8 @@ class ResourceLimitError(RuntimeError):
     """A configured size or work cap was exceeded.
 
     ``what`` names the offending dimension ("rows", "cols",
-    "elimination-budget", "triple-sum", "terms", "ground", "vertices").
+    "elimination-budget", "triple-sum", "terms", "ground", "vertices",
+    "scaled-bits").
     """
 
     def __init__(self, what: str, limit: int, actual: int):

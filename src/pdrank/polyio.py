@@ -19,18 +19,28 @@ All values are immutable after construction and all functions are pure.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, NoReturn, Sequence
 
-from .errors import InvariantViolation, ParseError
+from .errors import InvariantViolation, ParseError, ResourceLimitError
 
 # One natural number per variable of the ambient variable list.
 ExponentVector = tuple[int, ...]
 
 ORDINARY = "ordinary"
 SCALED = "scaled"
+
+# Cap on sum(e * bit_length(e)) over all exponents e, which bounds the bits
+# of the factorial products that to_scaled computes.  x1^117647, the largest
+# single power admitted, takes to_scaled 0.4 s on a 2-vCPU host.
+MAX_SCALED_BITS = 2_000_000
+
+_COEF_OF = operator.attrgetter("coef")
+_EXPS_OF = operator.attrgetter("exps")
 
 _NAME = r"[A-Za-z][A-Za-z0-9_]*"
 _NAME_RE = re.compile(_NAME)
@@ -45,14 +55,9 @@ def _check_names(
             raise ParseError(f"invalid variable name {name!r} in {where}", line, col)
 
 
-def total_degree(exps: ExponentVector) -> int:
-    """Sum of the exponents."""
-    return sum(exps)
-
-
 def support_size(exps: ExponentVector) -> int:
     """Number of strictly positive exponents (distinct variables occurring)."""
-    return sum(1 for e in exps if e > 0)
+    return len(exps) - exps.count(0)
 
 
 def subsumes(beta: ExponentVector, alpha: ExponentVector) -> bool:
@@ -66,11 +71,15 @@ def exps_sub(alpha: ExponentVector, beta: ExponentVector) -> ExponentVector:
 
 def factorial_product(exps: ExponentVector) -> int:
     """prod(e_i!) -- the scaling factor between the two coefficient bases."""
-    out = 1
-    for e in exps:
-        if e > 1:
-            out *= math.factorial(e)
-    return out
+    return math.prod(map(math.factorial, exps))
+
+
+def _check_exps(exps: Sequence[ExponentVector], n: int) -> None:
+    """Refuse exponent vectors of a length other than n or with a negative entry."""
+    if set(map(len, exps)) - {n}:
+        raise ValueError("exponent vector length does not match variable count")
+    if min(chain.from_iterable(exps), default=0) < 0:
+        raise ValueError("negative exponent")
 
 
 @dataclass(frozen=True)
@@ -98,38 +107,36 @@ class SparsePoly:
             raise ValueError("duplicate variable names")
         if self.basis not in (ORDINARY, SCALED):
             raise ValueError(f"unknown basis {self.basis!r}")
-        n = len(self.vars)
-        prev: ExponentVector | None = None
-        for t in self.terms:
-            if len(t.exps) != n:
-                raise ValueError("exponent vector length does not match variable count")
-            if any(e < 0 for e in t.exps):
-                raise ValueError("negative exponent")
-            if t.coef == 0:
-                raise ValueError("zero coefficient stored")
-            if prev is not None and not prev < t.exps:
-                raise ValueError("terms not strictly sorted")
-            prev = t.exps
+        exps = self.exps_list()
+        _check_exps(exps, len(self.vars))
+        if not all(map(_COEF_OF, self.terms)):
+            raise ValueError("zero coefficient stored")
+        if not all(map(operator.lt, exps, exps[1:])):
+            raise ValueError("terms not strictly sorted")
 
     @classmethod
     def from_terms(
         cls,
         variables: Sequence[str],
-        items: Iterable[tuple[Sequence[int], Fraction | int]],
+        items: Iterable[tuple[Sequence[int], Fraction | int | str | float]],
         basis: str = ORDINARY,
     ) -> "SparsePoly":
-        """Build a canonical polynomial: merge like terms, drop zeros, sort."""
-        n = len(variables)
-        acc: dict[ExponentVector, Fraction] = {}
-        for exps, coef in items:
-            e = tuple(int(x) for x in exps)
-            if len(e) != n:
-                raise ValueError("exponent vector length does not match variable count")
-            if any(x < 0 for x in e):
-                raise ValueError("negative exponent")
-            acc[e] = acc.get(e, Fraction(0)) + Fraction(coef)
-        terms = tuple(Term(c, e) for e, c in sorted(acc.items()) if c != 0)
-        return cls(tuple(variables), terms, basis)
+        """Build a canonical polynomial: merge like terms, drop zeros, sort.
+
+        A coefficient that is neither an int nor a Fraction goes through
+        ``Fraction()`` first, so "3/2" and 0.5 are read exactly.
+        """
+        exps: list[ExponentVector] = []
+        coefs: list[Fraction | int] = []
+        for e, c in items:
+            exps.append(tuple(map(int, e)))
+            coefs.append(c if type(c) is int or type(c) is Fraction else Fraction(c))
+        _check_exps(exps, len(variables))
+        return _canonical(variables, exps, coefs, basis)
+
+    def exps_list(self) -> list[ExponentVector]:
+        """The exponent vectors of the terms, in term order."""
+        return list(map(_EXPS_OF, self.terms))
 
     @property
     def is_zero(self) -> bool:
@@ -140,18 +147,15 @@ class SparsePoly:
         """Max total degree over terms; rejects the zero polynomial."""
         if not self.terms:
             raise ValueError("degree of the zero polynomial is undefined")
-        return max(total_degree(t.exps) for t in self.terms)
+        return max(map(sum, self.exps_list()))
 
     @property
     def is_multilinear(self) -> bool:
-        return all(e <= 1 for t in self.terms for e in t.exps)
+        return max(chain.from_iterable(self.exps_list()), default=0) <= 1
 
     @property
     def is_homogeneous(self) -> bool:
-        if not self.terms:
-            return True
-        d = total_degree(self.terms[0].exps)
-        return all(total_degree(t.exps) == d for t in self.terms)
+        return len(set(map(sum, self.exps_list()))) <= 1
 
     def coefficient(self, exps: ExponentVector) -> Fraction:
         for t in self.terms:
@@ -163,11 +167,49 @@ class SparsePoly:
         return {t.exps: t.coef for t in self.terms}
 
 
+def _canonical(
+    variables: Sequence[str],
+    exps: Sequence[ExponentVector],
+    coefs: Sequence[Fraction | int],
+    basis: str,
+) -> SparsePoly:
+    """The polynomial sum of coefs[i] * x^exps[i], for checked exponent tuples.
+
+    Like terms are added only where an exponent tuple repeats; each
+    surviving coefficient becomes one Fraction.
+    """
+    acc = dict(zip(exps, coefs))
+    if len(acc) != len(exps):
+        acc = {}
+        for e, c in zip(exps, coefs):
+            acc[e] = acc[e] + c if e in acc else c
+    terms = tuple(
+        Term(c if type(c) is Fraction else Fraction(c), e) for e, c in sorted(acc.items()) if c
+    )
+    return SparsePoly(tuple(variables), terms, basis)
+
+
 def to_scaled(f: SparsePoly) -> SparsePoly:
-    """Convert ordinary coefficients c to scaled ones a = c * prod(exps_i!)."""
+    """Convert ordinary coefficients c to scaled ones a = c * prod(exps_i!).
+
+    Terms whose factor is 1 are reused.  Before any factorial is computed,
+    a polynomial whose factorial products could have more than
+    ``MAX_SCALED_BITS`` bits in all, sum(e * bit_length(e)) over every
+    exponent e, raises ResourceLimitError.
+    """
     if f.basis != ORDINARY:
         raise ValueError("to_scaled expects an ordinary-basis polynomial")
-    terms = tuple(Term(t.coef * factorial_product(t.exps), t.exps) for t in f.terms)
+    exps = f.exps_list()
+    total = sum(map(sum, exps))
+    if total * total.bit_length() > MAX_SCALED_BITS:  # at least the sum below
+        bits = sum(e * e.bit_length() for e in chain.from_iterable(exps))
+        if bits > MAX_SCALED_BITS:
+            raise ResourceLimitError("scaled-bits", MAX_SCALED_BITS, bits)
+    factors = map(factorial_product, exps)
+    terms = tuple(
+        t if m == 1 else Term(Fraction(t.coef.numerator * m, t.coef.denominator), t.exps)
+        for t, m in zip(f.terms, factors)
+    )
     return SparsePoly(f.vars, terms, SCALED)
 
 
@@ -334,41 +376,39 @@ def parse_poly(text: str) -> SparsePoly:
             raise ParseError("duplicate variable name in vars header", 1, 1)
     if not body.strip():
         raise ParseError("empty polynomial", 1, 1)
-    index = {name: i for i, name in enumerate(declared or ())}
-    summands: list[tuple[Fraction | int, list[tuple[int, int]]]] = []
+    # Every name in a body that the term loop accepts is a variable.
+    order = list(dict.fromkeys([*(declared or ()), *_NAME_RE.findall(body)]))
+    index = {name: i for i, name in enumerate(order)}
+    n = len(order)
+    coefs: list[Fraction | int] = []
+    exps: list[ExponentVector] = []
     pos = 0
     while pos < len(body):
         m = _TERM_RE.match(body, pos)
         if m is None:
             _diagnose(body, pos)
-        coef_text = m["coef"] or m["const"]
-        if coef_text is None:
-            coef: Fraction | int = 1
+        sign, coef_text, mono, const = m.groups("")
+        coef_text = coef_text or const
+        if not coef_text:
+            coefs.append(-1 if sign == "-" else 1)
         elif "." in coef_text:
-            coef = Fraction(coef_text)  # exact: "1.25" -> 5/4
+            coefs.append(Fraction(sign + coef_text))  # exact: "1.25" -> 5/4
         elif "/" in coef_text:
             num, den = coef_text.split("/")
             if int(den) == 0:
                 _diagnose(body, pos)
-            coef = Fraction(int(num), int(den))
+            coefs.append(Fraction(int(sign + num), int(den)))
         else:
-            coef = int(coef_text)
-        powers = []
-        if m["mono"] is not None:
-            for name, power in _FACTOR_RE.findall(m["mono"]):
-                powers.append((index.setdefault(name, len(index)), int(power) if power else 1))
-        summands.append((-coef if m["sign"] == "-" else coef, powers))
+            coefs.append(int(sign + coef_text))
+        e = [0] * n
+        if mono:
+            for name, power in _FACTOR_RE.findall(mono):
+                e[index[name]] += int(power) if power else 1
+        exps.append(tuple(e))
         pos = m.end()
-    order = list(index)
-    if declared is not None and len(order) > len(declared):
+    if declared is not None and n > len(declared):
         raise ParseError(f"variable {order[len(declared)]!r} not declared in vars header")
-    items = []
-    for coef, powers in summands:
-        e = [0] * len(order)
-        for i, p in powers:
-            e[i] += p
-        items.append((e, coef))
-    return SparsePoly.from_terms(order, items)
+    return _canonical(order, exps, coefs, ORDINARY)
 
 
 def _frac_text(value: Fraction) -> str:

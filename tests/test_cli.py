@@ -299,6 +299,49 @@ def test_trace_samples_checked_before_any_work(capsys, monkeypatch):
     assert err == "input error: samples must be >= 1\n"
 
 
+def test_trace_samples_above_the_limit_exit_2_before_any_work(capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the sample count was checked")
+
+    monkeypatch.setattr(cli, "trace_section", no_work)
+    count = cli.MAX_TRACE_SAMPLES + 1
+    argv = ("trace", "--k", "2", "--samples", str(count), str(DATA / "multilinear40.poly"))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"input error: samples must be at most {cli.MAX_TRACE_SAMPLES}, got {count}\n"
+
+
+def test_trace_samples_limit_admits_the_readme_count(capsys, poly_file, monkeypatch):
+    counts = []
+
+    def counting_estimate(support, k, samples, seed):
+        counts.append(samples)
+        return Fraction(1)
+
+    monkeypatch.setattr(cli.trace, "semirandom_estimate", counting_estimate)
+    path = poly_file("x1*x2 + x3")
+    for samples in (2000, cli.MAX_TRACE_SAMPLES):
+        assert run(capsys, "trace", "--k", "1", path, "--samples", str(samples))[0] == 0
+    assert counts == [2000, cli.MAX_TRACE_SAMPLES]
+
+
+@pytest.mark.parametrize(
+    "argv", [("bounds", "--k", "2"), ("trace", "--k", "1"), ("dim", "--mode", "star")]
+)
+def test_huge_exponent_exit_3_before_any_factorial(capsys, poly_file, monkeypatch, argv):
+    def no_factorial(n):
+        raise AssertionError("a factorial was computed before the bit bound was checked")
+
+    monkeypatch.setattr(polyio.math, "factorial", no_factorial)
+    path = poly_file("x1^1099511627776 + x2^3 + x1*x2")
+    code, out, err = run(capsys, *argv, path)
+    assert (code, out) == (3, "")
+    bits = 2**40 * 41 + 3 * 2 + 2
+    assert err == (
+        f"resource limit: scaled-bits limit exceeded: {bits} > {polyio.MAX_SCALED_BITS}\n"
+    )
+
+
 @pytest.mark.parametrize("mode", ["star", "plus"])
 def test_dim_star_and_plus_refuse_k(capsys, mode):
     # The all-orders value of this input is 21: --k must not be dropped silently.
@@ -662,6 +705,18 @@ def test_json_text_refuses_what_it_does_not_write(value):
         ),
         (("--fixed", "d=2600", "k=1300", "n=3899..3900"), "= 81494400 > 35000000"),
         (("--scaled", "kp=5", "dp=10", "np=21", "m=1..300"), "= 117507000 > 35000000"),
+        (
+            ("--fixed", "d=1000", "k=999", "n=4294967294..4294967296"),
+            "gap series too large: d*b*(d+b) summed over 3 points = 100137000 > 40000000",
+        ),
+        (
+            ("--scaled", "kp=1", "dp=2", "np=5", "m=1..300"),
+            "gap series too large: d*b*(d+b) summed over 300 points = 394727252 > 40000000",
+        ),
+        (
+            ("--fixed", "d=8", "k=3", "n=11..20000"),
+            "summed over 19990 points = 46025160 > 40000000",
+        ),
     ],
 )
 def test_sym_gap_series_limits_exit_2_before_any_point(capsys, monkeypatch, params, message):
@@ -680,6 +735,9 @@ def test_sym_gap_series_limits_exit_2_before_any_point(capsys, monkeypatch, para
         (("--fixed", "d=5", "k=2", "n=7..2000"), 1994),
         (("--scaled", "kp=1", "dp=2", "np=5", "m=1..30"), 30),
         (("--scaled", "kp=1", "dp=2", "np=5", "m=300"), 1),
+        (("--fixed", "d=6", "k=3", "n=9..1208"), 1200),
+        (("--fixed", "d=3", "k=1", "n=4..200"), 197),
+        (("--scaled", "kp=1", "dp=3", "np=8", "m=1..3"), 3),
     ],
 )
 def test_sym_gap_limits_admit_long_series(capsys, params, points):

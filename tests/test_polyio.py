@@ -24,7 +24,9 @@ from pdrank import (
     to_ordinary,
     to_scaled,
 )
-from pdrank.polyio import _split_header, permute_vars, scale
+from pdrank import polyio
+from pdrank.errors import ResourceLimitError
+from pdrank.polyio import Term, _split_header, factorial_product, permute_vars, scale
 
 
 def test_parse_basic_two_terms():
@@ -406,6 +408,59 @@ def test_to_scaled_roundtrip_exact():
     assert to_ordinary(to_scaled(f)) == f
 
 
+def test_to_scaled_matches_per_term_product_and_reuses_unit_terms():
+    f = parse_poly("3/7*x1^4*x2 - 5*x1*x2^2 + x1*x2*x3 + 1/3 - 2/9*x3^3")
+    g = to_scaled(f)
+    assert g.basis == "scaled"
+    assert [t.exps for t in g.terms] == [t.exps for t in f.terms]
+    assert [t.coef for t in g.terms] == [t.coef * factorial_product(t.exps) for t in f.terms]
+    reused = [new is old for new, old in zip(g.terms, f.terms)]
+    assert reused == [factorial_product(t.exps) == 1 for t in f.terms]
+    assert reused.count(True) == 2  # x1*x2*x3 and the constant
+
+
+@given(st.data())
+def test_to_scaled_matches_per_term_product(data):
+    f = data.draw(polys(max_exp=6))
+    g = to_scaled(f)
+    assert [(t.exps, t.coef) for t in g.terms] == [
+        (t.exps, t.coef * factorial_product(t.exps)) for t in f.terms
+    ]
+    assert all(type(t.coef) is Fraction for t in g.terms)
+
+
+@pytest.mark.parametrize(
+    "text, cap, bits",
+    [
+        ("x1^3*x2^2", 10, None),  # 3*2 + 2*2 = 10
+        ("x1^3 + x2^2 + x1", 10, 11),
+        ("x1^4 + x2", 13, None),  # 4*3 + 1 = 13, under the quick bound 5 * bit_length(5) = 15
+        ("x1^4 + x2", 12, 13),
+    ],
+)
+def test_to_scaled_bit_bound_is_sum_of_e_times_bit_length(monkeypatch, text, cap, bits):
+    monkeypatch.setattr(polyio, "MAX_SCALED_BITS", cap)
+    f = parse_poly(text)
+    if bits is None:
+        to_scaled(f)
+        return
+    with pytest.raises(ResourceLimitError, match=rf"^scaled-bits limit exceeded: {bits} > {cap}$"):
+        to_scaled(f)
+
+
+def test_to_scaled_refuses_huge_exponent_before_any_factorial(monkeypatch):
+    def no_factorial(n):
+        raise AssertionError("a factorial was computed before the bit bound was checked")
+
+    monkeypatch.setattr(polyio.math, "factorial", no_factorial)
+    f = parse_poly("x1^1099511627776 + x2^3 + x1*x2")
+    with pytest.raises(ResourceLimitError) as err:
+        to_scaled(f)
+    assert err.value.what == "scaled-bits"
+    assert err.value.actual == 2**40 * 41 + 3 * 2 + 2
+    assert err.value.limit == polyio.MAX_SCALED_BITS
+
+
 def test_scale_and_permute():
     f = parse_poly("x1^2 + 2*x2")
     g = scale(f, Fraction(1, 2))
@@ -435,6 +490,93 @@ def polys(draw, max_vars=4, max_terms=5, max_exp=3):
         for _ in range(nterms)
     ]
     return SparsePoly.from_terms([f"x{i}" for i in range(1, nvars + 1)], items)
+
+
+def reference_from_terms(items) -> list[tuple[tuple[int, ...], Fraction]]:
+    """Like terms summed one by one in a dict of Fractions, zeros dropped, sorted."""
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for exps, coef in items:
+        e = tuple(int(x) for x in exps)
+        acc[e] = acc.get(e, Fraction(0)) + Fraction(coef)
+    return [(e, c) for e, c in sorted(acc.items()) if c != 0]
+
+
+def _coef_as(kind: str, c: Fraction):
+    return {"int": c.numerator, "fraction": c, "str": str(c), "float": float(c)}[kind]
+
+
+@st.composite
+def term_items(draw):
+    """Items over a small pool of exponent tuples, so tuples repeat; some
+    items are followed by their negation, so sums cancel to zero."""
+    nvars = draw(st.integers(0, 3))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars), min_size=1, max_size=4))
+    items = []
+    for _ in range(draw(st.integers(0, 8))):
+        exps = draw(st.sampled_from(pool))
+        kind = draw(st.sampled_from(["int", "fraction", "str", "float"]))
+        c = draw(st.integers(-5, 5)) if kind == "int" else draw(coef_st)
+        if kind == "float":
+            c = Fraction(draw(st.integers(-40, 40)), 8)  # exact in binary
+        items.append((list(exps) if draw(st.booleans()) else exps, _coef_as(kind, c)))
+        if draw(st.booleans()):
+            items.append((exps, _coef_as(draw(st.sampled_from(["fraction", "str"])), -c)))
+    return [f"x{i}" for i in range(1, nvars + 1)], items
+
+
+@given(term_items())
+def test_from_terms_matches_dict_of_fractions(case):
+    variables, items = case
+    f = SparsePoly.from_terms(variables, items)
+    assert [(t.exps, t.coef) for t in f.terms] == reference_from_terms(items)
+    assert all(type(t.coef) is Fraction and type(t.exps) is tuple for t in f.terms)
+
+
+def test_from_terms_cancellation_gives_zero_poly():
+    f = SparsePoly.from_terms(["x"], [((1,), 2), ((1,), "-3/2"), ((1,), -0.5), ((0,), 0)])
+    assert f.is_zero
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SparsePoly(("x", "x"), ()), "duplicate variable names"),
+        (lambda: SparsePoly(("x",), (), "odd"), "unknown basis 'odd'"),
+        (
+            lambda: SparsePoly(("x", "y"), (Term(Fraction(1), (1,)),)),
+            "exponent vector length does not match variable count",
+        ),
+        (lambda: SparsePoly(("x",), (Term(Fraction(1), (-1,)),)), "negative exponent"),
+        (lambda: SparsePoly(("x",), (Term(Fraction(0), (1,)),)), "zero coefficient stored"),
+        (
+            lambda: SparsePoly(("x",), (Term(Fraction(1), (2,)), Term(Fraction(1), (1,)))),
+            "terms not strictly sorted",
+        ),
+        (
+            lambda: SparsePoly(("x",), (Term(Fraction(1), (1,)), Term(Fraction(2), (1,)))),
+            "terms not strictly sorted",
+        ),
+        (
+            lambda: SparsePoly.from_terms(["x", "y"], [((1, 0), 1), ((1,), 1)]),
+            "exponent vector length does not match variable count",
+        ),
+        (lambda: SparsePoly.from_terms(["x"], [((-1,), 0)]), "negative exponent"),
+    ],
+)
+def test_sparse_poly_refusals(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+@given(polys(max_exp=2))
+def test_degree_and_shape_predicates(f):
+    sums = [sum(t.exps) for t in f.terms]
+    if f.terms:
+        assert f.degree == max(sums)
+    assert f.is_multilinear == all(e <= 1 for t in f.terms for e in t.exps)
+    assert f.is_homogeneous == all(s == sums[0] for s in sums)
+    for t in f.terms:
+        assert polyio.support_size(t.exps) == sum(1 for e in t.exps if e > 0)
 
 
 @given(polys())
