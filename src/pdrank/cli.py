@@ -55,6 +55,7 @@ MAX_GAP_SCALE = 300  # sym gap --scaled kp=1 dp=2 np=5 m=300: 0.04 s
 MAX_GAP_POINT_SIZE = 35_000_000  # slowest admitted shapes, d=1000 k=999 n=2^32: 1.2-1.3 s
 MAX_GAP_SERIES_SIZE = 40_000_000  # summed point sizes: d=6 k=3 n=9..20000, 31,312,722, takes 1.1 s
 MAX_TRACE_SAMPLES = 4000  # the exact running mean: 1.2 s on multilinear40 at k=2
+MAX_TRACE_TERM_SAMPLES = 200_000  # terms * samples: 4000 samples on 50 terms, 1.4 s
 # random-corpus sizes, least..most: all four at most take 2.3 s and write 20 MB of JSON
 CORPUS_RANGES = {
     "count": (0, 10_000),
@@ -413,6 +414,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     f = load_poly(args.file)
     if f.is_zero:
         raise ParseError("trace statistics are undefined for the zero polynomial")
+    if args.samples is not None and args.samples * len(f.terms) > MAX_TRACE_TERM_SAMPLES:
+        got = f"{args.samples} * {len(f.terms)}"
+        raise ValueError(f"samples * terms must be at most {MAX_TRACE_TERM_SAMPLES}, got {got}")
     k = args.k
     scaled, stats, l_scaled, trace_entries = trace_section(f, k, opts)
     report: dict = {

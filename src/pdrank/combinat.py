@@ -22,9 +22,12 @@ def binom(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def packed_subsets(units: Iterable[int], k: int) -> Iterator[int]:
-    """The sums of the k-subsets of ``units``: the packed 0/1 sub-indices of order k."""
-    return map(sum, combinations(units, k)) if k >= 0 else iter(())
+def packed_subsets(units: Sequence[int], k: int) -> Iterator[int]:
+    """The sums of the k-subsets of ``units``: the packed 0/1 sub-indices of order k.
+
+    A k past ``len(units)`` is not handed to ``combinations``, which would allocate k indices.
+    """
+    return map(sum, combinations(units, k)) if 0 <= k <= len(units) else iter(())
 
 
 def packed_sub_indices(

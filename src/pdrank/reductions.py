@@ -11,8 +11,8 @@ F_1..F_m of size d maps to the multilinear polynomial
 of degree d+1 in n+m variables, whose span of derivatives of orders
 1..deg-1 has dimension exactly twice the face count, with an explicit
 basis: the face monomials and the face derivatives of f.  Everything here
-is verified against the exact rank oracle.  ``verify_reduction`` checks
-the basis on integer rows built from the face bitmasks;
+is verified against the exact rank oracle.  ``verify_reduction`` reads
+the basis off the distinct rows of the derivative matrix it ranks;
 ``partial_plus_basis`` and ``poly_stack_rank`` build and rank it as
 polynomials, the reference the tests compare the rows against.
 """
@@ -25,7 +25,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, compress, count, permutations
 from operator import add, sub
 
 from .combinat import all_sub_indices, lcm_all
@@ -34,8 +34,10 @@ from .exact import (
     DEFAULT_ELIMINATION_BUDGET,
     DEFAULT_MAX_COLS,
     DEFAULT_MAX_ROWS,
+    DerivMatrix,
     OrderSpec,
-    dim_partials,
+    build_matrix,
+    rank_exact,
     sparse_int_rank,
 )
 from .polyio import ORDINARY, Graph, SimplicialComplex, SparsePoly, Term
@@ -99,7 +101,8 @@ def _face_marks(sc: SimplicialComplex) -> bytearray:
     """Byte per subset of the ground set, set to 1 exactly on the faces.
 
     Each facet marks its nonempty submasks; the table is 2^ground bytes
-    whatever the facet sizes, so ``GROUND_CAP`` bounds its memory.
+    whatever the facet sizes, so ``GROUND_CAP`` bounds its memory.  The
+    one face enumerator, of ``count_faces`` and ``enumerate_faces``.
     """
     if sc.ground > GROUND_CAP:
         raise ResourceLimitError("ground", GROUND_CAP, sc.ground)
@@ -113,48 +116,16 @@ def _face_marks(sc: SimplicialComplex) -> bytearray:
     return marks
 
 
-def _face_masks(marks: bytearray) -> Iterator[int]:
-    """The faces marked in a :func:`_face_marks` table, as ascending bitmasks."""
-    mask = marks.find(1)
-    while mask != -1:
-        yield mask
-        mask = marks.find(1, mask + 1)
-
-
 def count_faces(sc: SimplicialComplex) -> int:
     """Number of nonempty subsets contained in some facet."""
     return _face_marks(sc).count(1)
-
-
-def _face_basis_rows(sc: SimplicialComplex, marks: bytearray) -> list[dict[int, int]]:
-    """Integer coefficient rows of the explicit basis, built from face bitmasks.
-
-    One row {X_F: 1} per face F marked in ``marks``, then the derivative
-    of every face: the term Y_g * X_G of facet G (index g) contributes
-    Y_g * X_{G minus F} to the derivative of each nonempty submask F of G.
-    Column keys: X_F is F's mask, Y_g * X_H is (g + 1) << ground | H.
-    These are the coefficient vectors of the polynomials
-    :func:`partial_plus_basis` returns, with rows and columns permuted, so
-    the rank is the same.  Each column holds one row.
-    """
-    rows = [{face: 1} for face in _face_masks(marks)]
-    derivatives: dict[int, dict[int, int]] = {}
-    for g, facet in enumerate(sc.facets):
-        mask = sum(1 << (v - 1) for v in facet)
-        y = (g + 1) << sc.ground
-        sub = mask
-        while sub:
-            derivatives.setdefault(sub, {})[y | (mask ^ sub)] = 1
-            sub = (sub - 1) & mask
-    rows.extend(derivatives.values())
-    return rows
 
 
 def enumerate_faces(sc: SimplicialComplex) -> list[frozenset[int]]:
     """All faces (nonempty subsets of facets), sorted by size then vertices."""
     faces = [
         frozenset(i + 1 for i in range(sc.ground) if mask >> i & 1)
-        for mask in _face_masks(_face_marks(sc))
+        for mask in compress(count(), _face_marks(sc))
     ]
     faces.sort(key=lambda f: (len(f), tuple(sorted(f))))
     return faces
@@ -203,8 +174,9 @@ def partial_plus_basis(sc: SimplicialComplex) -> list[SparsePoly]:
     first, then derivatives, faces in sorted order.  The derivatives are
     built in one pass over the facet terms: each term lands, with X_F
     divided out, in the derivative of every face F it contains.
-    ``verify_reduction`` ranks the same vectors as bitmask rows
-    (``_face_basis_rows``); this is the tests' reference.
+    ``verify_reduction`` reads the same vectors off the distinct rows of
+    the interior-order derivative matrix (``_rows_are_face_basis``); this
+    is the tests' reference.
     """
     f = complex_to_poly(sc)
     nvars = len(f.vars)
@@ -251,6 +223,19 @@ def poly_stack_rank(
     return sparse_int_rank(rows, budget=budget)
 
 
+def _rows_are_face_basis(matrix: DerivMatrix, faces: int) -> bool:
+    """True when the distinct rows of ``matrix`` are 2 * ``faces`` and no two share a column.
+
+    In the interior-order matrix of a complex polynomial, row X_F is the
+    face derivative of F and each row Y_g * X_{G minus F} (facet G) is the
+    face monomial X_F.  Rows with disjoint supports are independent: an
+    O(nnz) certificate, with no rank, that these derivatives of f are the
+    explicit basis.  Every column lies in a row, hence the sum against ``ncols``.
+    """
+    distinct = {frozenset(row.items()) for row in matrix.entries}
+    return len(distinct) == 2 * faces and sum(map(len, distinct)) == matrix.ncols
+
+
 def verify_reduction(
     obj: Graph | SimplicialComplex,
     *,
@@ -262,38 +247,36 @@ def verify_reduction(
     """Run the full construction and check the face-count identity exactly.
 
     For graphs: dim = 2 * (2^n - Ind(G) - 1) and faces = 2^n - Ind(G) - 1.
-    For pure complexes: dim = 2 * faces.  ``basis_verified`` additionally
-    confirms the explicit basis has full rank 2 * faces, as the exact rank
-    of its coefficient rows built from the face bitmasks
-    (``_face_basis_rows``).
+    For pure complexes: dim = 2 * faces.  A graph goes through its edge
+    complement complex; then one polynomial gives one interior-order
+    matrix, whose rank is ``dim_plus`` and whose distinct rows
+    ``basis_verified`` checks are the explicit basis
+    (:func:`_rows_are_face_basis`).
     """
     if isinstance(obj, Graph):
         ind: int | None = count_independent_sets(obj)
         if obj.m:
-            sc, f = graph_complex(obj), graph_to_poly(obj)
+            sc = graph_complex(obj)
             note = "facets have n-2 elements (faces of dimension n-3 under the |X|-1 convention)"
         else:
-            sc, f = SimplicialComplex.make(obj.n, ()), None
+            sc = SimplicialComplex.make(obj.n, ())
             note = "identity not applicable: empty edge set gives the zero polynomial"
     else:
         if not obj.is_pure:
             raise ValueError("complex must be pure")
-        sc, ind = obj, None
-        if obj.facets:
-            f, note = complex_to_poly(obj), ""
-        else:
-            f, note = None, "identity not applicable: empty complex gives the zero polynomial"
-    marks = _face_marks(sc)
-    faces = marks.count(1)
+        sc, ind, note = obj, None, ""
+        if not obj.facets:
+            note = "identity not applicable: empty complex gives the zero polynomial"
+    faces = count_faces(sc)
     dim_plus, identity, basis_ok = 0, None, True
-    if f is not None:
-        dim_plus = dim_partials(
-            f, OrderSpec.interior(), max_rows=max_rows, max_cols=max_cols, budget=budget
+    if sc.facets:
+        matrix = build_matrix(
+            complex_to_poly(sc), OrderSpec.interior(), max_rows=max_rows, max_cols=max_cols
         )
+        dim_plus = rank_exact(matrix, budget=budget)
         identity = dim_plus == 2 * faces and (ind is None or faces == 2**sc.ground - ind - 1)
         if check_basis:
-            rows = _face_basis_rows(sc, marks)
-            basis_ok = sparse_int_rank(rows, budget=budget) == 2 * faces
+            basis_ok = _rows_are_face_basis(matrix, faces)
     return ReductionReport(
         n=sc.ground,
         m=len(sc.facets),

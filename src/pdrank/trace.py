@@ -307,7 +307,7 @@ def explicit_B_oracle(
         raise ResourceLimitError("rows", max_rows, binom(n, k))
     matrix = assemble(
         scaled,
-        lambda alpha, units: packed_subsets(compress(units, alpha), k),
+        lambda alpha, units: packed_subsets(list(compress(units, alpha)), k),
         max_rows=max_rows,
         max_cols=max_cols,
     )

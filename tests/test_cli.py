@@ -280,6 +280,30 @@ def test_negative_order_exit_2(capsys, poly_file, argv):
     assert "k must be nonnegative" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("dim", "--k", str(10**20)),
+        ("dim", "--k", str(2**63 - 1)),
+        ("dim", "--k", str(10**9)),
+        ("bounds", "--k", str(10**20)),
+        ("trace", "--k", str(10**20), "--oracle"),
+    ],
+)
+def test_order_past_the_support_size_is_empty(capsys, poly_file, argv):
+    """No index set is drawn for an order above the degree, however large."""
+    code, out, err = run(capsys, *argv, poly_file("x*y"), "--format", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    if argv[0] == "dim":
+        assert report["exact_dim"] == {"status": "computed", "value": 0}
+    if argv[0] == "bounds":
+        assert report["bounds"]["linearity_upper"] == 0
+    if argv[0] == "trace":
+        assert report["oracle"]["rank_b"] == 0
+    assert report["trace"]["tr_b"] == "0/1"
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_trace_samples_below_one_exit_2(capsys, poly_file, samples):
     code, out, err = run(capsys, "trace", "--k", "1", poly_file("x1*x2 + x3"), "--samples", samples)
@@ -299,7 +323,7 @@ def test_trace_samples_checked_before_any_work(capsys, monkeypatch):
     assert err == "input error: samples must be >= 1\n"
 
 
-def test_trace_samples_above_the_limit_exit_2_before_any_work(capsys, monkeypatch):
+def test_trace_samples_above_the_limit_exit_2_before_any_work(capsys, poly_file, monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work began before the sample count was checked")
 
@@ -309,6 +333,16 @@ def test_trace_samples_above_the_limit_exit_2_before_any_work(capsys, monkeypatc
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"input error: samples must be at most {cli.MAX_TRACE_SAMPLES}, got {count}\n"
+    # the sample count alone is admitted, but not times the number of terms
+    count = cli.MAX_TRACE_SAMPLES
+    terms = cli.MAX_TRACE_TERM_SAMPLES // count + 1
+    path = poly_file(" + ".join(f"x1^{i}*x2" for i in range(1, terms + 1)))
+    code, out, err = run(capsys, "trace", "--k", "1", "--oracle", "--samples", str(count), path)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"input error: samples * terms must be at most {cli.MAX_TRACE_TERM_SAMPLES}, "
+        f"got {count} * {terms}\n"
+    )
 
 
 def test_trace_samples_limit_admits_the_readme_count(capsys, poly_file, monkeypatch):
@@ -323,6 +357,10 @@ def test_trace_samples_limit_admits_the_readme_count(capsys, poly_file, monkeypa
     for samples in (2000, cli.MAX_TRACE_SAMPLES):
         assert run(capsys, "trace", "--k", "1", path, "--samples", str(samples))[0] == 0
     assert counts == [2000, cli.MAX_TRACE_SAMPLES]
+    # 40 terms at the most samples: 160,000 term-samples
+    argv = ("trace", "--k", "2", str(DATA / "multilinear40.poly"), "--samples", "4000")
+    assert run(capsys, *argv)[0] == 0
+    assert counts[-1] == 4000
 
 
 @pytest.mark.parametrize(

@@ -357,6 +357,10 @@ def test_sub_indices_above_the_degree_are_empty_at_once():
     # Walking the candidates here would not finish: C(10^4 + 2, 2) multisets.
     assert list(packed_sub_indices((3, 2, 1), slot_units(3, 2), 10**4)) == []
     assert list(packed_sub_indices((1, 1, 0, 1), slot_units(4, 1), 10**4)) == []
+    # combinations() would allocate k indices first, or overflow past a C ssize_t
+    for k in (10**9, 2**63 - 1, 10**20):
+        assert list(packed_sub_indices((1, 1, 0, 1), slot_units(4, 1), k)) == []
+        assert list(packed_subsets([4, 2, 1], k)) == []
 
 
 @contextmanager

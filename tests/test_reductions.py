@@ -7,9 +7,11 @@ from itertools import combinations, permutations
 import pytest
 
 from pdrank import (
+    DerivMatrix,
     Graph,
     OrderSpec,
     SimplicialComplex,
+    build_matrix,
     complex_to_poly,
     count_faces,
     count_independent_sets,
@@ -20,7 +22,6 @@ from pdrank import (
     parse_complex,
     parse_graph,
     partial_plus_basis,
-    sparse_int_rank,
     to_ordinary,
     to_scaled,
     verify_reduction,
@@ -201,32 +202,105 @@ def test_partial_plus_basis_matches_face_derivatives():
         assert partial_plus_basis(sc)[len(faces) :] == expected
 
 
-def test_face_basis_rows_are_the_explicit_basis():
-    """The bitmask rows are the coefficient rows of ``partial_plus_basis``,
-    up to row and column order, and rank as they do at 2 * faces.  Every
-    column holds one row, so the singleton peel finds the whole rank and
-    Bareiss never runs (``budget=0``)."""
+def interior_matrix(sc):
+    return build_matrix(complex_to_poly(sc), OrderSpec.interior())
+
+
+def unpack(key, nvars, width):
+    """The exponent tuple of a packed monomial key, x1 in the top slot."""
+    mask = (1 << width) - 1
+    return tuple(key >> width * (nvars - 1 - i) & mask for i in range(nvars))
+
+
+def test_distinct_interior_rows_are_the_explicit_basis():
+    """The distinct rows of the interior-order matrix are the coefficient
+    vectors of ``partial_plus_basis``, as multisets; they share no column,
+    and the polynomial reference ranks them at 2 * faces."""
     complexes = random_pure_complexes(seed=31, count=10, max_ground=6, max_facets=5)
     complexes += random_pure_complexes(seed=37, count=15, max_ground=7, max_facets=6)
     complexes += [graph_complex(g) for n in (3, 4, 5) for g in all_graphs(n) if g.m]
-
-    def column(exps, ground):
-        """The row key of a basis monomial: its X mask, Y_g as (g + 1) << ground."""
-        x = sum(1 << i for i in range(ground) if exps[i])
-        y = next((i + 1 for i, e in enumerate(exps[ground:]) if e), 0)
-        return y << ground | x
-
     for sc in complexes:
-        marks = reductions._face_marks(sc)
-        rows = reductions._face_basis_rows(sc, marks)
-        faces = marks.count(1)
+        f = complex_to_poly(sc)
+        matrix = interior_matrix(sc)
+        faces = count_faces(sc)
         basis = partial_plus_basis(sc)
-        polys = Counter(
-            frozenset((column(t.exps, sc.ground), t.coef) for t in p.terms) for p in basis
-        )
-        assert Counter(frozenset(row.items()) for row in rows) == polys
-        assert max(Counter(j for row in rows for j in row).values()) == 1
-        assert sparse_int_rank(rows, budget=0) == poly_stack_rank(basis) == 2 * faces
+        nvars = len(f.vars)
+        width = max(e for t in f.terms for e in t.exps).bit_length()
+        rows = {
+            frozenset((unpack(j, nvars, width), v) for j, v in row.items())
+            for row in matrix.entries
+        }
+        polys = Counter(frozenset((t.exps, t.coef) for t in p.terms) for p in basis)
+        assert Counter(rows) == polys
+        assert reductions._rows_are_face_basis(matrix, faces)
+        assert poly_stack_rank(basis) == 2 * faces
+
+
+def rebuild(matrix, rows):
+    """A matrix of the (row key, row) pairs ``rows``, its column count recomputed."""
+    ncols = len({j for _, row in rows for j in row})
+    return DerivMatrix(
+        tuple(b for b, _ in rows), tuple(row for _, row in rows), ncols, matrix.clear_factor
+    )
+
+
+BASIS_CASES = [
+    SimplicialComplex.make(4, [[1, 2], [2, 3], [3, 4]]),
+    SimplicialComplex.make(5, [[1, 2, 3], [3, 4, 5]]),
+    graph_complex(Graph.make(5, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])),
+]
+
+
+@pytest.mark.parametrize("sc", BASIS_CASES)
+def test_basis_check_rejects_a_shared_column(sc):
+    matrix, faces = interior_matrix(sc), count_faces(sc)
+    target = matrix.entries[0]
+    extra = next(j for row in matrix.entries for j in row if j not in target)
+    rows = [
+        (b, {**row, extra: 1} if row == target else row)
+        for b, row in zip(matrix.rows, matrix.entries)
+    ]
+    corrupted = rebuild(matrix, rows)
+    assert corrupted.ncols == matrix.ncols
+    assert len({frozenset(row.items()) for row in corrupted.entries}) == 2 * faces
+    assert reductions._rows_are_face_basis(matrix, faces)
+    assert not reductions._rows_are_face_basis(corrupted, faces)
+
+
+@pytest.mark.parametrize("sc", BASIS_CASES)
+def test_basis_check_rejects_a_dropped_row(sc):
+    matrix, faces = interior_matrix(sc), count_faces(sc)
+    # drop the last row that occurs once, so the distinct rows lose one
+    counts = Counter(frozenset(row.items()) for row in matrix.entries)
+    drop = max(i for i, row in enumerate(matrix.entries) if counts[frozenset(row.items())] == 1)
+    rows = list(zip(matrix.rows, matrix.entries))
+    del rows[drop]
+    assert not reductions._rows_are_face_basis(rebuild(matrix, rows), faces)
+
+
+@pytest.mark.parametrize("sc", BASIS_CASES)
+def test_basis_check_rejects_a_face_count_off_by_one(sc):
+    matrix, faces = interior_matrix(sc), count_faces(sc)
+    assert reductions._rows_are_face_basis(matrix, faces)
+    assert not reductions._rows_are_face_basis(matrix, faces - 1)
+    assert not reductions._rows_are_face_basis(matrix, faces + 1)
+
+
+def test_verify_reduction_reports_a_corrupted_basis(monkeypatch):
+    """A derivative matrix whose rows share a column fails the basis check
+    of ``verify_reduction``, though its rank still meets the identity."""
+    real = reductions.build_matrix
+
+    def shared_column(f, spec, **kwargs):
+        matrix = real(f, spec, **kwargs)
+        rows = list(zip(matrix.rows, matrix.entries))
+        rows[0] = (rows[0][0], {**rows[0][1], **rows[-1][1]})
+        return rebuild(matrix, rows)
+
+    monkeypatch.setattr(reductions, "build_matrix", shared_column)
+    report = verify_reduction(K3)
+    assert report.identity_holds is True
+    assert report.basis_verified is False
 
 
 def test_verify_reduction_k3():
@@ -286,8 +360,8 @@ def test_exhaustive_parallel_matches_serial():
 
 
 def test_exhaustive_lists_failures_by_edge_bitmask(monkeypatch):
-    monkeypatch.setattr(reductions, "dim_partials", lambda *a, **kw: 0)
-    monkeypatch.setattr(reductions, "sparse_int_rank", lambda *a, **kw: 0)
+    monkeypatch.setattr(reductions, "rank_exact", lambda *a, **kw: 0)
+    monkeypatch.setattr(reductions, "_rows_are_face_basis", lambda *a, **kw: False)
     summary = exhaustive_verify(3, check_basis=True)
     # the empty graph (bitmask 0) is not applicable and its basis is trivially fine
     assert summary["identity_failures"] == list(range(1, 8))
@@ -368,16 +442,16 @@ def test_every_labeling_reports_as_its_class_representative():
 def test_exhaustive_failures_expand_to_every_labeling(monkeypatch):
     """An isomorphism-invariant fault: the class run lists what a run over
     every labeled graph lists."""
-    real_dim, real_rank = reductions.dim_partials, reductions.sparse_int_rank
+    real_rank, real_basis = reductions.rank_exact, reductions._rows_are_face_basis
 
-    def dim_off_on_three_edges(f, *args, **kwargs):
-        return real_dim(f, *args, **kwargs) + (len(f.terms) == 3)
+    def rank_off_on_sixteen_rows(matrix, *args, **kwargs):
+        return real_rank(matrix, *args, **kwargs) + (matrix.nrows == 16)
 
-    def rank_off_on_six_faces(rows, *args, **kwargs):
-        return real_rank(rows, *args, **kwargs) + (len(rows) == 12)
+    def basis_off_on_six_faces(matrix, faces):
+        return real_basis(matrix, faces) and faces != 6
 
-    monkeypatch.setattr(reductions, "dim_partials", dim_off_on_three_edges)
-    monkeypatch.setattr(reductions, "sparse_int_rank", rank_off_on_six_faces)
+    monkeypatch.setattr(reductions, "rank_exact", rank_off_on_sixteen_rows)
+    monkeypatch.setattr(reductions, "_rows_are_face_basis", basis_off_on_six_faces)
     labeled = [verify_reduction(g) for g in all_graphs(4)]
     identity = [bits for bits, r in enumerate(labeled) if r.identity_holds is False]
     basis = [bits for bits, r in enumerate(labeled) if not r.basis_verified]
