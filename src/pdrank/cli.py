@@ -28,7 +28,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
-from decimal import Context, Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
@@ -49,6 +49,9 @@ from .polyio import (
 
 CONFIG_ENV = "PDRANK_CONFIG"
 DEC12 = Context(prec=12)  # the 12 significant digits of frac_dec
+# Every operation of int_decimal is exact; an inexact one would raise.
+EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+SPLIT_BITS = 4096  # int_decimal calls Decimal(n) up to here; both ways tie near 16,000 bits
 MAX_VERTEX_TRIALS = 10_000  # at most 0.3 ms each on 1000 terms
 MAX_GAP_POINTS = 20_000  # sym gap --fixed d=5 k=2 n=7..20000: 1.1 s, 6.5 MB of JSON
 MAX_GAP_SCALE = 300  # sym gap --scaled kp=1 dp=2 np=5 m=300: 0.04 s
@@ -65,16 +68,47 @@ CORPUS_RANGES = {
 }
 
 
+def int_decimal(n: int) -> Decimal:
+    """``Decimal(n)``, in time sub-quadratic in the digits of a long int.
+
+    ``Decimal(n)`` itself is quadratic.  Past ``SPLIT_BITS`` bits, n is
+    split as hi * 2^h + lo with h half its bit length, the halves are
+    converted alike, and one exact multiply-add joins them; libmpdec
+    multiplies long operands by number-theoretic transform.  Each power
+    2^h is made once per call, from the two powers of half its size.
+    """
+    if n.bit_length() <= SPLIT_BITS:
+        return Decimal(n)
+    powers: dict[int, Decimal] = {}
+
+    def power(h: int) -> Decimal:
+        if h not in powers:
+            half = h // 2
+            powers[h] = Decimal(1 << h) if h <= SPLIT_BITS else power(half) * power(h - half)
+        return powers[h]
+
+    def join(m: int, bits: int) -> Decimal:
+        if bits <= SPLIT_BITS:
+            return Decimal(m)
+        h = bits // 2
+        hi = m >> h
+        return join(hi, bits - h) * power(h) + join(m - (hi << h), h)
+
+    with localcontext(EXACT):
+        d = join(abs(n), n.bit_length())
+    return d.copy_negate() if n < 0 else d
+
+
 def exact_str(value) -> str:
     """``str(value)``, in full also for an int past the int-to-str digit limit.
 
     The interpreter's limit stays in force, as it guards ``int()`` on input
-    text; ``Decimal`` converts an int of any size exactly without it.
+    text; :func:`int_decimal` converts an int of any size exactly without it.
     """
     try:
         return str(value)
     except ValueError:
-        return str(Decimal(value))
+        return str(int_decimal(value))
 
 
 def frac_str(value: Fraction) -> str:
@@ -82,7 +116,7 @@ def frac_str(value: Fraction) -> str:
 
 
 def frac_dec(value: Fraction) -> str:
-    return str(DEC12.divide(Decimal(value.numerator), Decimal(value.denominator)))
+    return str(DEC12.divide(int_decimal(value.numerator), int_decimal(value.denominator)))
 
 
 def _knob(default: int, commands: str, least: int | None = 0):
@@ -428,6 +462,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
         "seed": opts.seed,
     }
     if args.oracle:
+        # The oracle shares its Gram sum with trace_B2's Gram route, so its
+        # Tr(B^2) is held against the grouped sum, computed on its own.
+        grouped = trace._grouped_B2(scaled, k, opts.budget)
         oracle = trace.explicit_B_oracle(
             scaled,
             k,
@@ -435,9 +472,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             max_cols=opts.max_cols,
             budget=opts.elimination_budget,
         )
-        match = (
-            oracle.stats.tr_b == stats.tr_b and oracle.stats.tr_b2 == stats.tr_b2
-        )
+        match = oracle.stats.tr_b == stats.tr_b and oracle.stats.tr_b2 == grouped == stats.tr_b2
         report["oracle"] = {
             "tr_b": frac_str(oracle.stats.tr_b),
             "tr_b2": frac_str(oracle.stats.tr_b2),
@@ -447,7 +482,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         if not match:
             raise InvariantViolation(
                 f"trace oracle mismatch at k={k}: closed form "
-                f"({frac_str(stats.tr_b)}, {frac_str(stats.tr_b2)}) vs oracle "
+                f"({frac_str(stats.tr_b)}, {frac_str(stats.tr_b2)}), "
+                f"grouped {frac_str(grouped)} vs oracle "
                 f"({frac_str(oracle.stats.tr_b)}, {frac_str(oracle.stats.tr_b2)})"
             )
     if args.samples is not None:

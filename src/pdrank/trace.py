@@ -18,11 +18,14 @@ where N(P, Q, R) counts the row indices I compatible with the triple and
 is itself a single binomial coefficient (see :func:`count_N`).  A triple
 contributes only when D = R - P = S - Q (S = Q+R-P) is a {-1,0,1} vector,
 and N then depends only on D and the supports of P and Q outside D.  So
-:func:`trace_B2` groups the ordered term pairs by their difference D and
-pairs up pairs within each group: its cost is the s^2 term pairs plus the
-bucket pairings, not s^3, and it sums integers with the denominators
-cleared once.  This makes the proxy rank Tr(B)^2/Tr(B^2) computable in
-time polynomial in the number of terms.  A cheaper closed-form bound
+:func:`_grouped_B2` groups the ordered term pairs by their difference D
+and pairs up pairs within each group: its cost is the s^2 term pairs plus
+the bucket pairings, not s^3, and it sums integers with the denominators
+cleared once.  When M has no more entries than there are term pairs,
+:func:`trace_B2` instead assembles M and sums the squares of its Gram
+matrix on the cheaper side, M^T M or M M^T, which is at most nnz(M) * s
+work.  Either way the proxy rank Tr(B)^2/Tr(B^2) is computable in time
+polynomial in the number of terms.  A cheaper closed-form bound
 L(f) <= proxy is also provided.
 
 All formulas use scaled-basis coefficients; for non-multilinear input this
@@ -32,9 +35,11 @@ matters, and reports expose the ordinary-coefficient variant as well.
 from __future__ import annotations
 
 import random
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
+from operator import mul
 from typing import Iterable, Sequence
 
 from .combinat import binom, lcm_all, packed_subsets
@@ -151,12 +156,114 @@ def count_N(
     return binom(zeros, k - ones)
 
 
+def _check_work(work: int, budget: int) -> None:
+    """The one budget rule of the Tr(B^2) routes: ``work`` past ``budget`` is refused."""
+    if work > budget:
+        raise ResourceLimitError("triple-sum", budget, work)
+
+
 def trace_B2(
     f: SparsePoly,
     k: int,
     *,
     budget: int = DEFAULT_TRIPLE_BUDGET,
 ) -> Fraction:
+    """Tr(B^2), from the explicit Gram matrix when M is small, else grouped.
+
+    M has nnz(M) = sum over terms P of C(sup(P), k) entries, known before
+    any work.  When that is at most the number of ordered term pairs of
+    equal total degree, M is assembled once and Tr(B^2) = ||M^T M||_F^2 =
+    ||M M^T||_F^2 is summed in integers over whichever side costs less:
+    sum_I |row_I|^2 or sum_g |col_g|^2.  A row has at most s entries, so
+    that is at most nnz * s <= s^3.  Otherwise, or when that cost exceeds
+    ``budget``, the pair-difference sum of :func:`_grouped_B2` runs; it is
+    polynomial in s whatever the size of M.  Both give the same exact value.
+
+    ``budget`` caps the equal-degree term pairs first, as the grouped sum
+    does; a Gram cost past it falls back to the grouped sum, and so to its
+    cap on the bucket pairings.
+    """
+    _require_scaled(f, "trace_B2")
+    degrees = Counter(sum(t.exps) for t in f.terms)
+    pairs = sum(c * c for c in degrees.values())
+    _check_work(pairs, budget)
+    nnz = _support_sum((t.exps for t in f.terms), repeat(1), k)
+    if nnz <= pairs:
+        value = _gram_B2(f, k, nnz, budget)
+        if value is not None:
+            return value
+    return _grouped_B2(f, k, budget)
+
+
+def _gram_B2(f: SparsePoly, k: int, nnz: int, budget: int) -> Fraction | None:
+    """Tr(B^2) as the squared Frobenius norm of M's Gram matrix on its cheaper side.
+
+    ``nnz`` is M's entry count, which bounds its rows and columns.  None
+    when that side's cost, sum_L |L|^2 over its lines L, exceeds ``budget``.
+    """
+    matrix = _trace_matrix(f, k, max_rows=nnz, max_cols=nnz)
+    lines, cost = _cheaper_side(matrix)
+    if cost > budget:
+        return None
+    return Fraction(_frobenius_square(*_gram(lines)), matrix.clear_factor**4)
+
+
+def _trace_matrix(scaled: SparsePoly, k: int, *, max_rows: int, max_cols: int) -> DerivMatrix:
+    """M: a row per k-subset I of some term's support, a_P at column P - I."""
+    return assemble(
+        scaled,
+        lambda alpha, units: packed_subsets(list(compress(units, alpha)), k),
+        max_rows=max_rows,
+        max_cols=max_cols,
+    )
+
+
+def _cheaper_side(matrix: DerivMatrix) -> tuple[Sequence[dict[int, int]], int]:
+    """M's rows, or its columns {row key: value} if fewer entry pairs; and that count.
+
+    Either side's lines L have the same Gram sum of squares; a side costs sum_L |L|^2.
+    """
+    row_sizes = list(map(len, matrix.entries))
+    row_cost = sum(map(mul, row_sizes, row_sizes))
+    col_cost = sum(c * c for c in Counter(chain.from_iterable(matrix.entries)).values())
+    if row_cost <= col_cost:
+        return matrix.entries, row_cost
+    cols: dict[int, dict[int, int]] = defaultdict(dict)
+    for beta, row in zip(matrix.rows, matrix.entries):
+        for gamma, v in row.items():
+            cols[gamma][beta] = v
+    return list(cols.values()), col_cost
+
+
+def _gram(lines: Iterable[dict[int, int]]) -> tuple[dict[int, int], dict[int, dict[int, int]]]:
+    """The Gram matrix G = sum over lines L of L^T L: its diagonal and strict upper part.
+
+    ``diagonal[j]`` and ``upper[j1][j2]`` (j1 < j2) hold sum_L L[j1] * L[j2];
+    a line of c entries costs c(c+1)/2 updates.
+    """
+    diagonal: dict[int, int] = defaultdict(int)
+    upper: dict[int, dict[int, int]] = defaultdict(dict)
+    for line in lines:
+        if len(line) == 1:
+            ((j, v),) = line.items()
+            diagonal[j] += v * v
+            continue
+        items = sorted(line.items())
+        for i, (j1, v1) in enumerate(items, 1):
+            diagonal[j1] += v1 * v1
+            row = upper[j1]
+            for j2, v2 in items[i:]:
+                row[j2] = row.get(j2, 0) + v1 * v2
+    return diagonal, upper
+
+
+def _frobenius_square(diagonal: dict[int, int], upper: dict[int, dict[int, int]]) -> int:
+    """||G||_F^2 of the symmetric G given by :func:`_gram`."""
+    off = sum(g * g for row in upper.values() for g in row.values())
+    return sum(d * d for d in diagonal.values()) + 2 * off
+
+
+def _grouped_B2(f: SparsePoly, k: int, budget: int) -> Fraction:
     """Tr(B^2): the triple sum of :func:`count_N`, grouped by pair difference.
 
     A triple (P, Q, R) contributes only when D = R - P is a {-1,0,1} vector
@@ -182,7 +289,6 @@ def trace_B2(
     the ordered pairs visited (at most s^2) and the bucket pairings
     sum_D |w_D|^2 (at most s^3).
     """
-    _require_scaled(f, "trace_B2")
     n = len(f.vars)
     stride = n + 1
     # Level j sits at bits (j-1)*stride .. (j-1)*stride + n-1.  The pieces
@@ -199,9 +305,7 @@ def trace_B2(
         by_degree.setdefault(sum(t.exps), []).append(
             (levels, levels & fold, scaled_coef)
         )
-    pairs = sum(len(group) ** 2 for group in by_degree.values())
-    if pairs > budget:
-        raise ResourceLimitError("triple-sum", budget, pairs)
+    _check_work(sum(len(group) ** 2 for group in by_degree.values()), budget)
 
     # Equal total degree and steps in {-1,0,1} make the +1 and -1 counts equal.
     buckets: dict[tuple[int, int], dict[int, int]] = {}
@@ -218,9 +322,7 @@ def trace_B2(
                     m = p_mask & ~(up | down)
                     weights[m] = weights.get(m, 0) + a_p * a_r
 
-    pairings = sum(len(weights) ** 2 for weights in buckets.values())
-    if pairings > budget:
-        raise ResourceLimitError("triple-sum", budget, pairings)
+    _check_work(sum(len(weights) ** 2 for weights in buckets.values()), budget)
     n_counts = [[binom(z, k - j) for z in range(n + 1)] for j in range(min(k, n) + 1)]
     total = 0
     for (_, down), weights in buckets.items():
@@ -305,24 +407,18 @@ def explicit_B_oracle(
     n = len(scaled.vars)
     if binom(n, k) > max_rows:
         raise ResourceLimitError("rows", max_rows, binom(n, k))
-    matrix = assemble(
-        scaled,
-        lambda alpha, units: packed_subsets(list(compress(units, alpha)), k),
-        max_rows=max_rows,
-        max_cols=max_cols,
-    )
-    sums: dict[int, dict[int, int]] = {}
-    for row in matrix.entries:
-        for j1, v1 in row.items():
-            gram_row = sums.setdefault(j1, {})
-            for j2, v2 in row.items():
-                gram_row[j2] = gram_row.get(j2, 0) + v1 * v2
+    matrix = _trace_matrix(scaled, k, max_rows=max_rows, max_cols=max_cols)
+    diagonal, upper = _gram(matrix.entries)
+    full: dict[int, dict[int, int]] = {j: {j: d} for j, d in diagonal.items()}
+    for j1, row in upper.items():
+        for j2, g in row.items():
+            full[j1][j2] = full[j2][j1] = g
     # Ascending keys give sparse_int_rank the rows, and so the elimination
     # budget counts, of the dense Gram matrix.
-    gram = [{j: grow[j] for j in sorted(grow) if grow[j]} for _, grow in sorted(sums.items())]
+    gram = [{j: grow[j] for j in sorted(grow) if grow[j]} for _, grow in sorted(full.items())]
     denom = matrix.clear_factor
-    tr_b = Fraction(sum(grow[j] for j, grow in sums.items()), denom**2)
-    tr_b2 = Fraction(sum(v * v for grow in gram for v in grow.values()), denom**4)
+    tr_b = Fraction(sum(diagonal.values()), denom**2)
+    tr_b2 = Fraction(_frobenius_square(diagonal, upper), denom**4)
     rank_b = sparse_int_rank(gram, budget=budget)
     return ExplicitOracle(matrix, TraceStats(k, len(scaled.terms), tr_b, tr_b2), rank_b)
 

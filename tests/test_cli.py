@@ -3,16 +3,17 @@
 import argparse
 import json
 import math
+import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdrank import cli, polyio, symmetric
+from pdrank import cli, polyio, symmetric, trace
 
 DATA = Path(__file__).parent / "data"
 
@@ -134,6 +135,16 @@ def test_trace_oracle_and_semirandom(capsys, poly_file):
     assert report["oracle"]["matches_closed_form"] is True
     assert report["oracle"]["rank_b"] == 3
     assert report["semirandom"]["sample_mean"] == report["semirandom"]["expectation"]
+
+
+def test_trace_oracle_is_held_against_the_grouped_sum(capsys, poly_file, monkeypatch):
+    """Tr(B^2) of the oracle is compared with the grouped sum, not with trace_B2's route."""
+    path = poly_file("x1*x2 + x2*x3 + x1*x3")
+    grouped = trace._grouped_B2
+    monkeypatch.setattr(trace, "_grouped_B2", lambda *args: grouped(*args) + 1)
+    code, out, err = run(capsys, "trace", "--k", "1", path, "--oracle")
+    assert (code, out) == (4, "")
+    assert "closed form (6/1, 18/1), grouped 19/1 vs oracle (6/1, 18/1)" in err
 
 
 def test_reduce_graph_identity(capsys, tmp_path):
@@ -683,6 +694,37 @@ def test_sym_gap_writes_a_long_rank_in_full(capsys, fmt):
         assert point["v"] == f"{_digits(v.numerator)}/{_digits(v.denominator)}"
     else:
         assert out.split("\n")[1].split(",")[3] == _digits(u)
+
+
+SPLIT_SIZES = sorted({m * cli.SPLIT_BITS + d for m in (1, 2, 3, 5, 8) for d in (-1, 0, 1)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bits=st.sampled_from(SPLIT_SIZES),
+    shape=st.sampled_from(["random", "ones", "power", "nines"]),
+    seed=st.integers(0, 2**32),
+    negative=st.booleans(),
+)
+def test_int_decimal_matches_str(bits, shape, seed, negative):
+    """The split conversion gives str()'s digits around every split size."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        n = {
+            "random": random.Random(seed).getrandbits(bits) | 1 << (bits - 1),
+            "ones": (1 << bits) - 1,
+            "power": 1 << bits,
+            "nines": 10 ** len(str(1 << bits)) - 1,
+        }[shape]
+        n = -n if negative else n
+        assert str(cli.int_decimal(n)) == str(n)
+        assert cli.exact_str(n) == str(n)
+        q = Fraction(n, random.Random(seed + 1).getrandbits(bits // 2) + 1)
+        expected = cli.DEC12.divide(Decimal(q.numerator), Decimal(q.denominator))
+        assert cli.frac_dec(q) == str(expected)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_long_ints_in_json_and_text_reports(capsys):

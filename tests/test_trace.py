@@ -4,7 +4,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 
 import pytest
 
@@ -34,7 +34,7 @@ from pdrank import trace as trace_module
 from pdrank.combinat import binom
 from pdrank.corpus import random_polys
 from pdrank.polyio import permute_vars, scale, support_size
-from pdrank.trace import semirandom_L
+from pdrank.trace import DEFAULT_TRIPLE_BUDGET, semirandom_L
 
 
 def triple_sum_by_count_N(f_scaled, k: int) -> Fraction:
@@ -168,6 +168,8 @@ def test_traces_match_oracle_on_random_corpus():
             oracle = explicit_B_oracle(f, k)
             assert trace_B(scaled, k) == oracle.stats.tr_b
             assert trace_B2(scaled, k) == oracle.stats.tr_b2
+            grouped = trace_module._grouped_B2(scaled, k, DEFAULT_TRIPLE_BUDGET)
+            assert grouped == oracle.stats.tr_b2  # the oracle shares the Gram route's sum
 
 
 def test_oracle_gram_stays_sparse():
@@ -194,16 +196,34 @@ def test_oracle_gram_stays_sparse():
     assert peak < 10_000_000
 
 
+def routes_match_count_n(scaled, k: int) -> bool:
+    """trace_B2 and each route, forced, equal the count_N sum; so does the Gram sum of M's rows.
+
+    Returns whether the Gram route read M's rows (else its columns).
+    """
+    expected = triple_sum_by_count_N(scaled, k)
+    nnz = trace_module._support_sum((t.exps for t in scaled.terms), repeat(1), k)
+    assert trace_B2(scaled, k) == expected, (scaled, k)
+    assert trace_module._gram_B2(scaled, k, nnz, DEFAULT_TRIPLE_BUDGET) == expected, (scaled, k)
+    assert trace_module._grouped_B2(scaled, k, DEFAULT_TRIPLE_BUDGET) == expected, (scaled, k)
+    matrix = trace_module._trace_matrix(scaled, k, max_rows=nnz, max_cols=nnz)
+    by_rows = trace_module._frobenius_square(*trace_module._gram(matrix.entries))
+    assert Fraction(by_rows, matrix.clear_factor**4) == expected, (scaled, k)
+    return trace_module._cheaper_side(matrix)[0] is matrix.entries
+
+
 def test_trace_b2_matches_count_n_triple_sum():
     polys = random_polys(seed=75, count=60, max_vars=6, max_terms=12, max_degree=4)
     # The corpus must exercise what the grouped integer sum handles specially.
     assert any(not f.is_multilinear for f in polys)
     assert any(len({t.coef.denominator for t in f.terms}) > 1 for f in polys)
+    sides = set()
     for f in polys:
         scaled = to_scaled(f)
         max_sup = max(support_size(t.exps) for t in f.terms)
         for k in range(max_sup + 2):
-            assert trace_B2(scaled, k) == triple_sum_by_count_N(scaled, k), (f, k)
+            sides.add(routes_match_count_n(scaled, k))
+    assert sides == {True, False}  # the Gram route read rows and columns
 
 
 def stepped_polys(seed: int, count: int) -> list:
@@ -248,11 +268,11 @@ def test_trace_b2_matches_count_n_on_steps_of_two():
         scaled = to_scaled(f)
         max_sup = max(support_size(t.exps) for t in f.terms)
         for k in range(max_sup + 2):
-            assert trace_B2(scaled, k) == triple_sum_by_count_N(scaled, k), (f, k)
+            routes_match_count_n(scaled, k)
 
 
 def test_trace_b2_builds_binomial_rows_once(monkeypatch):
-    """At most (k+1)(n+1) binomials per call, however many buckets there are."""
+    """The grouped sum takes at most (k+1)(n+1) binomials, however many buckets there are."""
     calls = 0
     original = trace_module.binom
 
@@ -268,11 +288,11 @@ def test_trace_b2_builds_binomial_rows_once(monkeypatch):
         scaled = to_scaled(f)
         for k in range(5):
             calls = 0
-            trace_B2(scaled, k)
+            trace_module._grouped_B2(scaled, k, DEFAULT_TRIPLE_BUDGET)
             assert calls <= (k + 1) * (len(f.vars) + 1), (f, k)
 
 
-@pytest.mark.parametrize("n, d, k", [(9, 4, 3), (10, 5, 2)])
+@pytest.mark.parametrize("n, d, k", [(9, 4, 3), (10, 5, 2), (12, 6, 3)])
 def test_trace_b2_matches_sym_closed_form_large(n, d, k):
     assert trace_B2(to_scaled(sym_poly(n, d)), k) == sym_trace_B2(n, d, k)
 
@@ -368,11 +388,12 @@ def test_trace_b2_budget():
 
 
 def test_trace_b2_budget_is_exact_work():
-    """The cap counts term pairs, then bucket pairings; equal work passes."""
+    """The grouped sum's cap counts term pairs, then bucket pairings; equal work passes."""
     f = to_scaled(sym_poly(8, 4))
+    grouped = trace_module._grouped_B2
     pairs = 70 * 70  # one degree class of 70 terms
     with pytest.raises(ResourceLimitError) as err:
-        trace_B2(f, 2, budget=pairs - 1)
+        grouped(f, 2, pairs - 1)
     assert (err.value.what, err.value.actual) == ("triple-sum", pairs)
     # A difference D with j entries -1 (and j entries +1) pairs every term P
     # covering its -1 positions and missing its +1 positions; the masks
@@ -382,10 +403,58 @@ def test_trace_b2_budget_is_exact_work():
         for j in range(3)
     )
     assert pairings == 42420 > pairs
-    assert trace_B2(f, 2, budget=pairings) == sym_trace_B2(8, 4, 2)
+    assert grouped(f, 2, pairings) == sym_trace_B2(8, 4, 2)
     with pytest.raises(ResourceLimitError) as err:
-        trace_B2(f, 2, budget=pairings - 1)
+        grouped(f, 2, pairings - 1)
     assert (err.value.what, err.value.actual) == ("triple-sum", pairings)
+
+
+def test_trace_b2_gram_budget_is_its_cost_then_falls_back(monkeypatch):
+    """The Gram route runs at budget = its cost and hands over to the grouped sum below it.
+
+    x1*x2 + x2^2 + x1^2*x2^2 at k = 1: 5 equal-degree pairs and 5 entries.
+    Row x1 holds x2 and x1*x2^2, row x2 holds x2, x1 and x1^2*x2, so the
+    rows cost 2^2 + 3^2 = 13 and the columns 2^2 + 1 + 1 + 1 = 7.
+    """
+    f = to_scaled(parse_poly("x1*x2 + x2^2 + x1^2*x2^2"))
+    expected = triple_sum_by_count_N(f, 1)
+    grouped = trace_module._grouped_B2
+    grouped_calls = []
+
+    def spy(*args):
+        grouped_calls.append(args)
+        return grouped(*args)
+
+    monkeypatch.setattr(trace_module, "_grouped_B2", spy)
+    assert trace_B2(f, 1, budget=7) == expected
+    assert grouped_calls == []
+    assert trace_B2(f, 1, budget=6) == expected
+    assert len(grouped_calls) == 1
+    with pytest.raises(ResourceLimitError) as err:
+        trace_B2(f, 1, budget=4)
+    assert (err.value.what, err.value.actual) == ("triple-sum", 5)
+
+
+def test_trace_b2_route_choice(monkeypatch):
+    """M no larger than the pair count takes the Gram route; a larger M is never built."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("wrong route")
+
+    f = to_scaled(sym_poly(8, 4))  # nnz 70 * C(4, 2) = 420 <= 70^2 pairs
+    with monkeypatch.context() as m:
+        m.setattr(trace_module, "_grouped_B2", refuse)
+        assert trace_B2(f, 2) == sym_trace_B2(8, 4, 2)
+    # Three multilinear terms of degree 20: nnz 3 * C(20, 10) = 554268 > 9 pairs.
+    g = to_scaled(
+        parse_poly(
+            " + ".join(
+                "*".join(f"x{i}" for i in range(lo, lo + 20)) for lo in (1, 3, 6)
+            )
+        )
+    )
+    monkeypatch.setattr(trace_module, "assemble", refuse)
+    assert trace_B2(g, 10) == triple_sum_by_count_N(g, 10)
 
 
 def test_semirandom_single_monomial_constant():
