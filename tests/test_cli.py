@@ -652,6 +652,15 @@ def test_reduction_reports_match_golden_bytes(capsys, argv, golden):
     assert out == (GOLDEN_DIR / golden).read_text()
 
 
+def test_reduce_elimination_budget_caps_only_the_fallback_rank(capsys):
+    """A reduction's matrix is certified without a rank, so a zero budget changes nothing."""
+    graph = str(GOLDEN_DIR / "graph6.graph")
+    argv = ("reduce", "graph", graph, "--elimination-budget", "0", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN_DIR / "graph6.reduce.json").read_text()
+
+
 # Exact values past the interpreter's int-to-str digit limit (4300 digits).
 
 

@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ from pdrank import (
     parse_complex,
     parse_graph,
     partial_plus_basis,
+    rank_exact,
     to_ordinary,
     to_scaled,
     verify_reduction,
@@ -36,6 +38,8 @@ from pdrank.reductions import (
     graph_classes,
     poly_stack_rank,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def brute_force_independent_sets(g: Graph) -> int:
@@ -232,7 +236,7 @@ def test_distinct_interior_rows_are_the_explicit_basis():
         }
         polys = Counter(frozenset((t.exps, t.coef) for t in p.terms) for p in basis)
         assert Counter(rows) == polys
-        assert reductions._rows_are_face_basis(matrix, faces)
+        assert reductions._disjoint_row_count(matrix) == 2 * faces
         assert poly_stack_rank(basis) == 2 * faces
 
 
@@ -263,8 +267,8 @@ def test_basis_check_rejects_a_shared_column(sc):
     corrupted = rebuild(matrix, rows)
     assert corrupted.ncols == matrix.ncols
     assert len({frozenset(row.items()) for row in corrupted.entries}) == 2 * faces
-    assert reductions._rows_are_face_basis(matrix, faces)
-    assert not reductions._rows_are_face_basis(corrupted, faces)
+    assert reductions._disjoint_row_count(matrix) == 2 * faces
+    assert reductions._disjoint_row_count(corrupted) is None
 
 
 @pytest.mark.parametrize("sc", BASIS_CASES)
@@ -275,21 +279,32 @@ def test_basis_check_rejects_a_dropped_row(sc):
     drop = max(i for i, row in enumerate(matrix.entries) if counts[frozenset(row.items())] == 1)
     rows = list(zip(matrix.rows, matrix.entries))
     del rows[drop]
-    assert not reductions._rows_are_face_basis(rebuild(matrix, rows), faces)
+    assert reductions._disjoint_row_count(rebuild(matrix, rows)) == 2 * faces - 1
 
 
 @pytest.mark.parametrize("sc", BASIS_CASES)
-def test_basis_check_rejects_a_face_count_off_by_one(sc):
-    matrix, faces = interior_matrix(sc), count_faces(sc)
-    assert reductions._rows_are_face_basis(matrix, faces)
-    assert not reductions._rows_are_face_basis(matrix, faces - 1)
-    assert not reductions._rows_are_face_basis(matrix, faces + 1)
+def test_basis_check_rejects_a_face_count_off_by_one(monkeypatch, sc):
+    assert verify_reduction(sc).basis_verified is True
+    real = reductions.count_faces
+    for off in (-1, 1):
+        monkeypatch.setattr(reductions, "count_faces", lambda c: real(c) + off)
+        report = verify_reduction(sc)
+        assert report.dim_plus == 2 * real(sc)
+        assert report.identity_holds is False
+        assert report.basis_verified is False
 
 
 def test_verify_reduction_reports_a_corrupted_basis(monkeypatch):
     """A derivative matrix whose rows share a column fails the basis check
-    of ``verify_reduction``, though its rank still meets the identity."""
+    of ``verify_reduction``; its rank, from the fallback, still meets the
+    identity."""
     real = reductions.build_matrix
+    real_rank = reductions.rank_exact
+    ranked = []
+
+    def recording_rank(matrix, **kwargs):
+        ranked.append(matrix)
+        return real_rank(matrix, **kwargs)
 
     def shared_column(f, spec, **kwargs):
         matrix = real(f, spec, **kwargs)
@@ -298,9 +313,49 @@ def test_verify_reduction_reports_a_corrupted_basis(monkeypatch):
         return rebuild(matrix, rows)
 
     monkeypatch.setattr(reductions, "build_matrix", shared_column)
+    monkeypatch.setattr(reductions, "rank_exact", recording_rank)
     report = verify_reduction(K3)
+    assert len(ranked) == 1
+    assert report.dim_plus == 6
     assert report.identity_holds is True
     assert report.basis_verified is False
+
+
+def test_disjoint_row_count_is_the_exact_rank():
+    """On every nonempty class on 3..6 vertices and two random corpora."""
+    complexes = [
+        graph_complex(reductions._graph_from_bits(n, bits))
+        for n in range(3, 7)
+        for bits, _ in graph_classes(n)
+        if bits
+    ]
+    complexes += random_pure_complexes(seed=31, count=10, max_ground=6, max_facets=5)
+    complexes += random_pure_complexes(seed=37, count=15, max_ground=7, max_facets=6)
+    assert len(complexes) == 3 + 10 + 33 + 155 + 10 + 15
+    for sc in complexes:
+        matrix = interior_matrix(sc)
+        assert reductions._disjoint_row_count(matrix) == rank_exact(matrix)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        K3,
+        parse_graph((DATA / "graph6.graph").read_text()),
+        parse_complex((DATA / "pure.complex").read_text()),
+    ],
+    ids=["k3", "graph6", "pure"],
+)
+def test_verify_reduction_certifies_without_ranking(monkeypatch, obj):
+    """On a reduction's matrix the certified count is the dimension: no rank runs."""
+    expected = verify_reduction(obj)
+
+    def no_rank(*args, **kwargs):
+        raise AssertionError("rank_exact called on a certified matrix")
+
+    monkeypatch.setattr(reductions, "rank_exact", no_rank)
+    assert verify_reduction(obj) == expected
+    assert expected.identity_holds is True and expected.basis_verified is True
 
 
 def test_verify_reduction_k3():
@@ -360,8 +415,7 @@ def test_exhaustive_parallel_matches_serial():
 
 
 def test_exhaustive_lists_failures_by_edge_bitmask(monkeypatch):
-    monkeypatch.setattr(reductions, "rank_exact", lambda *a, **kw: 0)
-    monkeypatch.setattr(reductions, "_rows_are_face_basis", lambda *a, **kw: False)
+    monkeypatch.setattr(reductions, "_disjoint_row_count", lambda matrix: 0)
     summary = exhaustive_verify(3, check_basis=True)
     # the empty graph (bitmask 0) is not applicable and its basis is trivially fine
     assert summary["identity_failures"] == list(range(1, 8))
@@ -442,16 +496,17 @@ def test_every_labeling_reports_as_its_class_representative():
 def test_exhaustive_failures_expand_to_every_labeling(monkeypatch):
     """An isomorphism-invariant fault: the class run lists what a run over
     every labeled graph lists."""
-    real_rank, real_basis = reductions.rank_exact, reductions._rows_are_face_basis
+    real_count = reductions._disjoint_row_count
 
-    def rank_off_on_sixteen_rows(matrix, *args, **kwargs):
-        return real_rank(matrix, *args, **kwargs) + (matrix.nrows == 16)
+    def count_off(matrix):
+        """One too many on 16 matrix rows; no certificate for six faces
+        (12 distinct rows), so the fallback rank meets the identity there."""
+        count = real_count(matrix)
+        if count == 12:
+            return None
+        return count + (matrix.nrows == 16)
 
-    def basis_off_on_six_faces(matrix, faces):
-        return real_basis(matrix, faces) and faces != 6
-
-    monkeypatch.setattr(reductions, "rank_exact", rank_off_on_sixteen_rows)
-    monkeypatch.setattr(reductions, "_rows_are_face_basis", basis_off_on_six_faces)
+    monkeypatch.setattr(reductions, "_disjoint_row_count", count_off)
     labeled = [verify_reduction(g) for g in all_graphs(4)]
     identity = [bits for bits, r in enumerate(labeled) if r.identity_holds is False]
     basis = [bits for bits, r in enumerate(labeled) if not r.basis_verified]
