@@ -269,10 +269,5 @@ def upper_bound_linearity(
     per_term = sum(_profile_column([t.exps for t in f.terms], k))
     if matrix is None:
         matrix = build_matrix(f, OrderSpec.exact(k))
-    row_vectors = {tuple(sorted(row.items())) for row in matrix.entries}
-    col_vectors: dict[int, list[tuple[int, int]]] = {}
-    for i, row in enumerate(matrix.entries):
-        for j, v in row.items():
-            col_vectors.setdefault(j, []).append((i, v))
-    distinct_cols = {tuple(vals) for vals in col_vectors.values()}
-    return min(per_term, len(row_vectors), len(distinct_cols))
+    distinct_cols = set(map(frozenset, map(dict.items, matrix.columns().values())))
+    return min(per_term, len(matrix.distinct_rows()), len(distinct_cols))

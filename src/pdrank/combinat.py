@@ -1,4 +1,4 @@
-"""Exact combinatorics helpers: binomials and bounded multi-index enumeration.
+"""Exact combinatorics helpers: binomials, bounded multi-index enumeration, cleared coefficients.
 
 The packed sub-index enumerators are the inner loop of derivative-matrix
 assembly.  They yield each beta <= alpha as a packed int, a sum of slot
@@ -11,6 +11,7 @@ their time is proportional to what they yield.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import chain, combinations, compress, islice, product
 from typing import Iterable, Iterator, Sequence
 
@@ -107,9 +108,13 @@ def all_sub_indices(alpha: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     return product(*(range(a + 1) for a in alpha))
 
 
-def lcm_all(values: Iterator[int] | list[int]) -> int:
-    """Least common multiple of positive integers, 1 for an empty input."""
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out
+def cleared(coefs: Iterable[Fraction | int]) -> tuple[int, list[int]]:
+    """The common denominator L of ``coefs`` and the integers L * c, in order.
+
+    L is the ``math.lcm`` of the denominators, 1 for no coefficients or
+    only ints.  The one rule by which the inner layers turn exact
+    coefficients into the integers they sum and rank.
+    """
+    coefs = list(coefs)
+    clear = math.lcm(*(c.denominator for c in coefs))
+    return clear, [c.numerator * (clear // c.denominator) for c in coefs]

@@ -14,12 +14,13 @@ by explicit caps.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import chain
 from operator import mul
 from typing import Callable, Iterable
 
-from .combinat import lcm_all, packed_box, packed_sub_indices
+from .combinat import cleared, packed_box, packed_sub_indices
 from .errors import ResourceLimitError
 from .polyio import (
     SCALED,
@@ -104,6 +105,18 @@ class DerivMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
+    def distinct_rows(self) -> set[frozenset[tuple[int, int]]]:
+        """The distinct rows, each the frozenset of its (column key, value) entries."""
+        return set(map(frozenset, map(dict.items, self.entries)))
+
+    def columns(self) -> dict[int, dict[int, int]]:
+        """The columns: {column key: {row key: value}}, each filled in ascending row order."""
+        cols: dict[int, dict[int, int]] = defaultdict(dict)
+        for beta, row in zip(self.rows, self.entries):
+            for gamma, v in row.items():
+                cols[gamma][beta] = v
+        return cols
+
 
 def derivative(f: SparsePoly, beta: ExponentVector) -> SparsePoly:
     """Differentiate a scaled-basis polynomial: exponent subtraction.
@@ -144,15 +157,14 @@ def assemble(
     columns overflow, the entries are dropped and the walk goes on over the
     row keys alone: if the rows overflow too, ``rows`` is reported.
     """
-    clear = lcm_all([t.coef.denominator for t in scaled.terms])
+    clear, coefs = cleared(t.coef for t in scaled.terms)
     width = max(chain.from_iterable(t.exps for t in scaled.terms), default=0).bit_length()
     units = [1 << width * i for i in reversed(range(len(scaled.vars)))]
     by_row: dict[int, dict[int, int]] = {}
     col_set: set[int] = set()
-    terms = iter(scaled.terms)
-    for t in terms:
+    terms = zip(scaled.terms, coefs)
+    for t, a in terms:
         top = sum(map(mul, t.exps, units))
-        a = t.coef.numerator * (clear // t.coef.denominator)
         betas = iter(sub_indices(t.exps, units))
         for beta in betas:
             row = by_row.get(beta)
@@ -165,7 +177,7 @@ def assemble(
                 if len(col_set) >= max_cols:
                     seen = set(by_row)
                     by_row.clear()
-                    rest = chain(betas, (b for u in terms for b in sub_indices(u.exps, units)))
+                    rest = chain(betas, (b for u, _ in terms for b in sub_indices(u.exps, units)))
                     _check_row_cap(seen, rest, max_rows)
                     raise ResourceLimitError("cols", max_cols, max_cols + 1)
                 col_set.add(gamma)

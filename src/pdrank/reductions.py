@@ -30,7 +30,7 @@ from functools import partial, reduce
 from itertools import chain, combinations, compress, count, permutations
 from operator import add, sub
 
-from .combinat import all_sub_indices, lcm_all
+from .combinat import all_sub_indices, cleared
 from .errors import InvariantViolation, ResourceLimitError
 from .exact import (
     DEFAULT_ELIMINATION_BUDGET,
@@ -69,10 +69,15 @@ class ReductionReport:
         return dict(vars(self))
 
 
+def _check_ground(size: int, what: str) -> None:
+    """The one ``GROUND_CAP`` rule: a ground set of ``size`` elements past it is refused."""
+    if size > GROUND_CAP:
+        raise ResourceLimitError(what, GROUND_CAP, size)
+
+
 def count_independent_sets(g: Graph) -> int:
     """Exact Ind(G) (empty set included) by bitmask subset enumeration, n <= ``GROUND_CAP``."""
-    if g.n > GROUND_CAP:
-        raise ResourceLimitError("vertices", GROUND_CAP, g.n)
+    _check_ground(g.n, "vertices")
     n = g.n
     adj = [0] * n
     for u, v in g.edges:
@@ -106,8 +111,7 @@ def _face_marks(sc: SimplicialComplex) -> bytearray:
     whatever the facet sizes, so ``GROUND_CAP`` bounds its memory.  The
     one face enumerator, of ``count_faces`` and ``enumerate_faces``.
     """
-    if sc.ground > GROUND_CAP:
-        raise ResourceLimitError("ground", GROUND_CAP, sc.ground)
+    _check_ground(sc.ground, "ground")
     marks = bytearray(1 << sc.ground)
     for f in sc.facets:
         mask = sum(1 << (v - 1) for v in f)
@@ -200,11 +204,7 @@ def partial_plus_basis(sc: SimplicialComplex) -> list[SparsePoly]:
     return monomials + derivatives
 
 
-def poly_stack_rank(
-    polys: list[SparsePoly],
-    *,
-    budget: int = DEFAULT_ELIMINATION_BUDGET,
-) -> int:
+def poly_stack_rank(polys: list[SparsePoly]) -> int:
     """Rank of the coefficient matrix stacking the given polynomials.
 
     Rows are cleared to integers per polynomial (row scaling preserves
@@ -213,16 +213,11 @@ def poly_stack_rank(
     """
     all_exps = sorted({t.exps for p in polys for t in p.terms})
     col_index = {e: i for i, e in enumerate(all_exps)}
-    rows = []
-    for p in polys:
-        clear = lcm_all([t.coef.denominator for t in p.terms])
-        rows.append(
-            {
-                col_index[t.exps]: t.coef.numerator * (clear // t.coef.denominator)
-                for t in p.terms
-            }
-        )
-    return sparse_int_rank(rows, budget=budget)
+    rows = [
+        dict(zip([col_index[t.exps] for t in p.terms], cleared(t.coef for t in p.terms)[1]))
+        for p in polys
+    ]
+    return sparse_int_rank(rows)
 
 
 def _disjoint_row_count(matrix: DerivMatrix) -> int | None:
@@ -238,14 +233,13 @@ def _disjoint_row_count(matrix: DerivMatrix) -> int | None:
     Y_g * X_{G minus F} (facet G) is the face monomial X_F, so the count is
     2 * faces exactly when these derivatives of f are the explicit basis.
     """
-    distinct = {frozenset(row.items()) for row in matrix.entries}
+    distinct = matrix.distinct_rows()
     return len(distinct) if sum(map(len, distinct)) == matrix.ncols else None
 
 
 def verify_reduction(
     obj: Graph | SimplicialComplex,
     *,
-    check_basis: bool = True,
     max_rows: int = DEFAULT_MAX_ROWS,
     max_cols: int = DEFAULT_MAX_COLS,
     budget: int = DEFAULT_ELIMINATION_BUDGET,
@@ -259,9 +253,11 @@ def verify_reduction(
     rank, ``dim_plus`` (:func:`_disjoint_row_count`); otherwise
     ``rank_exact`` computes it, under ``budget``.  ``basis_verified`` says
     the certificate held and counted 2 * faces rows: the explicit basis.
+    The faces and independent sets (2^n work each) are counted after the
+    matrix, so its caps refuse a large input first.
     """
     if isinstance(obj, Graph):
-        ind: int | None = count_independent_sets(obj)
+        _check_ground(obj.n, "vertices")
         if obj.m:
             sc = graph_complex(obj)
             note = "facets have n-2 elements (faces of dimension n-3 under the |X|-1 convention)"
@@ -271,28 +267,28 @@ def verify_reduction(
     else:
         if not obj.is_pure:
             raise ValueError("complex must be pure")
-        sc, ind, note = obj, None, ""
+        _check_ground(obj.ground, "ground")
+        sc, note = obj, ""
         if not obj.facets:
             note = "identity not applicable: empty complex gives the zero polynomial"
-    faces = count_faces(sc)
-    dim_plus, identity, basis_ok = 0, None, True
+    dim_plus, certified = 0, None
     if sc.facets:
         matrix = build_matrix(
             complex_to_poly(sc), OrderSpec.interior(), max_rows=max_rows, max_cols=max_cols
         )
         certified = _disjoint_row_count(matrix)
         dim_plus = rank_exact(matrix, budget=budget) if certified is None else certified
-        identity = dim_plus == 2 * faces and (ind is None or faces == 2**sc.ground - ind - 1)
-        if check_basis:
-            basis_ok = certified == 2 * faces
+    ind = count_independent_sets(obj) if isinstance(obj, Graph) else None
+    faces = count_faces(sc)
+    holds = dim_plus == 2 * faces and (ind is None or faces == 2**sc.ground - ind - 1)
     return ReductionReport(
         n=sc.ground,
         m=len(sc.facets),
         ind_count=ind,
         face_count=faces,
         dim_plus=dim_plus,
-        identity_holds=identity,
-        basis_verified=basis_ok,
+        identity_holds=holds if sc.facets else None,
+        basis_verified=certified == 2 * faces if sc.facets else True,
         note=note,
     )
 
@@ -371,8 +367,8 @@ def graph_classes(n: int) -> Iterator[tuple[int, int]]:
         bits = marks.find(0, bits + 1)
 
 
-def _identity_and_basis_hold(g: Graph, check_basis: bool) -> tuple[bool, bool]:
-    report = verify_reduction(g, check_basis=check_basis)
+def _identity_and_basis_hold(g: Graph) -> tuple[bool, bool]:
+    report = verify_reduction(g)
     return report.identity_holds is not False, report.basis_verified
 
 
@@ -403,19 +399,18 @@ def exhaustive_verify(
         raise InvariantViolation(
             f"isomorphism classes on {n} vertices cover {covered} of {total} edge sets"
         )
-    check = partial(_identity_and_basis_hold, check_basis=check_basis)
     graphs = [_graph_from_bits(n, bits) for bits, _ in classes]
     threads = min(threads, os.cpu_count() or 1)
     if threads > 1:
-        results = _parallel_map(check, graphs, threads)
+        results = _parallel_map(_identity_and_basis_hold, graphs, threads)
     else:
-        results = map(check, graphs)
+        results = map(_identity_and_basis_hold, graphs)
     failures: list[int] = []
     basis_failures: list[int] = []
     for (bits, _), (ok, basis_ok) in zip(classes, results):
         if not ok:
             failures.append(bits)
-        if not basis_ok:
+        if check_basis and not basis_ok:
             basis_failures.append(bits)
     if failures or basis_failures:
         labelings = _labelings(n)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .combinat import binom
 from .errors import InvariantViolation, ResourceLimitError
-from .exact import DEFAULT_ELIMINATION_BUDGET, sparse_int_rank
+from .exact import sparse_int_rank
 from .polyio import SparsePoly
 from .trace import proxy_from_traces
 
@@ -78,14 +78,7 @@ def _check_range(n: int, d: int, k: int) -> None:
         raise ValueError("need 0 <= k <= d <= n")
 
 
-def sym_exact_dim(
-    n: int,
-    d: int,
-    k: int,
-    *,
-    cross_check: bool | None = None,
-    budget: int = DEFAULT_ELIMINATION_BUDGET,
-) -> int:
+def sym_exact_dim(n: int, d: int, k: int, *, cross_check: bool | None = None) -> int:
     """dim of the order-k derivative span of Sym_{d,n}: min(C(n,k), C(n,d-k)).
 
     The disjointness matrix has full rank, which the closed form relies on;
@@ -98,7 +91,7 @@ def sym_exact_dim(
     if cross_check is None:
         cross_check = binom(n, k) * binom(n, d - k) <= CROSS_CHECK_CELLS
     if cross_check:
-        rank = sparse_int_rank(disjointness_matrix(n, d, k), budget=budget)
+        rank = sparse_int_rank(disjointness_matrix(n, d, k))
         if rank != value:
             raise InvariantViolation(
                 f"disjointness rank {rank} != closed form {value} for (n,d,k)=({n},{d},{k})"

@@ -42,7 +42,7 @@ from itertools import chain, compress, repeat
 from operator import mul
 from typing import Iterable, Sequence
 
-from .combinat import binom, lcm_all, packed_subsets
+from .combinat import binom, cleared, packed_subsets
 from .errors import ResourceLimitError
 from .exact import (
     DEFAULT_ELIMINATION_BUDGET,
@@ -109,8 +109,8 @@ def trace_B(f: SparsePoly, k: int) -> Fraction:
     Summed in integers, with the common denominator L cleared: one division by L^2.
     """
     _require_scaled(f, "trace_B")
-    clear = lcm_all(t.coef.denominator for t in f.terms)
-    squares = ((t.coef.numerator * (clear // t.coef.denominator)) ** 2 for t in f.terms)
+    clear, coefs = cleared(t.coef for t in f.terms)
+    squares = (a * a for a in coefs)
     return Fraction(_support_sum((t.exps for t in f.terms), squares, k), clear * clear)
 
 
@@ -218,7 +218,7 @@ def _trace_matrix(scaled: SparsePoly, k: int, *, max_rows: int, max_cols: int) -
     )
 
 
-def _cheaper_side(matrix: DerivMatrix) -> tuple[Sequence[dict[int, int]], int]:
+def _cheaper_side(matrix: DerivMatrix) -> tuple[Iterable[dict[int, int]], int]:
     """M's rows, or its columns {row key: value} if fewer entry pairs; and that count.
 
     Either side's lines L have the same Gram sum of squares; a side costs sum_L |L|^2.
@@ -228,11 +228,7 @@ def _cheaper_side(matrix: DerivMatrix) -> tuple[Sequence[dict[int, int]], int]:
     col_cost = sum(c * c for c in Counter(chain.from_iterable(matrix.entries)).values())
     if row_cost <= col_cost:
         return matrix.entries, row_cost
-    cols: dict[int, dict[int, int]] = defaultdict(dict)
-    for beta, row in zip(matrix.rows, matrix.entries):
-        for gamma, v in row.items():
-            cols[gamma][beta] = v
-    return list(cols.values()), col_cost
+    return matrix.columns().values(), col_cost
 
 
 def _gram(lines: Iterable[dict[int, int]]) -> tuple[dict[int, int], dict[int, dict[int, int]]]:
@@ -296,15 +292,12 @@ def _grouped_B2(f: SparsePoly, k: int, budget: int) -> Fraction:
     # as 2^stride = 1 modulo `fold` the sum is the packed value mod `fold`
     # (exact: the union is below 2^n < fold).
     fold = (1 << stride) - 1
-    clear = lcm_all(t.coef.denominator for t in f.terms)
+    clear, coefs = cleared(t.coef for t in f.terms)
     by_degree: dict[int, list[tuple[int, int, int]]] = {}
-    for t in f.terms:
+    for t, a in zip(f.terms, coefs):
         # Bit i at levels 1..e_i: a run of e_i ones at the stride, shifted by i.
         levels = sum(((1 << e * stride) - 1) // fold << i for i, e in enumerate(t.exps))
-        scaled_coef = t.coef.numerator * (clear // t.coef.denominator)
-        by_degree.setdefault(sum(t.exps), []).append(
-            (levels, levels & fold, scaled_coef)
-        )
+        by_degree.setdefault(sum(t.exps), []).append((levels, levels & fold, a))
     _check_work(sum(len(group) ** 2 for group in by_degree.values()), budget)
 
     # Equal total degree and steps in {-1,0,1} make the +1 and -1 counts equal.
@@ -336,14 +329,9 @@ def _grouped_B2(f: SparsePoly, k: int, budget: int) -> Fraction:
     return Fraction(total, clear**4)
 
 
-def proxy_rank(
-    f: SparsePoly,
-    k: int,
-    *,
-    budget: int = DEFAULT_TRIPLE_BUDGET,
-) -> Fraction:
+def proxy_rank(f: SparsePoly, k: int) -> Fraction:
     """The rank lower bound Tr(B)^2 / Tr(B^2) of :func:`proxy_from_traces`."""
-    return trace_stats(f, k, budget=budget).proxy
+    return trace_stats(f, k).proxy
 
 
 def trace_stats(
@@ -433,8 +421,7 @@ def semirandom_L(
     The sums are taken in integers: the coefficients are scaled by their
     common denominator, whose square cancels from the ratio.
     """
-    clear = lcm_all(c.denominator for c in coefs)
-    squares = [(c.numerator * (clear // c.denominator)) ** 2 for c in coefs]
+    squares = [a * a for a in cleared(coefs)[1]]
     return Fraction(_support_sum(support, squares, k), len(support) * sum(squares))
 
 

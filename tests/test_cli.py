@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdrank import cli, polyio, symmetric, trace
+from pdrank import cli, polyio, reductions, symmetric, trace
 
 DATA = Path(__file__).parent / "data"
 
@@ -910,3 +910,19 @@ def test_reduce_ground_cap_exit_3(capsys, tmp_path, kind, text, message):
     code, out, err = run(capsys, "reduce", kind, str(path), "--format", "json")
     assert (code, out) == (3, "")
     assert message in err
+
+
+def test_reduce_complete_graph_hits_the_row_cap_before_counting(capsys, tmp_path, monkeypatch):
+    """K_20's dim_+ matrix passes the row cap; the 2^n face and independent-set counts never run."""
+
+    def refuse(*_):
+        raise AssertionError("counted before the capped matrix")
+
+    monkeypatch.setattr(reductions, "_face_marks", refuse)
+    monkeypatch.setattr(reductions, "count_independent_sets", refuse)
+    edges = "".join(f"{u} {v}\n" for u in range(1, 21) for v in range(u + 1, 21))
+    path = tmp_path / "k20.graph"
+    path.write_text("p 20\n" + edges)
+    code, out, err = run(capsys, "reduce", "graph", str(path), "--format", "json")
+    assert (code, out) == (3, "")
+    assert "rows limit exceeded" in err

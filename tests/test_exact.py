@@ -31,7 +31,7 @@ from pdrank import (
 from pdrank import combinat, exact
 from pdrank.combinat import (
     all_sub_indices,
-    lcm_all,
+    cleared,
     packed_box,
     packed_sub_indices,
     packed_subsets,
@@ -91,6 +91,29 @@ def test_derivative_requires_scaled_basis():
         derivative(parse_poly("x1"), (1,))
 
 
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(-(10**12), 10**12),
+            st.fractions(max_denominator=10**6),
+        ),
+        max_size=12,
+    )
+)
+@settings(max_examples=100)
+def test_cleared_matches_fraction_arithmetic(coefs):
+    """``cleared`` against the pairwise gcd lcm and exact ``Fraction`` products, ints included."""
+    want = 1
+    for c in coefs:
+        den = Fraction(c).denominator
+        want = want * den // math.gcd(want, den)
+    clear, ints = cleared(iter(coefs))
+    assert clear == want
+    assert all(type(a) is int for a in ints)
+    assert ints == [int(Fraction(c) * want) for c in coefs]
+    assert [Fraction(a, clear) for a in ints] == [Fraction(c) for c in coefs]
+
+
 def test_build_matrix_identity_pattern():
     # One bit per slot, x1 in the high bit: x2 packs to 1 and x1 to 2.
     m = build_matrix(parse_poly("x1*x2"), OrderSpec.exact(1))
@@ -134,10 +157,10 @@ def tuple_reference(f: SparsePoly, spec: OrderSpec):
                     beta[i] = e
                 rows.add(tuple(beta))
     rows = sorted(rows)
-    clear = lcm_all([t.coef.denominator for t in scaled.terms])
-    cleared = [(t.exps, t.coef.numerator * (clear // t.coef.denominator)) for t in scaled.terms]
+    clear = math.lcm(*(t.coef.denominator for t in scaled.terms))
+    integral = [(t.exps, int(t.coef * clear)) for t in scaled.terms]
     row_pairs = [
-        [(tuple(map(sub, exps, beta)), a) for exps, a in cleared if all(map(le, beta, exps))]
+        [(tuple(map(sub, exps, beta)), a) for exps, a in integral if all(map(le, beta, exps))]
         for beta in rows
     ]
     return rows, row_pairs, clear
@@ -279,6 +302,28 @@ def test_packed_keys_match_tuple_reference_on_random_polys():
             rows = [dict(r) for r in build_matrix(f, spec).entries]
             cores += bool(exact._peel_singletons(rows)[1])
     assert cores >= 10  # so Bareiss sees the cores in the same order too
+
+
+def test_line_view_matches_naive_transpose_and_sorted_rows():
+    """``columns`` and ``distinct_rows`` against a per-entry transpose and sorted-tuple rows."""
+    polys = random_polys(seed=83, count=30, max_vars=5, max_terms=20, max_degree=4)
+    for f in polys:
+        specs = [OrderSpec.all_orders(), OrderSpec.exact(f.degree // 2)]
+        if f.degree >= 2:
+            specs.append(OrderSpec.interior())
+        for spec in specs:
+            m = build_matrix(f, spec)
+            naive: dict[int, list[tuple[int, int]]] = {}
+            for i in range(m.nrows):
+                for gamma, v in m.entries[i].items():
+                    naive.setdefault(gamma, []).append((m.rows[i], v))
+            cols = m.columns()
+            assert {g: list(col.items()) for g, col in cols.items()} == naive, (f, spec)
+            assert len(cols) == m.ncols
+            sorted_rows = {tuple(sorted(row.items())) for row in m.entries}
+            distinct = m.distinct_rows()
+            assert len(distinct) == len(sorted_rows), (f, spec)
+            assert {tuple(sorted(row)) for row in distinct} == sorted_rows, (f, spec)
 
 
 def test_packed_keys_match_tuple_reference_on_graph_classes():

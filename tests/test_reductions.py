@@ -394,11 +394,12 @@ def test_verify_reduction_graph_matches_its_complex():
     for g in all_graphs(4):
         if g.m == 0:
             continue
-        via_graph = verify_reduction(g, check_basis=False)
-        via_complex = verify_reduction(graph_complex(g), check_basis=False)
+        via_graph = verify_reduction(g)
+        via_complex = verify_reduction(graph_complex(g))
         assert via_graph.face_count == via_complex.face_count
         assert via_graph.dim_plus == via_complex.dim_plus
         assert via_graph.identity_holds is via_complex.identity_holds is True
+        assert via_graph.basis_verified is via_complex.basis_verified is True
 
 
 def test_exhaustive_identity_small():
