@@ -53,10 +53,10 @@ DEC12 = Context(prec=12)  # the 12 significant digits of frac_dec
 EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 SPLIT_BITS = 4096  # int_decimal calls Decimal(n) up to here; both ways tie near 16,000 bits
 MAX_VERTEX_TRIALS = 10_000  # at most 0.3 ms each on 1000 terms
-MAX_GAP_POINTS = 20_000  # sym gap --fixed d=5 k=2 n=7..20000: 1.1 s, 6.5 MB of JSON
+MAX_GAP_POINTS = 20_000  # sym gap --fixed d=5 k=2 n=7..20000: 0.7-0.9 s, 6.5 MB of JSON
 MAX_GAP_SCALE = 300  # sym gap --scaled kp=1 dp=2 np=5 m=300: 0.04 s
-MAX_GAP_POINT_SIZE = 35_000_000  # slowest admitted shapes, d=1000 k=999 n=2^32: 1.2-1.3 s
-MAX_GAP_SERIES_SIZE = 40_000_000  # summed point sizes: d=6 k=3 n=9..20000, 31,312,722, takes 1.1 s
+MAX_GAP_POINT_SIZE = 35_000_000  # slowest admitted shapes, d=1000 k=999 n=2^32: 0.4-0.5 s
+MAX_GAP_SERIES_SIZE = 40_000_000  # summed point sizes: d=6 k=3 n=9..20000, 31,312,722, takes 0.7 s
 MAX_TRACE_SAMPLES = 4000  # the exact running mean: 1.2 s on multilinear40 at k=2
 MAX_TRACE_TERM_SAMPLES = 200_000  # terms * samples: 4000 samples on 50 terms, 1.4 s
 # random-corpus sizes, least..most: all four at most take 2.3 s and write 20 MB of JSON
@@ -68,6 +68,11 @@ CORPUS_RANGES = {
 }
 
 
+def _is_long(n: int) -> bool:
+    """Whether n is past ``SPLIT_BITS`` bits, where ``Decimal(n)`` is too slow."""
+    return n.bit_length() > SPLIT_BITS
+
+
 def int_decimal(n: int) -> Decimal:
     """``Decimal(n)``, in time sub-quadratic in the digits of a long int.
 
@@ -77,7 +82,7 @@ def int_decimal(n: int) -> Decimal:
     multiplies long operands by number-theoretic transform.  Each power
     2^h is made once per call, from the two powers of half its size.
     """
-    if n.bit_length() <= SPLIT_BITS:
+    if not _is_long(n):
         return Decimal(n)
     powers: dict[int, Decimal] = {}
 
@@ -116,7 +121,15 @@ def frac_str(value: Fraction) -> str:
 
 
 def frac_dec(value: Fraction) -> str:
-    return str(DEC12.divide(int_decimal(value.numerator), int_decimal(value.denominator)))
+    """``value`` to 12 significant digits.
+
+    DEC12 converts short ints itself, exactly; a long side sends both
+    through :func:`int_decimal`.
+    """
+    num, den = value.numerator, value.denominator
+    if _is_long(num) or _is_long(den):
+        num, den = int_decimal(num), int_decimal(den)
+    return str(DEC12.divide(num, den))
 
 
 def _knob(default: int, commands: str, least: int | None = 0):
@@ -212,29 +225,48 @@ def emit(payload: dict, args: argparse.Namespace) -> None:
         _emit_text(payload)
 
 
+# The writer of each JSON scalar type; json_text looks a value up by its exact
+# type, and a subclass by the first of its bases found here.
+_SCALAR_WRITERS = {
+    str: encode_basestring_ascii,
+    int: exact_str,
+    float: float.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
 def json_text(value, newline: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, with every int in full.
 
-    Writes dicts with ``str`` keys, lists, str, int, float, bool and None;
-    anything else raises ``TypeError``.
+    Writes dicts with ``str`` keys, lists, str, int, float, bool and None,
+    subclasses of str, int and float included; anything else raises
+    ``TypeError``.  A scalar item of a list or dict goes straight to its
+    writer, without a recursive call.
     """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or isinstance(value, bool):
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return exact_str(value)
-    if isinstance(value, float):
-        return float.__repr__(value)
+    get = _SCALAR_WRITERS.get
+    write = get(type(value))
+    if write is not None:
+        return write(value)
     inner = newline + "  "
     if isinstance(value, list):
-        ends, items = "[]", [json_text(item, inner) for item in value]
+        ends = "[]"
+        items = [
+            write(item) if (write := get(type(item))) else json_text(item, inner)
+            for item in value
+        ]
     elif isinstance(value, dict):
         ends = "{}"
         items = [
-            encode_basestring_ascii(k) + ": " + json_text(value[k], inner) for k in sorted(value)
+            encode_basestring_ascii(key)
+            + ": "
+            + (write(item) if (write := get(type(item := value[key]))) else json_text(item, inner))
+            for key in sorted(value)
         ]
     else:
+        for kind in type(value).__mro__:
+            if kind in _SCALAR_WRITERS:
+                return _SCALAR_WRITERS[kind](value)
         raise TypeError(f"{type(value).__name__} is not JSON serializable")
     if not items:
         return ends
@@ -527,6 +559,8 @@ def _parse_keyvals(pairs: list[str]) -> dict[str, str]:
         if "=" not in pair:
             raise ValueError(f"expected key=value, got {pair!r}")
         key, _, value = pair.partition("=")
+        if key in out:
+            raise ValueError(f"key {key!r} given twice")
         out[key] = value
     return out
 

@@ -7,7 +7,7 @@ min(C(n,k), C(n,d-k)).  The Gram matrix B has closed-form entries
 B_{I,J} = C(n - |I u J|, d - k), giving closed forms for both traces:
 
     Tr(B)   = C(n-k, d-k) * C(n, k)
-    Tr(B^2) = sum_{t=0}^{k} C(n,k) C(k,t) C(n-k, k-t) C(n-2k+t, d-k)^2
+    Tr(B^2) = C(n,k) sum_{t=0}^{k} C(k,t) C(n-k, k-t) C(n-2k+t, d-k)^2
 
 (the t-th summand groups index pairs with |I n J| = t, so |I u J| = 2k-t;
 this grouping is validated against the generic triple-sum oracle in the
@@ -17,10 +17,11 @@ rank u grows, and the series helpers below tabulate that gap exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from typing import Sequence
+from math import comb
+from typing import NamedTuple, Sequence
 
 from .combinat import binom
 from .errors import InvariantViolation, ResourceLimitError
@@ -32,8 +33,7 @@ TERM_CAP = 100_000
 CROSS_CHECK_CELLS = 250_000
 
 
-@dataclass(frozen=True)
-class SymGapPoint:
+class SymGapPoint(NamedTuple):
     """One point of the gap series: exact rank u vs. proxy v and its bound."""
 
     n: int
@@ -99,20 +99,43 @@ def sym_exact_dim(n: int, d: int, k: int, *, cross_check: bool | None = None) ->
     return value
 
 
+@lru_cache(maxsize=1)
+def _binoms(n: int, d: int, k: int) -> tuple[int, int, int, int]:
+    """The integers the trace closed forms share, computed once per (n, d, k).
+
+    Returns C(n, k), the number of rows I; C(n-k, d-k), every diagonal
+    entry B_II; and, for one row I, the sum of B_IJ^2 over the rows J
+    grouped by their overlap t = |I n J|,
+
+        sum_t C(k, t) C(n-k, k-t) C(n-2k+t, d-k)^2,
+
+    with its first term, the rows J disjoint from I when n >= 2k.  Every
+    row has the same sum, so Tr(B^2) is C(n, k) times it.  A t below
+    2k - n has no rows J (C(n-k, k-t) = 0), so t starts at max(0, 2k - n)
+    and every binomial has arguments >= 0.  One entry is cached, so the
+    closed forms of one gap point share their binomials.
+
+    ``math.comb`` rather than ``binom``: with 0 <= k <= d <= n and that t,
+    no argument is negative, and binom's checks cost 1.2 of 14 us a point.
+    """
+    _check_range(n, d, k)
+    sums = [
+        comb(k, t) * comb(n - k, k - t) * comb(n - 2 * k + t, d - k) ** 2
+        for t in range(max(0, 2 * k - n), k + 1)
+    ]
+    return comb(n, k), comb(n - k, d - k), sum(sums), sums[0]
+
+
 def sym_trace_B(n: int, d: int, k: int) -> int:
     """Tr(B) = C(n-k, d-k) * C(n, k) (every diagonal entry is C(n-k, d-k))."""
-    _check_range(n, d, k)
-    return binom(n - k, d - k) * binom(n, k)
+    rows, diag, _, _ = _binoms(n, d, k)
+    return diag * rows
 
 
 def sym_trace_B2(n: int, d: int, k: int) -> int:
-    """Tr(B^2) by grouping index pairs (I, J) by their overlap size t."""
-    _check_range(n, d, k)
-    total = 0
-    for t in range(k + 1):
-        pairs = binom(n, k) * binom(k, t) * binom(n - k, k - t)
-        total += pairs * binom(n - 2 * k + t, d - k) ** 2
-    return total
+    """Tr(B^2): C(n, k) rows, each with the overlap-grouped sum of ``_binoms``."""
+    rows, _, row_sum, _ = _binoms(n, d, k)
+    return rows * row_sum
 
 
 def sym_proxy(n: int, d: int, k: int) -> Fraction:
@@ -123,20 +146,20 @@ def sym_proxy(n: int, d: int, k: int) -> Fraction:
 def sym_upper_v(n: int, d: int, k: int) -> Fraction:
     """Closed-form upper bound on the proxy from the disjoint-pair subsum.
 
-    Requires n >= d + k so the subsum (pairs I, J disjoint) is nonempty.
+    Tr(B)^2 over the pairs (I, J) with I, J disjoint, C(n, k) cancelled.
+    Requires n >= d + k so the subsum is nonempty.
     """
-    denom = binom(n - 2 * k, d - k) ** 2 * binom(n - k, k) * binom(n, k)
-    if denom == 0:
+    if not 0 <= k <= d <= n - k:
         raise ValueError("upper bound undefined: need n >= d + k and n >= 2k")
-    num = binom(n - k, d - k) ** 2 * binom(n, k) ** 2
-    return Fraction(num, denom)
+    rows, diag, _, disjoint = _binoms(n, d, k)
+    return Fraction(diag * diag * rows, disjoint)
 
 
 def _gap_point(n: int, d: int, k: int) -> SymGapPoint:
     u = sym_exact_dim(n, d, k, cross_check=False)
     v = sym_proxy(n, d, k)
-    upper = sym_upper_v(n, d, k)
-    return SymGapPoint(n=n, d=d, k=k, u=u, v=v, upper_v=upper, ratio=v / u)
+    ratio = Fraction(v.numerator, v.denominator * u)
+    return SymGapPoint(n, d, k, u, v, sym_upper_v(n, d, k), ratio)
 
 
 def sym_gap_series_fixed(d: int, k: int, n_values: Sequence[int]) -> list[SymGapPoint]:

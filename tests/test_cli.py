@@ -652,6 +652,38 @@ def test_reduction_reports_match_golden_bytes(capsys, argv, golden):
     assert out == (GOLDEN_DIR / golden).read_text()
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("--fixed", "d=5", "k=2", "n=7..120", "--format", "json"), "sym_gap_fixed_d5_k2.json"),
+        (
+            ("--scaled", "kp=1", "dp=2", "np=5", "m=1..30", "--format", "csv"),
+            "sym_gap_scaled_k1_d2_n5.csv",
+        ),
+    ],
+)
+def test_sym_gap_reports_match_golden_bytes(capsys, argv, golden):
+    code, out, err = run(capsys, "sym", "gap", *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / golden).read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (("sym", "gap", "--fixed", "d=5", "k=2", "d=6", "n=9..10"), "d"),
+        (("sym", "gap", "--fixed", "d=5", "k=2", "n=7..8", "n=9"), "n"),
+        (("sym", "gap", "--scaled", "kp=1", "dp=2", "np=5", "m=1", "m=2"), "m"),
+        (("verify", "--exhaustive", "n=4", "n=3"), "n"),
+    ],
+)
+def test_repeated_parameter_key_exits_2(capsys, argv, key):
+    """A key given twice is refused, not overwritten by its last value."""
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, out) == (2, "")
+    assert f"key {key!r} given twice" in err
+
+
 def test_reduce_elimination_budget_caps_only_the_fallback_rank(capsys):
     """A reduction's matrix is certified without a rank, so a zero budget changes nothing."""
     graph = str(GOLDEN_DIR / "graph6.graph")
@@ -729,9 +761,14 @@ def test_int_decimal_matches_str(bits, shape, seed, negative):
         n = -n if negative else n
         assert str(cli.int_decimal(n)) == str(n)
         assert cli.exact_str(n) == str(n)
-        q = Fraction(n, random.Random(seed + 1).getrandbits(bits // 2) + 1)
-        expected = cli.DEC12.divide(Decimal(q.numerator), Decimal(q.denominator))
-        assert cli.frac_dec(q) == str(expected)
+        # Both sides long (for most sizes), then one side at most SPLIT_BITS
+        # bits and the other as long as n, both ways round.
+        rng = random.Random(seed + 1)
+        half = rng.getrandbits(bits // 2) + 1
+        short = rng.getrandbits(cli.SPLIT_BITS) | 1
+        for q in (Fraction(n, half), Fraction(n, short), Fraction(short, n)):
+            expected = cli.DEC12.divide(Decimal(q.numerator), Decimal(q.denominator))
+            assert cli.frac_dec(q) == str(expected)
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -770,8 +807,49 @@ def test_json_text_matches_the_stdlib_encoder(value):
     assert cli.json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+class Text(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
 @pytest.mark.parametrize(
-    "value", [Fraction(1, 2), (1, 2), {1: "one"}, {"a": [{None: 1}]}, {"a": {1, 2}}]
+    "value",
+    [
+        True,
+        [False, True],
+        {"flag": True, "off": [False]},
+        None,
+        [None, {"a": None}],
+        -0.0,
+        1e300,
+        [-0.0, {"x": 1e300}],
+        [[], {}, [[]], [{}]],
+        {"a": [], "b": {}, "c": {"d": []}},
+        Text("sub\nclass"),
+        Count(7),
+        [Text("a"), Count(-3), {"k": Text("v"), "n": Count(2**80)}],
+    ],
+)
+def test_json_text_matches_the_stdlib_encoder_on_edge_values(value):
+    """Booleans stay true/false though bool is an int; subclasses of str and int are written."""
+    assert cli.json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        Fraction(1, 2),
+        (1, 2),
+        {1, 2},
+        [(1,)],
+        {"a": Fraction(1, 3)},
+        {1: "one"},
+        {"a": [{None: 1}]},
+        {"a": {1, 2}},
+    ],
 )
 def test_json_text_refuses_what_it_does_not_write(value):
     with pytest.raises(TypeError):

@@ -1,6 +1,7 @@
 """Symmetric-polynomial closed forms against the generic trace machinery."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from pdrank import (
     trace_B2,
 )
 from pdrank import symmetric
+from pdrank.combinat import binom
 from pdrank.errors import InvariantViolation, ResourceLimitError
 from pdrank.symmetric import disjointness_matrix, sym_proxy, sym_upper_v
 
@@ -163,3 +165,89 @@ def test_upper_v_near_one_for_large_n():
     for n in (200, 350, 500):
         value = sym_upper_v(n, 3, 1)
         assert 1 < value < Fraction(11, 10)
+
+
+# The closed forms unfactored: C(n, k) inside the Tr(B^2) sum, upper_v from
+# its unreduced numerator and denominator, and ratio = v / u.
+
+
+def _unfactored_trace_B(n, d, k):
+    symmetric._check_range(n, d, k)
+    return binom(n - k, d - k) * binom(n, k)
+
+
+def _unfactored_trace_B2(n, d, k):
+    symmetric._check_range(n, d, k)
+    total = 0
+    for t in range(k + 1):
+        pairs = binom(n, k) * binom(k, t) * binom(n - k, k - t)
+        total += pairs * binom(n - 2 * k + t, d - k) ** 2
+    return total
+
+
+def _unfactored_proxy(n, d, k):
+    tr_b, tr_b2 = _unfactored_trace_B(n, d, k), _unfactored_trace_B2(n, d, k)
+    return Fraction(tr_b * tr_b, tr_b2) if tr_b2 else Fraction(0)
+
+
+def _unfactored_upper_v(n, d, k):
+    denom = binom(n - 2 * k, d - k) ** 2 * binom(n - k, k) * binom(n, k)
+    if denom == 0:
+        raise ValueError("upper bound undefined")
+    return Fraction(binom(n - k, d - k) ** 2 * binom(n, k) ** 2, denom)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError:
+        return ValueError
+
+
+def _random_triples(count):
+    rng = random.Random(20)
+    triples = []
+    for _ in range(count):
+        n = rng.randint(0, 40)
+        d = rng.randint(0, n)
+        triples.append((n, d, rng.randint(0, d)))  # n < 2k included
+    for _ in range(count // 4):  # out of range in every way
+        triples.append(tuple(rng.randint(-3, 12) for _ in range(3)))
+    return triples
+
+
+EDGE_TRIPLES = (
+    [(n, d, d - 1) for d in range(1, 9) for n in range(d, 2 * d + 2)]  # k = d - 1
+    + [(d + k, d, k) for d in range(1, 12) for k in range(d + 1)]  # n = d + k
+    + [(10**45, 220, 110), (330, 220, 110), (329, 220, 110)]  # long ints
+)
+
+
+@pytest.mark.parametrize("triples", [_random_triples(400), EDGE_TRIPLES], ids=["random", "edges"])
+def test_closed_forms_match_the_unfactored_forms(triples):
+    """Equal Fractions, and ValueError exactly where the unfactored forms raise it."""
+    assert any(n < 2 * k <= 2 * d <= 2 * n for n, d, k in triples)
+    for n, d, k in triples:
+        for shared, unfactored in [
+            (sym_trace_B, _unfactored_trace_B),
+            (sym_trace_B2, _unfactored_trace_B2),
+            (sym_proxy, _unfactored_proxy),
+            (sym_upper_v, _unfactored_upper_v),
+        ]:
+            assert _outcome(shared, n, d, k) == _outcome(unfactored, n, d, k), (shared, n, d, k)
+
+
+@pytest.mark.parametrize("triples", [_random_triples(400), EDGE_TRIPLES], ids=["random", "edges"])
+def test_gap_point_fields_match_the_unfactored_forms(triples):
+    checked = 0
+    for n, d, k in triples:
+        if not 1 <= k <= d <= n - k:
+            continue
+        u = min(binom(n, k), binom(n, d - k))
+        v = _unfactored_proxy(n, d, k)
+        point = symmetric._gap_point(n, d, k)
+        assert point == (n, d, k, u, v, _unfactored_upper_v(n, d, k), v / u)
+        assert point._fields == ("n", "d", "k", "u", "v", "upper_v", "ratio")
+        assert all(type(value) is Fraction for value in point[4:])
+        checked += 1
+    assert checked >= 40
