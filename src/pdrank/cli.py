@@ -297,14 +297,23 @@ def _emit_text(payload: dict, indent: int = 0) -> None:
 # ---------------------------------------------------------------------------
 
 
-def trace_section(f: SparsePoly, k: int, opts: Options):
+def trace_section(
+    f: SparsePoly,
+    scaled: SparsePoly,
+    k: int,
+    opts: Options,
+    matrix: exact.DerivMatrix | None = None,
+):
     """The trace part of a dim --k, bounds or trace report.
 
-    Returns the scaled copy of f, which the later stages reuse, its trace
-    statistics, the scaled-basis L and the report entries.
+    ``scaled`` is f in the scaled basis.  ``matrix`` is f's order-k
+    derivative matrix when the request has built one (dim --k, bounds):
+    the Gram route of Tr(B^2) then takes M as its 0/1-key rows.  Without
+    it (trace) M is assembled on its own, so the trace needs no matrix
+    cap.  Returns the trace statistics, the scaled-basis L and the report
+    entries.
     """
-    scaled = to_scaled(f)
-    stats = trace.trace_stats(scaled, k, budget=opts.budget)
+    stats = trace.trace_stats(scaled, k, budget=opts.budget, matrix=matrix)
     l_scaled = trace.closed_form_L(scaled, k)
     entries = {
         "trace": {
@@ -317,7 +326,7 @@ def trace_section(f: SparsePoly, k: int, opts: Options):
         },
         "L_ordinary_coefficients": frac_str(trace.closed_form_L(f, k)),
     }
-    return scaled, stats, l_scaled, entries
+    return stats, l_scaled, entries
 
 
 def parse_order_flag(args: argparse.Namespace, nvars: int):
@@ -353,18 +362,34 @@ def build_bound_report(
             "seed": opts.seed,
         }
 
+    # One order-k matrix serves the trace's Gram route, the linearity bound
+    # and the exact rank.  A request past several caps names the first of:
+    # the trace's pair count (O(s), so checked before the assembly), the
+    # trace's other caps, the --order flag, the matrix caps.  So a matrix
+    # past its caps first runs the trace on its own M and reads the flag.
     t0 = time.monotonic()
-    scaled, stats, l_scaled, trace_entries = trace_section(f, k, opts)
+    scaled = to_scaled(f)
+    trace.check_pair_budget(scaled, opts.budget)
     timings["trace"] = time.monotonic() - t0
+    t0 = time.monotonic()
+    try:
+        matrix = exact.build_matrix(
+            scaled, exact.OrderSpec.exact(k), max_rows=opts.max_rows, max_cols=opts.max_cols
+        )
+    except ResourceLimitError:
+        trace_section(f, scaled, k, opts)
+        parse_order_flag(args, len(f.vars))
+        raise
+    timings["matrix"] = time.monotonic() - t0
+
+    t0 = time.monotonic()
+    stats, l_scaled, trace_entries = trace_section(f, scaled, k, opts, matrix)
+    timings["trace"] += time.monotonic() - t0
 
     t0 = time.monotonic()
     orders = parse_order_flag(args, len(f.vars))
     extremal = bounds_mod.lower_bound_extremal(
         f, k, orders=orders, vertex_trials=opts.vertex_trials, rng_seed=opts.seed
-    )
-    # One order-k matrix serves the linearity bound and the exact rank.
-    matrix = exact.build_matrix(
-        scaled, exact.OrderSpec.exact(k), max_rows=opts.max_rows, max_cols=opts.max_cols
     )
     upper = bounds_mod.upper_bound_linearity(f, k, matrix=matrix)
     timings["bounds"] = time.monotonic() - t0
@@ -484,7 +509,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         got = f"{args.samples} * {len(f.terms)}"
         raise ValueError(f"samples * terms must be at most {MAX_TRACE_TERM_SAMPLES}, got {got}")
     k = args.k
-    scaled, stats, l_scaled, trace_entries = trace_section(f, k, opts)
+    scaled = to_scaled(f)
+    stats, l_scaled, trace_entries = trace_section(f, scaled, k, opts)
     report: dict = {
         "command": "trace",
         "input": input_digest(f),

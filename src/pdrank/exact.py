@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from operator import mul
 from typing import Callable, Iterable
@@ -110,11 +111,20 @@ class DerivMatrix:
         return set(map(frozenset, map(dict.items, self.entries)))
 
     def columns(self) -> dict[int, dict[int, int]]:
-        """The columns: {column key: {row key: value}}, each filled in ascending row order."""
+        """The columns: {column key: {row key: value}}, each filled in ascending row order.
+
+        Built on the first call and kept, so every caller of one matrix
+        shares one view; treat it as read-only, like ``entries``.
+        """
+        return self._column_view
+
+    @cached_property
+    def _column_view(self) -> dict[int, dict[int, int]]:
         cols: dict[int, dict[int, int]] = defaultdict(dict)
         for beta, row in zip(self.rows, self.entries):
             for gamma, v in row.items():
                 cols[gamma][beta] = v
+        cols.default_factory = None  # a missing key raises, as in a plain dict
         return cols
 
 
@@ -133,6 +143,11 @@ def derivative(f: SparsePoly, beta: ExponentVector) -> SparsePoly:
         Term(t.coef, exps_sub(t.exps, beta)) for t in f.terms if subsumes(beta, t.exps)
     )
     return SparsePoly(f.vars, terms, SCALED)
+
+
+def slot_width(scaled: SparsePoly) -> int:
+    """The bit width of one exponent slot in the packed keys of f's derivative matrices."""
+    return max(chain.from_iterable(t.exps for t in scaled.terms), default=0).bit_length()
 
 
 def assemble(
@@ -158,7 +173,7 @@ def assemble(
     row keys alone: if the rows overflow too, ``rows`` is reported.
     """
     clear, coefs = cleared(t.coef for t in scaled.terms)
-    width = max(chain.from_iterable(t.exps for t in scaled.terms), default=0).bit_length()
+    width = slot_width(scaled)
     units = [1 << width * i for i in reversed(range(len(scaled.vars)))]
     by_row: dict[int, dict[int, int]] = {}
     col_set: set[int] = set()

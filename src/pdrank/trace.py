@@ -22,11 +22,13 @@ and N then depends only on D and the supports of P and Q outside D.  So
 and pairs up pairs within each group: its cost is the s^2 term pairs plus
 the bucket pairings, not s^3, and it sums integers with the denominators
 cleared once.  When M has no more entries than there are term pairs,
-:func:`trace_B2` instead assembles M and sums the squares of its Gram
-matrix on the cheaper side, M^T M or M M^T, which is at most nnz(M) * s
-work.  Either way the proxy rank Tr(B)^2/Tr(B^2) is computable in time
-polynomial in the number of terms.  A cheaper closed-form bound
-L(f) <= proxy is also provided.
+:func:`trace_B2` instead sums the squares of M's Gram matrix on the
+cheaper side, M^T M or M M^T, which is at most nnz(M) * s work.  M is
+the rows with 0/1 keys of f's order-k derivative matrix: a caller that
+has built that matrix (``dim --k``, ``bounds``) hands it over, and M is
+read off it; otherwise M is assembled here.  Either way the proxy rank
+Tr(B)^2/Tr(B^2) is computable in time polynomial in the number of terms.
+A cheaper closed-form bound L(f) <= proxy is also provided.
 
 All formulas use scaled-basis coefficients; for non-multilinear input this
 matters, and reports expose the ordinary-coefficient variant as well.
@@ -50,6 +52,7 @@ from .exact import (
     DEFAULT_MAX_ROWS,
     DerivMatrix,
     assemble,
+    slot_width,
     sparse_int_rank,
 )
 from .polyio import (
@@ -162,46 +165,71 @@ def _check_work(work: int, budget: int) -> None:
         raise ResourceLimitError("triple-sum", budget, work)
 
 
+def check_pair_budget(f: SparsePoly, budget: int = DEFAULT_TRIPLE_BUDGET) -> int:
+    """The ordered term pairs of equal total degree, refused past ``budget``.
+
+    The first cap of both Tr(B^2) routes, in O(s): a caller that builds
+    more before the trace can check it first.
+    """
+    degrees = Counter(sum(t.exps) for t in f.terms)
+    pairs = sum(c * c for c in degrees.values())
+    _check_work(pairs, budget)
+    return pairs
+
+
 def trace_B2(
     f: SparsePoly,
     k: int,
     *,
     budget: int = DEFAULT_TRIPLE_BUDGET,
+    matrix: DerivMatrix | None = None,
 ) -> Fraction:
     """Tr(B^2), from the explicit Gram matrix when M is small, else grouped.
 
     M has nnz(M) = sum over terms P of C(sup(P), k) entries, known before
     any work.  When that is at most the number of ordered term pairs of
-    equal total degree, M is assembled once and Tr(B^2) = ||M^T M||_F^2 =
-    ||M M^T||_F^2 is summed in integers over whichever side costs less:
-    sum_I |row_I|^2 or sum_g |col_g|^2.  A row has at most s entries, so
-    that is at most nnz * s <= s^3.  Otherwise, or when that cost exceeds
-    ``budget``, the pair-difference sum of :func:`_grouped_B2` runs; it is
-    polynomial in s whatever the size of M.  Both give the same exact value.
+    equal total degree, Tr(B^2) = ||M^T M||_F^2 = ||M M^T||_F^2 is summed
+    in integers over whichever side of M costs less: sum_I |row_I|^2 or
+    sum_g |col_g|^2.  A row has at most s entries, so that is at most
+    nnz * s <= s^3.  Otherwise, or when that cost exceeds ``budget``, the
+    pair-difference sum of :func:`_grouped_B2` runs; it is polynomial in s
+    whatever the size of M.  Both give the same exact value.
 
-    ``budget`` caps the equal-degree term pairs first, as the grouped sum
-    does; a Gram cost past it falls back to the grouped sum, and so to its
-    cap on the bucket pairings.
+    ``matrix``, when given, must be f's order-k derivative matrix
+    (``build_matrix(f, OrderSpec.exact(k))``); the Gram route then takes M
+    as its rows with 0/1 keys (:func:`_zero_one_rows`) instead of
+    assembling M.  Without it M is assembled here, under no cap but its
+    own size.
+
+    ``budget`` caps the equal-degree term pairs first
+    (:func:`check_pair_budget`), as the grouped sum does; a Gram cost past
+    it falls back to the grouped sum, and so to its cap on the bucket
+    pairings.
     """
     _require_scaled(f, "trace_B2")
-    degrees = Counter(sum(t.exps) for t in f.terms)
-    pairs = sum(c * c for c in degrees.values())
-    _check_work(pairs, budget)
+    pairs = check_pair_budget(f, budget)
     nnz = _support_sum((t.exps for t in f.terms), repeat(1), k)
     if nnz <= pairs:
-        value = _gram_B2(f, k, nnz, budget)
+        value = _gram_B2(f, k, nnz, budget, matrix)
         if value is not None:
             return value
     return _grouped_B2(f, k, budget)
 
 
-def _gram_B2(f: SparsePoly, k: int, nnz: int, budget: int) -> Fraction | None:
+def _gram_B2(
+    f: SparsePoly, k: int, nnz: int, budget: int, order_k: DerivMatrix | None = None
+) -> Fraction | None:
     """Tr(B^2) as the squared Frobenius norm of M's Gram matrix on its cheaper side.
 
-    ``nnz`` is M's entry count, which bounds its rows and columns.  None
-    when that side's cost, sum_L |L|^2 over its lines L, exceeds ``budget``.
+    M is the 0/1-key rows of ``order_k``, f's order-k derivative matrix,
+    when given; else it is assembled, ``nnz`` (its entry count) bounding
+    its rows and columns.  None when that side's cost, sum_L |L|^2 over
+    its lines L, exceeds ``budget``.
     """
-    matrix = _trace_matrix(f, k, max_rows=nnz, max_cols=nnz)
+    if order_k is None:
+        matrix = _trace_matrix(f, k, max_rows=nnz, max_cols=nnz)
+    else:
+        matrix = _zero_one_rows(order_k, f)
     lines, cost = _cheaper_side(matrix)
     if cost > budget:
         return None
@@ -216,6 +244,29 @@ def _trace_matrix(scaled: SparsePoly, k: int, *, max_rows: int, max_cols: int) -
         max_rows=max_rows,
         max_cols=max_cols,
     )
+
+
+def _zero_one_rows(matrix: DerivMatrix, scaled: SparsePoly) -> DerivMatrix:
+    """M from the order-k derivative matrix of ``scaled``: its rows whose key has no slot >= 2.
+
+    The order-k rows under a term x^alpha are every beta <= alpha of
+    weight k; the 0/1 ones are the k-subsets of its support, M's rows,
+    with the same entries (both are cleared by ``cleared`` over all
+    terms and packed at the same slot width).  A multilinear f has no
+    other rows, so M is the matrix itself, and shares its column view.
+    """
+    width = slot_width(scaled)
+    if width <= 1:
+        return matrix
+    # Bits 1..width-1 of every slot: the repunit of the slots times 2^width - 2.
+    slots = ((1 << width * len(scaled.vars)) - 1) // ((1 << width) - 1)
+    high = slots * ((1 << width) - 2)
+    keep = [i for i, beta in enumerate(matrix.rows) if not beta & high]
+    if len(keep) == matrix.nrows:
+        return matrix
+    entries = tuple(matrix.entries[i] for i in keep)
+    ncols = len(set(chain.from_iterable(entries)))
+    return DerivMatrix(tuple(matrix.rows[i] for i in keep), entries, ncols, matrix.clear_factor)
 
 
 def _cheaper_side(matrix: DerivMatrix) -> tuple[Iterable[dict[int, int]], int]:
@@ -339,11 +390,19 @@ def trace_stats(
     k: int,
     *,
     budget: int = DEFAULT_TRIPLE_BUDGET,
+    matrix: DerivMatrix | None = None,
 ) -> TraceStats:
-    """Compute Tr(B), Tr(B^2) and the proxy rank for f at order k."""
+    """Compute Tr(B), Tr(B^2) and the proxy rank for f at order k.
+
+    ``matrix``, when given, is f's order-k derivative matrix, from which
+    :func:`trace_B2` takes M.
+    """
     scaled = f if f.basis == SCALED else to_scaled(f)
     return TraceStats(
-        k, len(scaled.terms), trace_B(scaled, k), trace_B2(scaled, k, budget=budget)
+        k,
+        len(scaled.terms),
+        trace_B(scaled, k),
+        trace_B2(scaled, k, budget=budget, matrix=matrix),
     )
 
 

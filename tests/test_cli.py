@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdrank import cli, polyio, reductions, symmetric, trace
+from pdrank import cli, exact, polyio, reductions, symmetric, trace
 
 DATA = Path(__file__).parent / "data"
 
@@ -79,6 +79,86 @@ def test_one_scaled_conversion_per_request(capsys, monkeypatch, command):
     path = str(DATA / "rational.poly")
     assert run(capsys, command, "--k", "2", path, "--format", "json")[0] == 0
     assert len(calls) == 1
+
+
+def count_assemblies(monkeypatch) -> list:
+    """Replace exact.assemble, wherever pdrank holds it, by a wrapper that counts its calls."""
+    calls = []
+    original = exact.assemble
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "pdrank":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "command, name, assemblies",
+    [
+        # Gram route (nnz(M) 420 <= 4900 pairs): M is the order-k matrix itself.
+        ("bounds", "sym_4_8", 1),
+        ("dim", "sym_4_8", 1),
+        ("trace", "sym_4_8", 1),
+        # Grouped route (nnz(M) 493 > 396 pairs): the trace assembles nothing.
+        ("bounds", "multilinear40", 1),
+        ("dim", "multilinear40", 1),
+        ("trace", "multilinear40", 0),
+    ],
+)
+def test_one_assembly_per_request(capsys, monkeypatch, command, name, assemblies):
+    """bounds and dim --k assemble one order-k matrix; trace assembles its own M only."""
+    calls = count_assemblies(monkeypatch)
+    argv = (command, str(DATA / f"{name}.poly"), "--k", "2", "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (DATA / f"{name}.{command}_k2.json").read_text()
+    assert len(calls) == assemblies
+
+
+@pytest.mark.parametrize("command", ["bounds", "dim"])
+def test_pair_cap_refuses_before_any_assembly(capsys, monkeypatch, command):
+    calls = count_assemblies(monkeypatch)
+    argv = (command, str(DATA / "sym_4_8.poly"), "--k", "2", "--budget", "1")
+    assert run(capsys, *argv) == (3, "", "resource limit: triple-sum limit exceeded: 4900 > 1\n")
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["bounds", "dim"])
+@pytest.mark.parametrize(
+    "text, caps, err",
+    [
+        ("x1^2*x2 + 3/2*x3^3", ("--max-rows", "1"), "rows limit exceeded: 2 > 1"),
+        ("x1^2*x2 + 3/2*x3^3", ("--max-cols", "1"), "cols limit exceeded: 2 > 1"),
+        ("x1^2*x2 + 3/2*x3^3", ("--budget", "1"), "triple-sum limit exceeded: 4 > 1"),
+        # Past both caps: the trace's pair count is checked before the assembly.
+        (
+            "x1^2*x2 + 3/2*x3^3",
+            ("--max-rows", "1", "--budget", "1"),
+            "triple-sum limit exceeded: 4 > 1",
+        ),
+        # 396 pairs pass, 1844 bucket pairings do not: the trace's cap is
+        # named before the matrix's.
+        (None, ("--max-rows", "5", "--budget", "1000"), "triple-sum limit exceeded: 1844 > 1000"),
+        (None, ("--max-cols", "5", "--budget", "1000"), "triple-sum limit exceeded: 1844 > 1000"),
+        (None, ("--max-rows", "5"), "rows limit exceeded: 6 > 5"),
+    ],
+)
+def test_cap_precedence(capsys, poly_file, command, text, caps, err):
+    path = poly_file(text) if text else str(DATA / "multilinear40.poly")
+    assert run(capsys, command, "--k", "2", path, *caps) == (3, "", f"resource limit: {err}\n")
+
+
+def test_order_flag_error_precedes_the_matrix_caps(capsys):
+    path = str(DATA / "multilinear40.poly")
+    code, out, err = run(capsys, "dim", "--k", "2", path, "--order", "perm=1", "--max-rows", "5")
+    assert (code, out) == (2, "")
+    assert err == "input error: --order permutation must mention every variable once\n"
 
 
 def test_dim_k0_any_nonzero_poly_is_one(capsys, poly_file):
@@ -500,11 +580,14 @@ def test_seeded_runs_byte_identical(capsys, poly_file, tmp_path):
 
 
 def test_timing_flag_adds_timings(capsys, poly_file):
+    """The shared order-k matrix has its own stage, apart from the trace and the bounds."""
     path = poly_file("x1*x2 + x3")
-    _, out, _ = run(capsys, "dim", "--k", "1", path, "--format", "json", "--timing")
-    assert "timings_seconds" in json.loads(out)
-    _, out2, _ = run(capsys, "dim", "--k", "1", path, "--format", "json")
-    assert "timings_seconds" not in json.loads(out2)
+    stages = {"matrix", "trace", "bounds"}
+    for command, extra in (("dim", {"exact"}), ("bounds", set())):
+        _, out, _ = run(capsys, command, "--k", "1", path, "--format", "json", "--timing")
+        assert set(json.loads(out)["timings_seconds"]) == stages | extra
+        _, out2, _ = run(capsys, command, "--k", "1", path, "--format", "json")
+        assert "timings_seconds" not in json.loads(out2)
 
 
 def test_config_file_env(capsys, poly_file, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product, repeat
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +36,8 @@ from pdrank.combinat import binom
 from pdrank.corpus import random_polys
 from pdrank.polyio import permute_vars, scale, support_size
 from pdrank.trace import DEFAULT_TRIPLE_BUDGET, semirandom_L
+
+GOLDEN_DIR = Path(__file__).parent / "data"
 
 
 def triple_sum_by_count_N(f_scaled, k: int) -> Fraction:
@@ -224,6 +227,44 @@ def test_trace_b2_matches_count_n_triple_sum():
         for k in range(max_sup + 2):
             sides.add(routes_match_count_n(scaled, k))
     assert sides == {True, False}  # the Gram route read rows and columns
+
+
+def assert_m_from_order_k_matrix(f, k: int) -> int:
+    """M from f's order-k matrix equals M assembled on its own, and Tr(B^2) agrees.
+
+    Returns the number of order-k rows the 0/1-key filter dropped.
+    """
+    scaled = to_scaled(f)
+    full = build_matrix(f, OrderSpec.exact(k))
+    derived = trace_module._zero_one_rows(full, scaled)
+    nnz = trace_module._support_sum((t.exps for t in scaled.terms), repeat(1), k)
+    assert derived == trace_module._trace_matrix(scaled, k, max_rows=nnz, max_cols=nnz), (f, k)
+    expected = triple_sum_by_count_N(scaled, k)
+    assert trace_B2(scaled, k, matrix=full) == trace_B2(scaled, k) == expected, (f, k)
+    assert trace_module._gram_B2(scaled, k, nnz, DEFAULT_TRIPLE_BUDGET, full) == expected
+    return full.nrows - derived.nrows
+
+
+def test_m_is_the_zero_one_rows_of_the_order_k_matrix():
+    polys = random_polys(seed=79, count=40, max_vars=5, max_terms=8, max_degree=4)
+    dropped = {f.is_multilinear: 0 for f in polys}
+    assert set(dropped) == {True, False}
+    for f in polys:
+        for k in range(f.degree + 2):
+            dropped[f.is_multilinear] += assert_m_from_order_k_matrix(f, k)
+    assert dropped[True] == 0 and dropped[False] > 0
+    # A multilinear f's order-k matrix is M itself, so its column view is shared.
+    f = to_scaled(sym_poly(8, 4))
+    full = build_matrix(f, OrderSpec.exact(2))
+    assert trace_module._zero_one_rows(full, f) is full
+    assert full.columns() is full.columns()
+
+
+def test_m_from_the_rational_golden_drops_rows():
+    f = parse_poly((GOLDEN_DIR / "rational.poly").read_text())
+    for k, rows, kept in ((2, 15, 10), (3, 16, 6)):
+        assert build_matrix(f, OrderSpec.exact(k)).nrows == rows
+        assert assert_m_from_order_k_matrix(f, k) == rows - kept
 
 
 def stepped_polys(seed: int, count: int) -> list:
