@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, fields
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Sequence
 
 from . import bounds as bounds_mod
@@ -53,10 +54,10 @@ DEC12 = Context(prec=12)  # the 12 significant digits of frac_dec
 EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 SPLIT_BITS = 4096  # int_decimal calls Decimal(n) up to here; both ways tie near 16,000 bits
 MAX_VERTEX_TRIALS = 10_000  # at most 0.3 ms each on 1000 terms
-MAX_GAP_POINTS = 20_000  # sym gap --fixed d=5 k=2 n=7..20000: 0.7-0.9 s, 6.5 MB of JSON
-MAX_GAP_SCALE = 300  # sym gap --scaled kp=1 dp=2 np=5 m=300: 0.04 s
+MAX_GAP_POINTS = 20_000  # sym gap --fixed d=5 k=2 n=7..20000: 0.5-0.6 s, 6.5 MB of JSON
+MAX_GAP_SCALE = 300  # sym gap --scaled kp=1 dp=2 np=5 m=300: 0.02-0.03 s
 MAX_GAP_POINT_SIZE = 35_000_000  # slowest admitted shapes, d=1000 k=999 n=2^32: 0.4-0.5 s
-MAX_GAP_SERIES_SIZE = 40_000_000  # summed point sizes: d=6 k=3 n=9..20000, 31,312,722, takes 0.7 s
+MAX_GAP_SERIES_SIZE = 40_000_000  # summed point sizes: d=6 k=3 n=9..20000, 31,312,722: 0.5-0.7 s
 MAX_TRACE_SAMPLES = 4000  # the exact running mean: 1.2 s on multilinear40 at k=2
 MAX_TRACE_TERM_SAMPLES = 200_000  # terms * samples: 4000 samples on 50 terms, 1.4 s
 # random-corpus sizes, least..most: all four at most take 2.3 s and write 20 MB of JSON
@@ -117,7 +118,12 @@ def exact_str(value) -> str:
 
 
 def frac_str(value: Fraction) -> str:
-    return f"{exact_str(value.numerator)}/{exact_str(value.denominator)}"
+    """``numerator/denominator`` in full; a side past the digit limit goes to :func:`exact_str`."""
+    num, den = value.numerator, value.denominator
+    try:
+        return f"{num}/{den}"
+    except ValueError:
+        return f"{exact_str(num)}/{exact_str(den)}"
 
 
 def frac_dec(value: Fraction) -> str:
@@ -225,9 +231,18 @@ def emit(payload: dict, args: argparse.Namespace) -> None:
         _emit_text(payload)
 
 
+class Verbatim(str):
+    """JSON text, already rendered, that json_text writes as it stands.
+
+    json_text checks nothing in it: its text must be valid JSON that needs
+    no escaping.
+    """
+
+
 # The writer of each JSON scalar type; json_text looks a value up by its exact
 # type, and a subclass by the first of its bases found here.
 _SCALAR_WRITERS = {
+    Verbatim: str,
     str: encode_basestring_ascii,
     int: exact_str,
     float: float.__repr__,
@@ -241,8 +256,9 @@ def json_text(value, newline: str = "\n") -> str:
 
     Writes dicts with ``str`` keys, lists, str, int, float, bool and None,
     subclasses of str, int and float included; anything else raises
-    ``TypeError``.  A scalar item of a list or dict goes straight to its
-    writer, without a recursive call.
+    ``TypeError``.  A :class:`Verbatim` str is written as it stands.  A
+    scalar item of a list or dict goes straight to its writer, without a
+    recursive call.
     """
     get = _SCALAR_WRITERS.get
     write = get(type(value))
@@ -331,8 +347,10 @@ def trace_section(
 
 def parse_order_flag(args: argparse.Namespace, nvars: int):
     """The lex orders to try: the default family, or one permutation given
-    as --order perm=2,1,3."""
+    as --order perm=2,1,3, in both directions unless --order-dir names one."""
     if args.order is None:
+        if args.order_dir is not None:
+            raise ValueError("--order-dir applies only with --order perm=<1-based indices>")
         return bounds_mod.default_order_family(nvars)
     if not args.order.startswith("perm="):
         raise ValueError("--order expects perm=<comma-separated 1-based indices>")
@@ -352,6 +370,7 @@ def build_bound_report(
 ) -> dict:
     timings: dict[str, float] = {}
     if f.is_zero:
+        parse_order_flag(args, len(f.vars))  # no bound is drawn, but the flags hold
         return {
             "input": input_digest(f),
             "k": k,
@@ -645,19 +664,42 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if summary["all_hold"] else 4
 
 
-def _gap_point_dict(p: symmetric.SymGapPoint) -> dict:
-    return {
-        "n": p.n,
-        "d": p.d,
-        "k": p.k,
-        "u": p.u,
-        "v": frac_str(p.v),
-        "v_dec": frac_dec(p.v),
-        "upper_v": frac_str(p.upper_v),
-        "upper_v_dec": frac_dec(p.upper_v),
-        "ratio": frac_str(p.ratio),
-        "ratio_dec": frac_dec(p.ratio),
-    }
+# The cells of a gap point, in csv column order; the first four are JSON ints.
+GAP_KEYS = ("n", "d", "k", "u", "v", "v_dec", "upper_v", "upper_v_dec", "ratio", "ratio_dec")
+GAP_INT_KEYS = 4
+
+
+def _gap_row(p: symmetric.SymGapPoint) -> tuple[str, ...]:
+    """A point's cells in ``GAP_KEYS`` order: ints by exact_str, fractions by frac_str, frac_dec."""
+    return (
+        exact_str(p.n),
+        exact_str(p.d),
+        exact_str(p.k),
+        exact_str(p.u),
+        frac_str(p.v),
+        frac_dec(p.v),
+        frac_str(p.upper_v),
+        frac_dec(p.upper_v),
+        frac_str(p.ratio),
+        frac_dec(p.ratio),
+    )
+
+
+def _gap_layout(newline: str) -> tuple[str, itemgetter]:
+    """A gap point's JSON at this indentation, as a %-format, and the getter of a row's cells.
+
+    json_text renders a placeholder point whose cells are all the mark
+    ``%s``: an int cell's as Verbatim, bare, and a string cell's as str,
+    which it quotes.  It writes a dict's keys sorted, so the getter takes a
+    row's cells in ``sorted(GAP_KEYS)`` order; key order and indentation
+    stay json_text's.  The cells fill the marks unescaped, which holds as
+    every cell is made of digits, '/', '.', 'E', '+' and '-'.
+    """
+    text = json_text(
+        {key: Verbatim("%s") if i < GAP_INT_KEYS else "%s" for i, key in enumerate(GAP_KEYS)},
+        newline,
+    )
+    return text, itemgetter(*sorted(range(len(GAP_KEYS)), key=GAP_KEYS.__getitem__))
 
 
 def cmd_sym_gap(args: argparse.Namespace) -> int:
@@ -681,17 +723,23 @@ def cmd_sym_gap(args: argparse.Namespace) -> int:
         _check_gap_series([(np_ * m, dp * m) for m in m_values])
         points = symmetric.sym_gap_series_scaled(int(params["kp"]), dp, np_, m_values)
         mode = "scaled"
-    rows = [_gap_point_dict(p) for p in points]
+    rows = [_gap_row(p) for p in points]
     if args.format == "csv":
-        sys.stdout.write(",".join(rows[0]) + "\n")
+        sys.stdout.write(",".join(GAP_KEYS) + "\n")
         for row in rows:
-            sys.stdout.write(",".join(exact_str(value) for value in row.values()) + "\n")
+            sys.stdout.write(",".join(row) + "\n")
         return 0
+    if args.format == "json":
+        # The points are the items of a list in the report's top-level dict.
+        layout, cells = _gap_layout("\n" + "  " * 2)
+        points = [Verbatim(layout % cells(row)) for row in rows]
+    else:
+        points = [dict(zip(GAP_KEYS, row)) for row in rows]
     payload = {
         "command": "sym-gap",
         "mode": mode,
         "params": {k: v for k, v in sorted(params.items())},
-        "points": rows,
+        "points": points,
     }
     emit(payload, args)
     return 0

@@ -78,6 +78,11 @@ def _check_range(n: int, d: int, k: int) -> None:
         raise ValueError("need 0 <= k <= d <= n")
 
 
+def _exact_dim(n: int, d: int, k: int, rows: int) -> int:
+    """min(C(n, k), C(n, d-k)), given rows = C(n, k) and 0 <= k <= d <= n."""
+    return min(rows, comb(n, d - k))
+
+
 def sym_exact_dim(n: int, d: int, k: int, *, cross_check: bool | None = None) -> int:
     """dim of the order-k derivative span of Sym_{d,n}: min(C(n,k), C(n,d-k)).
 
@@ -87,7 +92,7 @@ def sym_exact_dim(n: int, d: int, k: int, *, cross_check: bool | None = None) ->
     rank compared.
     """
     _check_range(n, d, k)
-    value = min(binom(n, k), binom(n, d - k))
+    value = _exact_dim(n, d, k, comb(n, k))
     if cross_check is None:
         cross_check = binom(n, k) * binom(n, d - k) <= CROSS_CHECK_CELLS
     if cross_check:
@@ -112,8 +117,8 @@ def _binoms(n: int, d: int, k: int) -> tuple[int, int, int, int]:
     with its first term, the rows J disjoint from I when n >= 2k.  Every
     row has the same sum, so Tr(B^2) is C(n, k) times it.  A t below
     2k - n has no rows J (C(n-k, k-t) = 0), so t starts at max(0, 2k - n)
-    and every binomial has arguments >= 0.  One entry is cached, so the
-    closed forms of one gap point share their binomials.
+    and every binomial has arguments >= 0.  A gap point reads it once; one
+    entry is cached, so the public closed forms of one (n, d, k) share it.
 
     ``math.comb`` rather than ``binom``: with 0 <= k <= d <= n and that t,
     no argument is negative, and binom's checks cost 1.2 of 14 us a point.
@@ -152,14 +157,26 @@ def sym_upper_v(n: int, d: int, k: int) -> Fraction:
     if not 0 <= k <= d <= n - k:
         raise ValueError("upper bound undefined: need n >= d + k and n >= 2k")
     rows, diag, _, disjoint = _binoms(n, d, k)
+    return _upper_v(rows, diag, disjoint)
+
+
+def _upper_v(rows: int, diag: int, disjoint: int) -> Fraction:
+    """diag^2 * C(n, k) / disjoint, from the ``_binoms`` integers of (n, d, k)."""
     return Fraction(diag * diag * rows, disjoint)
 
 
 def _gap_point(n: int, d: int, k: int) -> SymGapPoint:
-    u = sym_exact_dim(n, d, k, cross_check=False)
-    v = sym_proxy(n, d, k)
+    """One point from one read of ``_binoms``; the series have checked n >= d + k.
+
+    u and upper_v are the closed forms of ``sym_exact_dim`` and
+    ``sym_upper_v`` (``_exact_dim``, ``_upper_v``), and v is ``sym_proxy``'s
+    Tr(B)^2 / Tr(B^2), each from the same four integers.
+    """
+    rows, diag, row_sum, disjoint = _binoms(n, d, k)
+    u = _exact_dim(n, d, k, rows)
+    v = proxy_from_traces(diag * rows, rows * row_sum)
     ratio = Fraction(v.numerator, v.denominator * u)
-    return SymGapPoint(n, d, k, u, v, sym_upper_v(n, d, k), ratio)
+    return SymGapPoint(n, d, k, u, v, _upper_v(rows, diag, disjoint), ratio)
 
 
 def sym_gap_series_fixed(d: int, k: int, n_values: Sequence[int]) -> list[SymGapPoint]:

@@ -1,6 +1,8 @@
 """Command-line interface: reports, exit codes, determinism, config."""
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import random
@@ -695,6 +697,17 @@ def test_order_flag_restricts_candidates(capsys, poly_file):
     assert report["bounds"]["extremal_lower"] == 1
 
 
+@pytest.mark.parametrize("text", ["x1^2 + x2^3", "vars: x1 x2\n0"], ids=["poly", "zero"])
+@pytest.mark.parametrize("command", ["dim", "bounds"])
+def test_order_dir_without_order_exits_2(capsys, poly_file, command, text):
+    """--order-dir picks a direction of --order's permutation; alone it is refused, not ignored."""
+    code, out, err = run(capsys, command, "--k", "1", poly_file(text), "--order-dir", "max")
+    assert (code, out) == (2, "")
+    assert err == "input error: --order-dir applies only with --order perm=<1-based indices>\n"
+    code, out, err = run(capsys, command, "--k", "1", poly_file(text), "--order", "perm=2,1")
+    assert (code, err) == (0, "")
+
+
 GOLDEN_DIR = Path(__file__).parent / "data"
 
 
@@ -743,12 +756,160 @@ def test_reduction_reports_match_golden_bytes(capsys, argv, golden):
             ("--scaled", "kp=1", "dp=2", "np=5", "m=1..30", "--format", "csv"),
             "sym_gap_scaled_k1_d2_n5.csv",
         ),
+        (("--fixed", "d=5", "k=2", "n=7..40", "--format", "text"), "sym_gap_fixed_d5_k2.txt"),
     ],
 )
 def test_sym_gap_reports_match_golden_bytes(capsys, argv, golden):
     code, out, err = run(capsys, "sym", "gap", *argv)
     assert (code, err) == (0, "")
     assert out == (GOLDEN_DIR / golden).read_text()
+
+
+def _reference_gap_point(p: symmetric.SymGapPoint) -> dict:
+    """A point as a dict of JSON values: ints, and fractions as str() and 12-digit Decimal."""
+
+    def dec(q: Fraction) -> str:
+        return str(cli.DEC12.divide(Decimal(q.numerator), Decimal(q.denominator)))
+
+    return {
+        "n": p.n,
+        "d": p.d,
+        "k": p.k,
+        "u": p.u,
+        "v": str(p.v.numerator) + "/" + str(p.v.denominator),
+        "v_dec": dec(p.v),
+        "upper_v": str(p.upper_v.numerator) + "/" + str(p.upper_v.denominator),
+        "upper_v_dec": dec(p.upper_v),
+        "ratio": str(p.ratio.numerator) + "/" + str(p.ratio.denominator),
+        "ratio_dec": dec(p.ratio),
+    }
+
+
+def _reference_gap_report(params: dict, fmt: str) -> str:
+    """``sym gap`` output from the stdlib encoder, a plain csv join, or the text writer."""
+    if "kp" in params:
+        mode = "scaled"
+        points = symmetric.sym_gap_series_scaled(
+            int(params["kp"]), int(params["dp"]), int(params["np"]), cli._parse_range(params["m"])
+        )
+    else:
+        mode = "fixed"
+        points = symmetric.sym_gap_series_fixed(
+            int(params["d"]), int(params["k"]), cli._parse_range(params["n"])
+        )
+    rows = [_reference_gap_point(p) for p in points]
+    if fmt == "csv":
+        lines = [",".join(rows[0])] + [",".join(str(v) for v in row.values()) for row in rows]
+        return "\n".join(lines) + "\n"
+    payload = {"command": "sym-gap", "mode": mode, "params": params, "points": rows}
+    if fmt == "json":
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    with contextlib.redirect_stdout(io.StringIO()) as text:
+        cli._emit_text(payload)
+    return text.getvalue()
+
+
+def _random_gap_params(seed: int) -> dict:
+    rng = random.Random(seed)
+    if seed % 2:
+        dp = rng.randint(2, 5)
+        np_ = rng.randint(2 * dp + 1, 2 * dp + 6)
+        kp = rng.randint(1, dp - 1)
+        return {"kp": str(kp), "dp": str(dp), "np": str(np_), "m": f"1..{rng.randint(1, 40)}"}
+    d = rng.randint(2, 12)
+    k = rng.randint(1, d - 1)
+    # from the least n up to n of some hundred bits (the long cases pass SPLIT_BITS)
+    lo, span = rng.choice(
+        [(d + k, 30), (rng.randint(d + k, 10**6), 30), (2 ** rng.randint(20, 900), 3)]
+    )
+    return {"d": str(d), "k": str(k), "n": f"{lo}..{lo + rng.randint(0, span)}"}
+
+
+LONG_GAP_PARAMS = [{"d": "220", "k": "110", "n": str(n)} for n in (10**45, 330, 329)]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+@pytest.mark.parametrize(
+    "params",
+    [_random_gap_params(seed) for seed in range(12)] + LONG_GAP_PARAMS,
+    ids=[f"random{seed}" for seed in range(12)] + ["n=10^45", "n=330", "n=329"],
+)
+def test_sym_gap_rows_match_the_dict_writers(capsys, params, fmt):
+    """Rows filled into json_text's layout write what the per-point dicts wrote."""
+    mode = "--scaled" if "kp" in params else "--fixed"
+    argv = ("sym", "gap", mode, *(f"{key}={value}" for key, value in params.items()))
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = _reference_gap_report(dict(sorted(params.items())), fmt)
+    except ValueError as refusal:
+        assert (code, out, err) == (2, "", f"input error: {refusal}\n")
+        return
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, err) == (0, "")
+    assert out == expected
+
+
+def test_long_gap_cases_take_both_paths_of_every_cell():
+    """n = 10^45 sends every cell through exact_str/int_decimal; n = 330 through the fast path.
+
+    A side past the digit limit makes str() raise, so exact_str writes it;
+    a side past SPLIT_BITS bits makes frac_dec convert through int_decimal.
+    """
+
+    def sides(p):
+        return [p.u] + [side for q in p[4:] for side in (q.numerator, q.denominator)]
+
+    limit = sys.get_int_max_str_digits()
+    long_sides = sides(symmetric._gap_point(10**45, 220, 110))
+    short_sides = sides(symmetric._gap_point(330, 220, 110))
+    assert all(len(_digits(side)) > limit for side in long_sides)
+    assert all(side.bit_length() > cli.SPLIT_BITS for side in long_sides)
+    assert all(side.bit_length() <= cli.SPLIT_BITS for side in short_sides)
+
+
+@pytest.mark.parametrize(
+    "q", [Fraction(3**1400, 2**11), Fraction(2**11, 3**1400)], ids=["num", "den"]
+)
+def test_frac_str_falls_back_under_a_lowered_digit_limit(q):
+    """A side of at most SPLIT_BITS bits, yet past the digit limit, is still written in full."""
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)  # 3^1400 has 2219 bits and 668 digits
+        text = cli.frac_str(q)
+        dec = cli.frac_dec(q)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert max(q.numerator.bit_length(), q.denominator.bit_length()) <= cli.SPLIT_BITS
+    assert text == f"{q.numerator}/{q.denominator}"
+    assert dec == str(cli.DEC12.divide(Decimal(q.numerator), Decimal(q.denominator)))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sym_gap_work_per_request(capsys, monkeypatch, fmt):
+    """One _binoms read per point, and json_text calls that do not grow with the series."""
+    calls = {"binoms": 0, "json_text": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(symmetric, "_binoms", counted("binoms", symmetric._binoms))
+    monkeypatch.setattr(cli, "json_text", counted("json_text", cli.json_text))
+    per_request = []
+    for hi, points in ((10, 4), (200, 194)):
+        calls.update(binoms=0, json_text=0)
+        argv = ("sym", "gap", "--fixed", "d=5", "k=2", f"n=7..{hi}", "--format", fmt)
+        code, _, _ = run(capsys, *argv)
+        assert (code, calls["binoms"]) == (0, points)
+        per_request.append(calls["json_text"])
+    # json: the report, its params and points, and the one point layout
+    assert per_request == ([4, 4] if fmt == "json" else [0, 0])
 
 
 @pytest.mark.parametrize(
