@@ -159,7 +159,6 @@ class Options:
     elimination_budget: int = _knob(exact.DEFAULT_ELIMINATION_BUDGET, "dim trace reduce")
     budget: int = _knob(trace.DEFAULT_TRIPLE_BUDGET, "dim bounds trace")
     vertex_trials: int = _knob(bounds_mod.DEFAULT_VERTEX_TRIALS, "dim bounds")
-    threads: int = _knob(1, "verify", least=1)
 
     @classmethod
     def resolve(cls, args: argparse.Namespace) -> "Options":
@@ -471,8 +470,13 @@ def cmd_dim(args: argparse.Namespace) -> int:
     mode = args.mode
     if mode == "k" and args.k is None:
         raise ValueError("dim requires --k (or --mode star|plus)")
-    if mode != "k" and args.k is not None:
-        raise ValueError(f"--k applies to --mode k only, not to --mode {mode}")
+    if mode != "k":
+        # star and plus read only the matrix caps and the elimination budget
+        for name in ("k", "order", "order_dir", "timing", "seed", "budget", "vertex_trials"):
+            value = getattr(args, name)  # None or False when the flag is absent
+            if value is not None and value is not False:
+                flag = "--" + name.replace("_", "-")
+                raise ValueError(f"{flag} applies to --mode k only, not to --mode {mode}")
     opts = Options.resolve(args)
     f = load_poly(args.file)
     if mode == "k":
@@ -649,16 +653,13 @@ def _check_gap_series(shapes: Sequence[tuple[int, int]]) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    opts = Options.resolve(args)
     params = _parse_keyvals(args.params)
     if set(params) != {"n"}:
         raise ValueError("verify --exhaustive expects exactly n=<N>")
     n = int(params["n"])
     if n < 3 or n > 7:
         raise ValueError("exhaustive verification supports 3 <= n <= 7")
-    summary = reductions.exhaustive_verify(
-        n, check_basis=args.check_basis, threads=opts.threads
-    )
+    summary = reductions.exhaustive_verify(n, check_basis=args.check_basis)
     summary["command"] = "verify-exhaustive"
     emit(summary, args)
     return 0 if summary["all_hold"] else 4

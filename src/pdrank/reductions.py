@@ -21,7 +21,6 @@ against.
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -367,17 +366,7 @@ def graph_classes(n: int) -> Iterator[tuple[int, int]]:
         bits = marks.find(0, bits + 1)
 
 
-def _identity_and_basis_hold(g: Graph) -> tuple[bool, bool]:
-    report = verify_reduction(g)
-    return report.identity_holds is not False, report.basis_verified
-
-
-def exhaustive_verify(
-    n: int,
-    *,
-    check_basis: bool = False,
-    threads: int = 1,
-) -> dict:
+def exhaustive_verify(n: int, *, check_basis: bool = False) -> dict:
     """Check the identity for every edge set on [n]; returns a summary dict.
 
     Both sides of the identity are invariant under relabeling the
@@ -388,9 +377,10 @@ def exhaustive_verify(
     edges are counted separately (the identity is not applicable there).
     A failing class is expanded into all its labelings, so failures are
     listed by edge bitmask (see ``all_graphs``) exactly as a check of
-    every labeled graph would list them.  With threads > 1, capped at the
-    CPU count, the representatives are verified in worker processes;
-    results are merged in deterministic order.
+    every labeled graph would list them.  The classes are enumerated
+    first, then their representatives are verified in one serial loop:
+    interleaving the orbit marking with the verification measured about
+    10% slower at n=7 on a 2-core host.
     """
     classes = list(graph_classes(n))
     total = 1 << (n * (n - 1) // 2)
@@ -399,18 +389,13 @@ def exhaustive_verify(
         raise InvariantViolation(
             f"isomorphism classes on {n} vertices cover {covered} of {total} edge sets"
         )
-    graphs = [_graph_from_bits(n, bits) for bits, _ in classes]
-    threads = min(threads, os.cpu_count() or 1)
-    if threads > 1:
-        results = _parallel_map(_identity_and_basis_hold, graphs, threads)
-    else:
-        results = map(_identity_and_basis_hold, graphs)
     failures: list[int] = []
     basis_failures: list[int] = []
-    for (bits, _), (ok, basis_ok) in zip(classes, results):
-        if not ok:
+    for bits, _ in classes:
+        report = verify_reduction(_graph_from_bits(n, bits))
+        if report.identity_holds is False:
             failures.append(bits)
-        if check_basis and not basis_ok:
+        if check_basis and not report.basis_verified:
             basis_failures.append(bits)
     if failures or basis_failures:
         labelings = _labelings(n)
@@ -425,14 +410,3 @@ def exhaustive_verify(
         "basis_failures": basis_failures if check_basis else None,
         "all_hold": not failures and not (check_basis and basis_failures),
     }
-
-
-def _parallel_map(fn, jobs, threads: int):
-    """Process-pool map with a serial fallback; result order is the job order."""
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, jobs, chunksize=1))
-    except OSError:
-        return [fn(j) for j in jobs]

@@ -257,10 +257,21 @@ def test_verify_exhaustive(capsys):
     assert summary["all_hold"] is True
 
 
+def test_verify_exhaustive_failure_exit_4(capsys, monkeypatch):
+    """A failing identity is an internal fault: exit 4, failures listed by edge bitmask."""
+    monkeypatch.setattr(reductions, "_disjoint_row_count", lambda matrix: 0)
+    argv = ("verify", "--exhaustive", "n=3", "--check-basis", "--format", "json")
+    code, out, err = run(capsys, *argv)
+    summary = json.loads(out)
+    assert (code, err) == (4, "")
+    assert summary["identity_failures"] == summary["basis_failures"] == list(range(1, 8))
+    assert summary["all_hold"] is False
+
+
 def test_verify_exhaustive_accepts_n7(capsys, monkeypatch):
     seen = []
 
-    def stub(n, check_basis, threads):
+    def stub(n, check_basis):
         seen.append(n)
         return {"n": n, "all_hold": True}
 
@@ -482,6 +493,27 @@ def test_dim_star_and_plus_refuse_k(capsys, mode):
     assert err.startswith("input error:") and "--k" in err
 
 
+@pytest.mark.parametrize("mode", ["star", "plus"])
+@pytest.mark.parametrize(
+    "given",
+    [
+        "--order perm=1,2,3",
+        "--order-dir min",
+        "--timing",
+        "--seed 0",
+        "--budget 0",
+        "--vertex-trials 0",
+    ],
+)
+def test_dim_star_and_plus_refuse_bound_flags(capsys, mode, given):
+    """star and plus draw no bound and time no stage: a --mode k flag is refused, not ignored."""
+    flag, *value = given.split()
+    argv = ("dim", "--mode", mode, str(DATA / "rational.poly"), flag, *value)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {flag} applies to --mode k only, not to --mode {mode}\n"
+
+
 @pytest.mark.parametrize(
     "command, knob, value",
     [
@@ -492,8 +524,6 @@ def test_dim_star_and_plus_refuse_k(capsys, mode):
         ("bounds", "vertex-trials", -1),
         ("trace", "max-rows", -1),
         ("reduce", "max-cols", -2),
-        ("verify", "threads", 0),
-        ("verify", "threads", -4),
     ],
 )
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -505,7 +535,6 @@ def test_knob_below_its_least_value_exit_2(
         "bounds": ["bounds", "--k", "1", poly_file("x1*x2 + x3")],
         "trace": ["trace", "--k", "1", poly_file("x1*x2 + x3")],
         "reduce": ["reduce", "graph", poly_file("p 3\n1 2\n", "g.graph")],
-        "verify": ["verify", "--exhaustive", "n=3"],
     }[command]
     if source == "flag":
         argv += [f"--{knob}", str(value)]
@@ -622,7 +651,7 @@ KNOB_FLAGS = {
     "bounds": "--seed --max-rows --max-cols --budget --vertex-trials --order --order-dir --timing",
     "trace": "--seed --max-rows --max-cols --elimination-budget --budget",
     "reduce": "--max-rows --max-cols --elimination-budget",
-    "verify": "--threads",
+    "verify": "",
     "random-corpus": "--seed",
 }
 OWN_FLAGS = {
@@ -639,7 +668,7 @@ REFUSED_FLAGS = {
     "bounds": "--elimination-budget --threads",
     "trace": "--vertex-trials --order --order-dir --timing --threads",
     "reduce": "--seed --budget --threads",
-    "verify": "--seed --max-rows --max-cols --elimination-budget --budget",
+    "verify": "--seed --max-rows --max-cols --elimination-budget --budget --threads",
     "random-corpus": "--max-rows --max-cols --elimination-budget --budget --threads",
 }
 
@@ -670,7 +699,12 @@ def test_flags_a_subcommand_does_not_read_exit_2(capsys, poly_file, command, fla
         "verify": ["verify", "--exhaustive", "n=3"],
         "random-corpus": ["random-corpus", "--count", "1"],
     }[command]
-    value = {"--timing": [], "--order": ["perm=1,2,3"], "--order-dir": ["min"]}.get(flag, ["1"])
+    value = {
+        "--timing": [],
+        "--order": ["perm=1,2,3"],
+        "--order-dir": ["min"],
+        "--threads": ["2"],
+    }.get(flag, ["1"])
     code, out, err = run(capsys, *argv, flag, *value)
     assert (code, out) == (2, "")
     assert f"unrecognized arguments: {flag}" in err
@@ -739,6 +773,8 @@ def test_reports_match_golden_bytes(capsys, name, command):
             ("dim", "--mode", "plus", str(GOLDEN_DIR / "multilinear40.poly")),
             "multilinear40.dim_plus.json",
         ),
+        (("verify", "--exhaustive", "n=5", "--check-basis"), "exhaustive_n5.verify.json"),
+        (("verify", "--exhaustive", "n=6", "--check-basis"), "exhaustive_n6.verify.json"),
     ],
 )
 def test_reduction_reports_match_golden_bytes(capsys, argv, golden):
@@ -1180,6 +1216,7 @@ def test_sym_gap_point_size_bound_is_d_b_times_d_plus_b(capsys, monkeypatch):
         ('{"vertex-trials": true}', "config key 'vertex-trials'"),
         ('{"max-rows": "12"}', "config key 'max-rows'"),
         ('{"seed": null}', "config key 'seed'"),
+        ('{"threads": 2}', "unknown config key 'threads'"),
     ],
 )
 def test_config_values_must_be_json_integers(capsys, tmp_path, monkeypatch, text, message):
@@ -1189,6 +1226,15 @@ def test_config_values_must_be_json_integers(capsys, tmp_path, monkeypatch, text
     code, out, err = run(capsys, "dim", "--k", "1", str(DATA / "rational.poly"))
     assert (code, out) == (2, "")
     assert message in err
+
+
+def test_verify_reads_no_config(capsys, tmp_path, monkeypatch):
+    config = tmp_path / "cfg.json"
+    config.write_text("[1, 2]")
+    monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+    code, out, err = run(capsys, "verify", "--exhaustive", "n=3", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["all_hold"] is True
 
 
 @pytest.mark.parametrize(

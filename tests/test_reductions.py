@@ -409,12 +409,6 @@ def test_exhaustive_identity_small():
     assert summary["identity_failures"] == []
 
 
-def test_exhaustive_parallel_matches_serial():
-    serial = exhaustive_verify(3, check_basis=True, threads=1)
-    parallel = exhaustive_verify(3, check_basis=True, threads=2)
-    assert serial == parallel
-
-
 def test_exhaustive_lists_failures_by_edge_bitmask(monkeypatch):
     monkeypatch.setattr(reductions, "_disjoint_row_count", lambda matrix: 0)
     summary = exhaustive_verify(3, check_basis=True)
@@ -422,33 +416,6 @@ def test_exhaustive_lists_failures_by_edge_bitmask(monkeypatch):
     assert summary["identity_failures"] == list(range(1, 8))
     assert summary["basis_failures"] == list(range(1, 8))
     assert summary["all_hold"] is False
-
-
-def test_exhaustive_threads_capped_at_cpu_count(monkeypatch):
-    import concurrent.futures
-
-    seen = []
-
-    class RecordingExecutor:
-        """Runs the map in this process and records the requested pool size."""
-
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs, chunksize=1):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(reductions.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-    summary = exhaustive_verify(3, threads=100000)
-    assert seen == [2]
-    assert summary == exhaustive_verify(3, threads=1)
 
 
 # OEIS A000088: graphs on n unlabeled vertices.
