@@ -149,8 +149,9 @@ class Options:
 
     Each field is a flag on the subcommands its metadata names and a
     ``PDRANK_CONFIG`` key, both its name with dashes for underscores.  A
-    config value is applied and checked only on those subcommands; the
-    others keep the default.  A value below its field's ``least`` is an input error.
+    config value is applied and checked only on those subcommands, and not
+    on a request that does not read it (:func:`unread_flags`); the others
+    keep the default.  A value below its field's ``least`` is an input error.
     """
 
     seed: int = _knob(0, "dim bounds trace random-corpus", least=None)
@@ -162,10 +163,15 @@ class Options:
 
     @classmethod
     def resolve(cls, args: argparse.Namespace) -> "Options":
+        unread, why = unread_flags(args)
+        for name in unread:
+            value = getattr(args, name)  # None or False when the flag is absent
+            if value is not None and value is not False:
+                raise ValueError(f"--{name.replace('_', '-')} {why}")
         config = load_config()
         opts = cls()
         for knob in fields(cls):
-            if args.subcommand not in knob.metadata["commands"]:
+            if args.subcommand not in knob.metadata["commands"] or knob.name in unread:
                 continue
             flag = getattr(args, knob.name)
             if flag is not None:
@@ -178,6 +184,20 @@ class Options:
         if opts.vertex_trials > MAX_VERTEX_TRIALS:
             raise ValueError(f"vertex-trials must be at most {MAX_VERTEX_TRIALS}")
         return opts
+
+
+def unread_flags(args: argparse.Namespace) -> tuple[tuple[str, ...], str]:
+    """The flags, by attribute name, that a request of its subcommand does not read, and why.
+
+    :meth:`Options.resolve` refuses each one given and skips its config key.
+    """
+    if args.subcommand == "dim" and args.mode != "k":
+        # star and plus read only the matrix caps and the elimination budget
+        unread = ("k", "order", "order_dir", "timing", "seed", "budget", "vertex_trials")
+        return unread, f"applies to --mode k only, not to --mode {args.mode}"
+    if args.subcommand == "trace" and not args.oracle:
+        return ("max_rows", "max_cols", "elimination_budget"), "applies to trace only with --oracle"
+    return (), ""
 
 
 def load_config() -> dict:
@@ -324,8 +344,8 @@ def trace_section(
     ``scaled`` is f in the scaled basis.  ``matrix`` is f's order-k
     derivative matrix when the request has built one (dim --k, bounds):
     the Gram route of Tr(B^2) then takes M as its 0/1-key rows.  Without
-    it (trace) M is assembled on its own, so the trace needs no matrix
-    cap.  Returns the trace statistics, the scaled-basis L and the report
+    it (trace, or a matrix past its caps) M is assembled on its own, so
+    the trace needs no matrix cap.  Returns the trace statistics, the scaled-basis L and the report
     entries.
     """
     stats = trace.trace_stats(scaled, k, budget=opts.budget, matrix=matrix)
@@ -383,21 +403,21 @@ def build_bound_report(
     # One order-k matrix serves the trace's Gram route, the linearity bound
     # and the exact rank.  A request past several caps names the first of:
     # the trace's pair count (O(s), so checked before the assembly), the
-    # trace's other caps, the --order flag, the matrix caps.  So a matrix
-    # past its caps first runs the trace on its own M and reads the flag.
+    # trace's other caps, the --order flag, the matrix caps.  So a capped
+    # matrix is kept as its error, raised once the trace (on its own M) and
+    # the flag are read.
     t0 = time.monotonic()
     scaled = to_scaled(f)
     trace.check_pair_budget(scaled, opts.budget)
     timings["trace"] = time.monotonic() - t0
     t0 = time.monotonic()
+    capped = None
     try:
         matrix = exact.build_matrix(
             scaled, exact.OrderSpec.exact(k), max_rows=opts.max_rows, max_cols=opts.max_cols
         )
-    except ResourceLimitError:
-        trace_section(f, scaled, k, opts)
-        parse_order_flag(args, len(f.vars))
-        raise
+    except ResourceLimitError as err:
+        capped, matrix = err, None
     timings["matrix"] = time.monotonic() - t0
 
     t0 = time.monotonic()
@@ -406,6 +426,8 @@ def build_bound_report(
 
     t0 = time.monotonic()
     orders = parse_order_flag(args, len(f.vars))
+    if capped is not None:
+        raise capped
     extremal = bounds_mod.lower_bound_extremal(
         f, k, orders=orders, vertex_trials=opts.vertex_trials, rng_seed=opts.seed
     )
@@ -470,13 +492,6 @@ def cmd_dim(args: argparse.Namespace) -> int:
     mode = args.mode
     if mode == "k" and args.k is None:
         raise ValueError("dim requires --k (or --mode star|plus)")
-    if mode != "k":
-        # star and plus read only the matrix caps and the elimination budget
-        for name in ("k", "order", "order_dir", "timing", "seed", "budget", "vertex_trials"):
-            value = getattr(args, name)  # None or False when the flag is absent
-            if value is not None and value is not False:
-                flag = "--" + name.replace("_", "-")
-                raise ValueError(f"{flag} applies to --mode k only, not to --mode {mode}")
     opts = Options.resolve(args)
     f = load_poly(args.file)
     if mode == "k":

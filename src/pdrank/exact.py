@@ -168,20 +168,20 @@ def assemble(
     over alpha's support in C-level ``combinations`` or ``product``, so a
     nonzero entry costs a few dict and set operations whatever the number
     of variables, plus sorting the row keys.  Both caps are checked as each
-    row or column is added, so ``actual`` is one past the cap.  When the
-    columns overflow, the entries are dropped and the walk goes on over the
-    row keys alone: if the rows overflow too, ``rows`` is reported.
+    row or column is added, so ``actual`` is one past the cap.  A column
+    past the cap is left out and the walk goes on, still counting rows: if
+    the rows overflow too, ``rows`` is reported, else ``cols`` once the
+    walk ends.  So the walk never holds more than the caps admit.
     """
     clear, coefs = cleared(t.coef for t in scaled.terms)
     width = slot_width(scaled)
     units = [1 << width * i for i in reversed(range(len(scaled.vars)))]
     by_row: dict[int, dict[int, int]] = {}
     col_set: set[int] = set()
-    terms = zip(scaled.terms, coefs)
-    for t, a in terms:
+    cols_over = False
+    for t, a in zip(scaled.terms, coefs):
         top = sum(map(mul, t.exps, units))
-        betas = iter(sub_indices(t.exps, units))
-        for beta in betas:
+        for beta in sub_indices(t.exps, units):
             row = by_row.get(beta)
             if row is None:
                 if len(by_row) >= max_rows:
@@ -190,24 +190,14 @@ def assemble(
             gamma = top - beta
             if gamma not in col_set:
                 if len(col_set) >= max_cols:
-                    seen = set(by_row)
-                    by_row.clear()
-                    rest = chain(betas, (b for u, _ in terms for b in sub_indices(u.exps, units)))
-                    _check_row_cap(seen, rest, max_rows)
-                    raise ResourceLimitError("cols", max_cols, max_cols + 1)
+                    cols_over = True
+                    continue
                 col_set.add(gamma)
             row[gamma] = a
+    if cols_over:
+        raise ResourceLimitError("cols", max_cols, max_cols + 1)
     rows = sorted(by_row)
     return DerivMatrix(tuple(rows), tuple(map(by_row.get, rows)), len(col_set), clear)
-
-
-def _check_row_cap(seen: set[int], betas: Iterable[int], max_rows: int) -> None:
-    """Raise the row-cap error if the packed ``betas`` bring ``seen`` past ``max_rows``."""
-    for beta in betas:
-        if beta not in seen:
-            if len(seen) >= max_rows:
-                raise ResourceLimitError("rows", max_rows, len(seen) + 1)
-            seen.add(beta)
 
 
 def build_matrix(

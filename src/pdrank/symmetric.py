@@ -18,7 +18,6 @@ rank u grows, and the series helpers below tabulate that gap exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import NamedTuple, Sequence
@@ -104,9 +103,8 @@ def sym_exact_dim(n: int, d: int, k: int, *, cross_check: bool | None = None) ->
     return value
 
 
-@lru_cache(maxsize=1)
 def _binoms(n: int, d: int, k: int) -> tuple[int, int, int, int]:
-    """The integers the trace closed forms share, computed once per (n, d, k).
+    """The integers the trace closed forms of (n, d, k) share.
 
     Returns C(n, k), the number of rows I; C(n-k, d-k), every diagonal
     entry B_II; and, for one row I, the sum of B_IJ^2 over the rows J
@@ -117,8 +115,7 @@ def _binoms(n: int, d: int, k: int) -> tuple[int, int, int, int]:
     with its first term, the rows J disjoint from I when n >= 2k.  Every
     row has the same sum, so Tr(B^2) is C(n, k) times it.  A t below
     2k - n has no rows J (C(n-k, k-t) = 0), so t starts at max(0, 2k - n)
-    and every binomial has arguments >= 0.  A gap point reads it once; one
-    entry is cached, so the public closed forms of one (n, d, k) share it.
+    and every binomial has arguments >= 0.  A gap point reads it once.
 
     ``math.comb`` rather than ``binom``: with 0 <= k <= d <= n and that t,
     no argument is negative, and binom's checks cost 1.2 of 14 us a point.

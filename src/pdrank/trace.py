@@ -444,16 +444,13 @@ def explicit_B_oracle(
 
     The rows of a term x^alpha are the k-subsets of its support; rows whose
     derivative vanishes never appear (they contribute nothing to the traces
-    or the rank).  C(n, k) bounds the row count and is checked against
-    ``max_rows`` up front.  B, its traces, and rank(B) are computed directly;
+    or the rank).  M is refused by the rows and columns it builds, as in
+    :func:`assemble`.  B, its traces, and rank(B) are computed directly;
     B is kept sparse, summed over the pairs of entries within each row of M.
     """
     if f.is_zero:
         raise ValueError("oracle is undefined for the zero polynomial")
     scaled = f if f.basis == SCALED else to_scaled(f)
-    n = len(scaled.vars)
-    if binom(n, k) > max_rows:
-        raise ResourceLimitError("rows", max_rows, binom(n, k))
     matrix = _trace_matrix(scaled, k, max_rows=max_rows, max_cols=max_cols)
     diagonal, upper = _gram(matrix.entries)
     full: dict[int, dict[int, int]] = {j: {j: d} for j, d in diagonal.items()}

@@ -533,7 +533,7 @@ def test_knob_below_its_least_value_exit_2(
     argv = {
         "dim": ["dim", "--k", "1", poly_file("x1*x2 + x3")],
         "bounds": ["bounds", "--k", "1", poly_file("x1*x2 + x3")],
-        "trace": ["trace", "--k", "1", poly_file("x1*x2 + x3")],
+        "trace": ["trace", "--k", "1", poly_file("x1*x2 + x3"), "--oracle"],
         "reduce": ["reduce", "graph", poly_file("p 3\n1 2\n", "g.graph")],
     }[command]
     if source == "flag":
@@ -546,6 +546,61 @@ def test_knob_below_its_least_value_exit_2(
     assert code == 2
     assert not out
     assert f"{knob} must be >= " in err
+
+
+@pytest.mark.parametrize("mode", ["star", "plus"])
+@pytest.mark.parametrize("config", [{"budget": -1}, {"vertex-trials": 20000}])
+def test_dim_star_and_plus_skip_the_config_keys_they_refuse_as_flags(
+    capsys, tmp_path, monkeypatch, mode, config
+):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    monkeypatch.setenv(cli.CONFIG_ENV, str(path))
+    argv = ("dim", str(DATA / "rational.poly"), "--mode", mode, "--format", "json")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (DATA / f"rational.dim_{mode}.json").read_text()
+
+
+@pytest.mark.parametrize("flag", ["--max-rows", "--max-cols", "--elimination-budget"])
+def test_trace_refuses_the_matrix_caps_without_oracle(capsys, flag):
+    """Only the explicit oracle builds a capped matrix; trace alone assembles M uncapped."""
+    argv = ("trace", "--k", "2", str(DATA / "rational.poly"), flag, "100000")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {flag} applies to trace only with --oracle\n"
+    assert run(capsys, *argv, "--oracle")[0] == 0
+
+
+def test_trace_reads_the_cap_config_keys_only_with_oracle(capsys, tmp_path, monkeypatch):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"max-rows": -1}))
+    monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+    argv = ("trace", "--k", "2", str(DATA / "rational.poly"), "--format", "json")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (DATA / "rational.trace_k2.json").read_text()
+    assert run(capsys, *argv, "--oracle") == (2, "", "input error: max-rows must be >= 0\n")
+
+
+@pytest.mark.parametrize("text", ['{"max-rows": "12"}', '{"threads": 2}'])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trace", "--k", "2", str(DATA / "rational.poly")),
+        ("dim", "--mode", "star", str(DATA / "rational.poly")),
+        ("dim", "--mode", "plus", str(DATA / "rational.poly")),
+    ],
+)
+def test_malformed_config_is_an_input_error_where_keys_are_skipped(
+    capsys, tmp_path, monkeypatch, text, argv
+):
+    config = tmp_path / "cfg.json"
+    config.write_text(text)
+    monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error:") and "config key" in err
 
 
 def test_zero_caps_and_any_seed_are_accepted(capsys, poly_file):
@@ -782,6 +837,14 @@ def test_reduction_reports_match_golden_bytes(capsys, argv, golden):
     code, out, _ = run(capsys, *argv, "--format", "json")
     assert code == 0
     assert out == (GOLDEN_DIR / golden).read_text()
+
+
+def test_trace_oracle_report_matches_golden_bytes(capsys):
+    """30 variables at k = 10: the oracle builds M's 198 rows, not C(30, 10) of them."""
+    argv = ("trace", "--k", "10", str(GOLDEN_DIR / "wide30.poly"), "--oracle", "--format", "json")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / "wide30.trace_oracle_k10.json").read_text()
 
 
 @pytest.mark.parametrize(

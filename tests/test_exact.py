@@ -822,6 +822,21 @@ def test_resource_caps_raise_structured_errors():
     assert err.value.what == "elimination-budget"
 
 
+def test_column_overflow_inside_a_term_still_counts_its_rows():
+    """x1*...*x8 at k=4: 70 rows, each with its own column, all from one term.
+
+    The columns pass 10 at the 11th row drawn; the walk goes on over the
+    same term's keys, so a row cap of 20 is still named first.
+    """
+    f = parse_poly("*".join(f"x{i}" for i in range(1, 9)))
+    with pytest.raises(ResourceLimitError) as err:
+        build_matrix(f, OrderSpec.exact(4), max_rows=20, max_cols=10)
+    assert (err.value.what, err.value.actual) == ("rows", 21)
+    with pytest.raises(ResourceLimitError) as err:
+        build_matrix(f, OrderSpec.exact(4), max_rows=100, max_cols=10)
+    assert (err.value.what, err.value.actual) == ("cols", 11)
+
+
 def test_matrix_entries_clear_denominators():
     f = parse_poly("1/2*x1 + 1/3*x2")
     m = build_matrix(f, OrderSpec.exact(1))

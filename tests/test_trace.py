@@ -175,6 +175,23 @@ def test_traces_match_oracle_on_random_corpus():
             assert grouped == oracle.stats.tr_b2  # the oracle shares the Gram route's sum
 
 
+def test_oracle_refuses_by_the_rows_it_builds():
+    """Three 12-term supports over 30 variables: C(30, 10) = 30045015, but M has 198 rows.
+
+    The supports overlap in three variables, so no k-subset at k = 10 is
+    shared: each term gives C(12, 10) = 66 rows.
+    """
+    wide = parse_poly((GOLDEN_DIR / "wide30.poly").read_text())
+    oracle = explicit_B_oracle(wide, 10)
+    assert oracle.matrix.nrows == 3 * math.comb(12, 10) == 198
+    scaled = to_scaled(wide)
+    assert oracle.stats.tr_b == trace_B(scaled, 10)
+    assert oracle.stats.tr_b2 == trace_module._grouped_B2(scaled, 10, DEFAULT_TRIPLE_BUDGET)
+    with pytest.raises(ResourceLimitError) as err:
+        explicit_B_oracle(wide, 10, max_rows=197)
+    assert (err.value.what, err.value.limit, err.value.actual) == ("rows", 197, 198)
+
+
 def test_oracle_gram_stays_sparse():
     """720 columns: a dense 720 x 720 Gram matrix alone would take about 30 MB."""
     rng = random.Random(1)
