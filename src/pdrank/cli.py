@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -48,7 +47,6 @@ from .polyio import (
     to_scaled,
 )
 
-CONFIG_ENV = "PDRANK_CONFIG"
 DEC12 = Context(prec=12)  # the 12 significant digits of frac_dec
 # Every operation of int_decimal is exact; an inexact one would raise.
 EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
@@ -138,20 +136,22 @@ def frac_dec(value: Fraction) -> str:
     return str(DEC12.divide(num, den))
 
 
-def _knob(default: int, commands: str, least: int | None = 0):
-    """An Options field, read by the named subcommands' handlers, >= ``least`` unless None."""
-    return field(default=default, metadata={"commands": commands.split(), "least": least})
+def _knob(default: int, commands: str, least: int | None = 0, most: int | None = None):
+    """An Options field, read by the named subcommands' handlers, in ``least``..``most``.
+
+    A limit of None is no limit.
+    """
+    metadata = {"commands": commands.split(), "least": least, "most": most}
+    return field(default=default, metadata=metadata)
 
 
 @dataclass
 class Options:
-    """Resolved knobs: CLI flag > config file > default.
+    """Resolved knobs: the CLI flag, else the default.
 
-    Each field is a flag on the subcommands its metadata names and a
-    ``PDRANK_CONFIG`` key, both its name with dashes for underscores.  A
-    config value is applied and checked only on those subcommands, and not
-    on a request that does not read it (:func:`unread_flags`); the others
-    keep the default.  A value below its field's ``least`` is an input error.
+    Each field is a flag, its name with dashes for underscores, on the
+    subcommands its metadata names.  A flag outside its field's
+    ``least``..``most`` is an input error.
     """
 
     seed: int = _knob(0, "dim bounds trace random-corpus", least=None)
@@ -159,7 +159,9 @@ class Options:
     max_cols: int = _knob(exact.DEFAULT_MAX_COLS, "dim bounds trace reduce")
     elimination_budget: int = _knob(exact.DEFAULT_ELIMINATION_BUDGET, "dim trace reduce")
     budget: int = _knob(trace.DEFAULT_TRIPLE_BUDGET, "dim bounds trace")
-    vertex_trials: int = _knob(bounds_mod.DEFAULT_VERTEX_TRIALS, "dim bounds")
+    vertex_trials: int = _knob(
+        bounds_mod.DEFAULT_VERTEX_TRIALS, "dim bounds", most=MAX_VERTEX_TRIALS
+    )
 
     @classmethod
     def resolve(cls, args: argparse.Namespace) -> "Options":
@@ -168,28 +170,25 @@ class Options:
             value = getattr(args, name)  # None or False when the flag is absent
             if value is not None and value is not False:
                 raise ValueError(f"--{name.replace('_', '-')} {why}")
-        config = load_config()
         opts = cls()
         for knob in fields(cls):
-            if args.subcommand not in knob.metadata["commands"] or knob.name in unread:
+            value = getattr(args, knob.name, None)  # None where the flag is absent or undeclared
+            if value is None:
                 continue
-            flag = getattr(args, knob.name)
-            if flag is not None:
-                setattr(opts, knob.name, flag)
-            elif knob.name in config:
-                setattr(opts, knob.name, config[knob.name])
-            least = knob.metadata["least"]
-            if least is not None and getattr(opts, knob.name) < least:
-                raise ValueError(f"{knob.name.replace('_', '-')} must be >= {least}")
-        if opts.vertex_trials > MAX_VERTEX_TRIALS:
-            raise ValueError(f"vertex-trials must be at most {MAX_VERTEX_TRIALS}")
+            name = knob.name.replace("_", "-")
+            least, most = knob.metadata["least"], knob.metadata["most"]
+            if least is not None and value < least:
+                raise ValueError(f"{name} must be >= {least}")
+            if most is not None and value > most:
+                raise ValueError(f"{name} must be at most {most}")
+            setattr(opts, knob.name, value)
         return opts
 
 
 def unread_flags(args: argparse.Namespace) -> tuple[tuple[str, ...], str]:
     """The flags, by attribute name, that a request of its subcommand does not read, and why.
 
-    :meth:`Options.resolve` refuses each one given and skips its config key.
+    :meth:`Options.resolve` refuses each one given.
     """
     if args.subcommand == "dim" and args.mode != "k":
         # star and plus read only the matrix caps and the elimination budget
@@ -198,25 +197,6 @@ def unread_flags(args: argparse.Namespace) -> tuple[tuple[str, ...], str]:
     if args.subcommand == "trace" and not args.oracle:
         return ("max_rows", "max_cols", "elimination_budget"), "applies to trace only with --oracle"
     return (), ""
-
-
-def load_config() -> dict:
-    path = os.environ.get(CONFIG_ENV)
-    if not path:
-        return {}
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path} must hold a JSON object of integer knobs")
-    attrs = {knob.name.replace("_", "-"): knob.name for knob in fields(Options)}
-    out = {}
-    for key, value in raw.items():
-        if key not in attrs:
-            raise ValueError(f"unknown config key {key!r} in {path}")
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"config key {key!r} in {path} must be a JSON integer")
-        out[attrs[key]] = value
-    return out
 
 
 def read_text(path: str) -> str:
@@ -373,7 +353,7 @@ def parse_order_flag(args: argparse.Namespace, nvars: int):
         return bounds_mod.default_order_family(nvars)
     if not args.order.startswith("perm="):
         raise ValueError("--order expects perm=<comma-separated 1-based indices>")
-    perm = tuple(int(p) - 1 for p in args.order[len("perm=") :].split(","))
+    perm = tuple(_parse_int("--order index", p) - 1 for p in args.order[len("perm=") :].split(","))
     if sorted(perm) != list(range(nvars)):
         raise ValueError("--order permutation must mention every variable once")
     directions = [args.order_dir] if args.order_dir else ["min", "max"]
@@ -617,6 +597,14 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_int(name: str, text: str) -> int:
+    """``int(text)``; text that is not an integer is an input error that names ``name``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+
+
 def _parse_keyvals(pairs: list[str]) -> dict[str, str]:
     out = {}
     for pair in pairs:
@@ -629,13 +617,14 @@ def _parse_keyvals(pairs: list[str]) -> dict[str, str]:
     return out
 
 
-def _parse_range(text: str) -> Sequence[int]:
-    """``lo..hi`` or a comma list: a nonempty series of at most ``MAX_GAP_POINTS``."""
+def _parse_range(key: str, text: str) -> Sequence[int]:
+    """The value of ``key``, ``lo..hi`` or a comma list: a nonempty series of at most
+    ``MAX_GAP_POINTS``."""
     if ".." in text:
         lo, _, hi = text.partition("..")
-        values: Sequence[int] = range(int(lo), int(hi) + 1)
+        values: Sequence[int] = range(_parse_int(key, lo), _parse_int(key, hi) + 1)
     else:
-        values = [int(v) for v in text.split(",")]
+        values = [_parse_int(key, v) for v in text.split(",")]
     if not values:
         raise ValueError(f"empty range {text!r}")
     if len(values) > MAX_GAP_POINTS:
@@ -671,7 +660,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     params = _parse_keyvals(args.params)
     if set(params) != {"n"}:
         raise ValueError("verify --exhaustive expects exactly n=<N>")
-    n = int(params["n"])
+    n = _parse_int("n", params["n"])
     if n < 3 or n > 7:
         raise ValueError("exhaustive verification supports 3 <= n <= 7")
     summary = reductions.exhaustive_verify(n, check_basis=args.check_basis)
@@ -724,20 +713,20 @@ def cmd_sym_gap(args: argparse.Namespace) -> int:
         needed = {"d", "k", "n"}
         if set(params) != needed:
             raise ValueError("sym gap --fixed expects d=<d> k=<k> n=<range>")
-        d, n_values = int(params["d"]), _parse_range(params["n"])
+        d, n_values = _parse_int("d", params["d"]), _parse_range("n", params["n"])
         _check_gap_series([(n, d) for n in n_values])
-        points = symmetric.sym_gap_series_fixed(d, int(params["k"]), n_values)
+        points = symmetric.sym_gap_series_fixed(d, _parse_int("k", params["k"]), n_values)
         mode = "fixed"
     else:
         needed = {"kp", "dp", "np", "m"}
         if set(params) != needed:
             raise ValueError("sym gap --scaled expects kp=<k'> dp=<d'> np=<n'> m=<range>")
-        m_values = _parse_range(params["m"])
+        m_values = _parse_range("m", params["m"])
         if max(m_values) > MAX_GAP_SCALE:
             raise ValueError(f"m must be at most {MAX_GAP_SCALE}")
-        dp, np_ = int(params["dp"]), int(params["np"])
+        dp, np_ = _parse_int("dp", params["dp"]), _parse_int("np", params["np"])
         _check_gap_series([(np_ * m, dp * m) for m in m_values])
-        points = symmetric.sym_gap_series_scaled(int(params["kp"]), dp, np_, m_values)
+        points = symmetric.sym_gap_series_scaled(_parse_int("kp", params["kp"]), dp, np_, m_values)
         mode = "scaled"
     rows = [_gap_row(p) for p in points]
     if args.format == "csv":
@@ -794,7 +783,10 @@ def cmd_random_corpus(args: argparse.Namespace) -> int:
 
 def _order_k(text: str) -> int:
     """The type of --k on dim, bounds and trace: a nonnegative order."""
-    k = int(text)
+    try:
+        k = _parse_int("k", text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
     if k < 0:
         raise argparse.ArgumentTypeError("k must be nonnegative")
     return k

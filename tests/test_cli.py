@@ -1,4 +1,4 @@
-"""Command-line interface: reports, exit codes, determinism, config."""
+"""Command-line interface: reports, exit codes, determinism, knobs."""
 
 import argparse
 import contextlib
@@ -352,19 +352,35 @@ def test_input_errors_exit_2(capsys, tmp_path, argv):
     code, _, err = run(capsys, *args)
     assert code == 2
     assert err
+    if "--vertex-trials" in args:  # the cases that pin the knob's least and most
+        value = args[args.index("--vertex-trials") + 1]
+        expected = {"-5": "must be >= 0", "10001": "must be at most 10000"}[value]
+        assert err == f"input error: vertex-trials {expected}\n"
 
 
-@pytest.mark.parametrize("trials", [-5, 10001])
-def test_vertex_trials_out_of_range_in_config_exit_2(
-    capsys, poly_file, tmp_path, monkeypatch, trials
-):
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"vertex-trials": trials}))
-    monkeypatch.setenv(cli.CONFIG_ENV, str(config))
-    code, out, err = run(capsys, "bounds", "--k", "1", poly_file("x1 + x2"))
-    assert code == 2
-    assert not out
-    assert "vertex-trials" in err
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            "dim POLY --k 1 --order perm=1,,2",
+            "input error: --order index must be an integer, got ''",
+        ),
+        ("verify --exhaustive n=x", "input error: n must be an integer, got 'x'"),
+        ("sym gap --fixed d=five k=2 n=7..9", "input error: d must be an integer, got 'five'"),
+        ("sym gap --fixed d=5 k=2 n=7..x", "input error: n must be an integer, got 'x'"),
+        (
+            "sym gap --scaled kp=1 dp=2 np=5 m=1..2.5",
+            "input error: m must be an integer, got '2.5'",
+        ),
+        ("dim POLY --k x", "pdrank dim: error: argument --k: k must be an integer, got 'x'"),
+    ],
+)
+def test_malformed_integer_names_its_parameter(capsys, argv, message):
+    """The last stderr line names the key or flag; --k is refused by the argument parser."""
+    argv = [str(DATA / "rational.poly") if arg == "POLY" else arg for arg in argv.split()]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == message
 
 
 @pytest.mark.parametrize(
@@ -526,26 +542,21 @@ def test_dim_star_and_plus_refuse_bound_flags(capsys, mode, given):
         ("reduce", "max-cols", -2),
     ],
 )
-@pytest.mark.parametrize("source", ["flag", "config"])
-def test_knob_below_its_least_value_exit_2(
-    capsys, poly_file, tmp_path, monkeypatch, command, knob, value, source
-):
+def test_knob_below_its_least_value_exit_2(capsys, poly_file, command, knob, value):
     argv = {
         "dim": ["dim", "--k", "1", poly_file("x1*x2 + x3")],
         "bounds": ["bounds", "--k", "1", poly_file("x1*x2 + x3")],
         "trace": ["trace", "--k", "1", poly_file("x1*x2 + x3"), "--oracle"],
         "reduce": ["reduce", "graph", poly_file("p 3\n1 2\n", "g.graph")],
     }[command]
-    if source == "flag":
-        argv += [f"--{knob}", str(value)]
-    else:
-        config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({knob: value}))
-        monkeypatch.setenv(cli.CONFIG_ENV, str(config))
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, f"--{knob}", str(value))
     assert code == 2
     assert not out
     assert f"{knob} must be >= " in err
+
+
+# pdrank reads its knobs from flags only; setting this variable must change nothing.
+CONFIG_VAR = "PDRANK_CONFIG"
 
 
 @pytest.mark.parametrize("mode", ["star", "plus"])
@@ -555,11 +566,31 @@ def test_dim_star_and_plus_skip_the_config_keys_they_refuse_as_flags(
 ):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
-    monkeypatch.setenv(cli.CONFIG_ENV, str(path))
+    monkeypatch.setenv(CONFIG_VAR, str(path))
     argv = ("dim", str(DATA / "rational.poly"), "--mode", mode, "--format", "json")
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == (DATA / f"rational.dim_{mode}.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "config, argv, golden",
+    [
+        ('{"budget": 1}', ("dim", "--k", "2"), "rational.dim_k2.json"),
+        ('{"seed": 5}', ("bounds", "--k", "2"), "rational.bounds_k2.json"),
+        ("[1, 2]", ("dim", "--mode", "plus"), "rational.dim_plus.json"),
+        (None, ("dim", "--mode", "plus"), "rational.dim_plus.json"),
+    ],
+)
+def test_config_variable_is_not_read(capsys, tmp_path, monkeypatch, config, argv, golden):
+    """A knob file, a malformed one, or a path to no file: the report is the golden's bytes."""
+    path = tmp_path / "cfg.json"
+    if config is not None:
+        path.write_text(config)
+    monkeypatch.setenv(CONFIG_VAR, str(path))
+    code, out, err = run(capsys, *argv, str(DATA / "rational.poly"), "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == (DATA / golden).read_text()
 
 
 @pytest.mark.parametrize("flag", ["--max-rows", "--max-cols", "--elimination-budget"])
@@ -572,54 +603,11 @@ def test_trace_refuses_the_matrix_caps_without_oracle(capsys, flag):
     assert run(capsys, *argv, "--oracle")[0] == 0
 
 
-def test_trace_reads_the_cap_config_keys_only_with_oracle(capsys, tmp_path, monkeypatch):
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"max-rows": -1}))
-    monkeypatch.setenv(cli.CONFIG_ENV, str(config))
-    argv = ("trace", "--k", "2", str(DATA / "rational.poly"), "--format", "json")
-    code, out, err = run(capsys, *argv)
-    assert (code, err) == (0, "")
-    assert out == (DATA / "rational.trace_k2.json").read_text()
-    assert run(capsys, *argv, "--oracle") == (2, "", "input error: max-rows must be >= 0\n")
-
-
-@pytest.mark.parametrize("text", ['{"max-rows": "12"}', '{"threads": 2}'])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("trace", "--k", "2", str(DATA / "rational.poly")),
-        ("dim", "--mode", "star", str(DATA / "rational.poly")),
-        ("dim", "--mode", "plus", str(DATA / "rational.poly")),
-    ],
-)
-def test_malformed_config_is_an_input_error_where_keys_are_skipped(
-    capsys, tmp_path, monkeypatch, text, argv
-):
-    config = tmp_path / "cfg.json"
-    config.write_text(text)
-    monkeypatch.setenv(cli.CONFIG_ENV, str(config))
-    code, out, err = run(capsys, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("input error:") and "config key" in err
-
-
 def test_zero_caps_and_any_seed_are_accepted(capsys, poly_file):
     path = poly_file("x1*x2 + x3")
     assert run(capsys, "dim", "--k", "1", path, "--seed", "-7")[0] == 0
     assert run(capsys, "bounds", "--k", "1", path, "--vertex-trials", "0")[0] == 0
     assert run(capsys, "dim", "--k", "1", path, "--max-rows", "0")[0] == 3
-
-
-def test_config_knob_applies_only_where_read(capsys, poly_file, tmp_path, monkeypatch):
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"vertex-trials": 20000}))
-    monkeypatch.setenv(cli.CONFIG_ENV, str(config))
-    code, out, _ = run(capsys, "verify", "--exhaustive", "n=3", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["all_hold"] is True
-    code, _, err = run(capsys, "bounds", "--k", "1", poly_file("x1 + x2"))
-    assert code == 2
-    assert "vertex-trials" in err
 
 
 def test_parse_error_exit_2(capsys, poly_file):
@@ -676,23 +664,9 @@ def test_timing_flag_adds_timings(capsys, poly_file):
         assert "timings_seconds" not in json.loads(out2)
 
 
-def test_config_file_env(capsys, poly_file, tmp_path, monkeypatch):
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"max-rows": 2}))
-    monkeypatch.setenv(cli.CONFIG_ENV, str(config))
-    path = poly_file("x1^3*x2^3*x3^3")
-    code, _, _ = run(capsys, "dim", "--k", "3", path)
-    assert code == 3  # cap from config applies
-    # explicit flag overrides the config file
-    code2, _, _ = run(capsys, "dim", "--k", "3", path, "--max-rows", "10000")
-    assert code2 == 0
-
-
-def test_config_seed_reaches_dim_report(capsys, poly_file, tmp_path, monkeypatch):
-    config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"seed": 5}))
-    monkeypatch.setenv(cli.CONFIG_ENV, str(config))
-    code, out, _ = run(capsys, "dim", "--k", "1", poly_file("x1*x2 + x3"), "--format", "json")
+def test_config_seed_reaches_dim_report(capsys, poly_file):
+    argv = ("dim", "--k", "1", poly_file("x1*x2 + x3"), "--format", "json", "--seed", "5")
+    code, out, _ = run(capsys, *argv)
     report = json.loads(out)
     assert (code, report["seed"]) == (0, 5)
     assert "(seed 5)" in report["provenance"]["extremal_lower"]
@@ -889,12 +863,15 @@ def _reference_gap_report(params: dict, fmt: str) -> str:
     if "kp" in params:
         mode = "scaled"
         points = symmetric.sym_gap_series_scaled(
-            int(params["kp"]), int(params["dp"]), int(params["np"]), cli._parse_range(params["m"])
+            int(params["kp"]),
+            int(params["dp"]),
+            int(params["np"]),
+            cli._parse_range("m", params["m"]),
         )
     else:
         mode = "fixed"
         points = symmetric.sym_gap_series_fixed(
-            int(params["d"]), int(params["k"]), cli._parse_range(params["n"])
+            int(params["d"]), int(params["k"]), cli._parse_range("n", params["n"])
         )
     rows = [_reference_gap_point(p) for p in points]
     if fmt == "csv":
@@ -1271,30 +1248,10 @@ def test_sym_gap_point_size_bound_is_d_b_times_d_plus_b(capsys, monkeypatch):
     assert "= 3120 > 3119" in err
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("[1, 2]", "must hold a JSON object of integer knobs"),
-        ('{"max-rows": 2.9}', "config key 'max-rows'"),
-        ('{"vertex-trials": true}', "config key 'vertex-trials'"),
-        ('{"max-rows": "12"}', "config key 'max-rows'"),
-        ('{"seed": null}', "config key 'seed'"),
-        ('{"threads": 2}', "unknown config key 'threads'"),
-    ],
-)
-def test_config_values_must_be_json_integers(capsys, tmp_path, monkeypatch, text, message):
-    config = tmp_path / "cfg.json"
-    config.write_text(text)
-    monkeypatch.setenv(cli.CONFIG_ENV, str(config))
-    code, out, err = run(capsys, "dim", "--k", "1", str(DATA / "rational.poly"))
-    assert (code, out) == (2, "")
-    assert message in err
-
-
 def test_verify_reads_no_config(capsys, tmp_path, monkeypatch):
     config = tmp_path / "cfg.json"
     config.write_text("[1, 2]")
-    monkeypatch.setenv(cli.CONFIG_ENV, str(config))
+    monkeypatch.setenv(CONFIG_VAR, str(config))
     code, out, err = run(capsys, "verify", "--exhaustive", "n=3", "--format", "json")
     assert (code, err) == (0, "")
     assert json.loads(out)["all_hold"] is True
