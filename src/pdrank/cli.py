@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -58,13 +59,8 @@ MAX_GAP_POINT_SIZE = 35_000_000  # slowest admitted shapes, d=1000 k=999 n=2^32:
 MAX_GAP_SERIES_SIZE = 40_000_000  # summed point sizes: d=6 k=3 n=9..20000, 31,312,722: 0.5-0.7 s
 MAX_TRACE_SAMPLES = 4000  # the exact running mean: 1.2 s on multilinear40 at k=2
 MAX_TRACE_TERM_SAMPLES = 200_000  # terms * samples: 4000 samples on 50 terms, 1.4 s
-# random-corpus sizes, least..most: all four at most take 2.3 s and write 20 MB of JSON
-CORPUS_RANGES = {
-    "count": (0, 10_000),
-    "max_vars": (2, 16),
-    "max_terms": (1, 16),
-    "max_degree": (0, 16),
-}
+# The text int() reads in base 10: digits (\d is str.isdecimal), single underscores, sign, spaces
+INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
 def _is_long(n: int) -> bool:
@@ -136,10 +132,10 @@ def frac_dec(value: Fraction) -> str:
     return str(DEC12.divide(num, den))
 
 
-def _knob(default: int, commands: str, least: int | None = 0, most: int | None = None):
+def _knob(default: int | None, commands: str, least: int | None = 0, most: int | None = None):
     """An Options field, read by the named subcommands' handlers, in ``least``..``most``.
 
-    A limit of None is no limit.
+    A limit of None is no limit; a default of None is the flag's absence.
     """
     metadata = {"commands": commands.split(), "least": least, "most": most}
     return field(default=default, metadata=metadata)
@@ -149,9 +145,10 @@ def _knob(default: int, commands: str, least: int | None = 0, most: int | None =
 class Options:
     """Resolved knobs: the CLI flag, else the default.
 
-    Each field is a flag, its name with dashes for underscores, on the
-    subcommands its metadata names.  A flag outside its field's
-    ``least``..``most`` is an input error.
+    Each field is an integer flag, its name with dashes for underscores, on
+    the subcommands its metadata names; every integer flag but --k is one.
+    A flag outside its field's ``least``..``most`` is an input error, named
+    in one form for all of them.
     """
 
     seed: int = _knob(0, "dim bounds trace random-corpus", least=None)
@@ -162,6 +159,12 @@ class Options:
     vertex_trials: int = _knob(
         bounds_mod.DEFAULT_VERTEX_TRIALS, "dim bounds", most=MAX_VERTEX_TRIALS
     )
+    samples: int | None = _knob(None, "trace", least=1, most=MAX_TRACE_SAMPLES)
+    # random-corpus sizes: all four at most take 2.3 s and write 20 MB of JSON
+    count: int = _knob(100, "random-corpus", most=10_000)
+    max_vars: int = _knob(8, "random-corpus", least=2, most=16)
+    max_terms: int = _knob(10, "random-corpus", least=1, most=16)
+    max_degree: int = _knob(4, "random-corpus", most=16)
 
     @classmethod
     def resolve(cls, args: argparse.Namespace) -> "Options":
@@ -175,12 +178,10 @@ class Options:
             value = getattr(args, knob.name, None)  # None where the flag is absent or undeclared
             if value is None:
                 continue
-            name = knob.name.replace("_", "-")
             least, most = knob.metadata["least"], knob.metadata["most"]
-            if least is not None and value < least:
-                raise ValueError(f"{name} must be >= {least}")
-            if most is not None and value > most:
-                raise ValueError(f"{name} must be at most {most}")
+            if (least is not None and value < least) or (most is not None and value > most):
+                rule = f">= {least}" if most is None else f"in {least}..{most}"
+                raise ValueError(f"--{knob.name.replace('_', '-')} must be {rule}, got {value}")
             setattr(opts, knob.name, value)
         return opts
 
@@ -441,7 +442,7 @@ def build_bound_report(
                 f"plus {opts.vertex_trials} certified vertex trials (seed {opts.seed})"
             ),
             "L_lower": "closed-form trace bound, scaled-basis coefficients",
-            "proxy_lower": "Tr(B)^2/Tr(B^2) via combinatorial triple counting",
+            "proxy_lower": "Tr(B)^2/Tr(B^2), B = M^T M, M the order-k rows with 0/1 keys; exact",
             "linearity_upper": "min(per-term profile sum, distinct rows, distinct cols)",
             "exact_dim": "fraction-free elimination rank of the derivative matrix",
             "coefficients": "matrix entries use the scaled monomial basis",
@@ -514,17 +515,12 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    if args.samples is not None:
-        if args.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if args.samples > MAX_TRACE_SAMPLES:
-            raise ValueError(f"samples must be at most {MAX_TRACE_SAMPLES}, got {args.samples}")
     opts = Options.resolve(args)
     f = load_poly(args.file)
     if f.is_zero:
         raise ParseError("trace statistics are undefined for the zero polynomial")
-    if args.samples is not None and args.samples * len(f.terms) > MAX_TRACE_TERM_SAMPLES:
-        got = f"{args.samples} * {len(f.terms)}"
+    if opts.samples is not None and opts.samples * len(f.terms) > MAX_TRACE_TERM_SAMPLES:
+        got = f"{opts.samples} * {len(f.terms)}"
         raise ValueError(f"samples * terms must be at most {MAX_TRACE_TERM_SAMPLES}, got {got}")
     k = args.k
     scaled = to_scaled(f)
@@ -562,12 +558,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 f"grouped {frac_str(grouped)} vs oracle "
                 f"({frac_str(oracle.stats.tr_b)}, {frac_str(oracle.stats.tr_b2)})"
             )
-    if args.samples is not None:
+    if opts.samples is not None:
         support = [t.exps for t in f.terms]
-        mean = trace.semirandom_estimate(support, k, args.samples, opts.seed)
+        mean = trace.semirandom_estimate(support, k, opts.samples, opts.seed)
         expectation = trace.semirandom_expectation(support, k)
         report["semirandom"] = {
-            "samples": args.samples,
+            "samples": opts.samples,
             "seed": opts.seed,
             "sample_mean": frac_str(mean),
             "sample_mean_dec": frac_dec(mean),
@@ -598,10 +594,20 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _parse_int(name: str, text: str) -> int:
-    """``int(text)``; text that is not an integer is an input error that names ``name``."""
+    """``int(text)``; text that is not an integer is an input error that names ``name``.
+
+    Text of an integer that ``int()`` refuses for its length alone, past the
+    int-to-str digit limit, is not quoted: the error gives its digit count.
+    """
     try:
         return int(text)
     except ValueError:
+        if INT_TEXT.fullmatch(text):
+            digits = sum(map(str.isdecimal, text))
+            limit = sys.get_int_max_str_digits()
+            raise ValueError(
+                f"{name} must be an integer of at most {limit} digits, got {digits} digits"
+            ) from None
         raise ValueError(f"{name} must be an integer, got {text!r}") from None
 
 
@@ -751,25 +757,21 @@ def cmd_sym_gap(args: argparse.Namespace) -> int:
 
 
 def cmd_random_corpus(args: argparse.Namespace) -> int:
-    for name, (least, most) in CORPUS_RANGES.items():
-        value = getattr(args, name)
-        if not least <= value <= most:
-            raise ValueError(f"--{name.replace('_', '-')} must be in {least}..{most}, got {value}")
     opts = Options.resolve(args)
     polys = random_polys(
         opts.seed,
-        args.count,
-        max_vars=args.max_vars,
-        max_terms=args.max_terms,
-        max_degree=args.max_degree,
+        opts.count,
+        max_vars=opts.max_vars,
+        max_terms=opts.max_terms,
+        max_degree=opts.max_degree,
     )
     payload = {
         "command": "random-corpus",
-        "count": args.count,
+        "count": opts.count,
         "seed": opts.seed,
-        "max_vars": args.max_vars,
-        "max_terms": args.max_terms,
-        "max_degree": args.max_degree,
+        "max_vars": opts.max_vars,
+        "max_terms": opts.max_terms,
+        "max_degree": opts.max_degree,
         "polys": [poly_to_json_dict(f) for f in polys],
     }
     emit(payload, args)
@@ -838,7 +840,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("file")
     p_trace.add_argument("--k", type=_order_k, required=True)
     p_trace.add_argument("--oracle", action="store_true", help="cross-check explicitly")
-    p_trace.add_argument("--samples", type=int, default=None, help="semirandom experiment")
     _add_knobs(p_trace, "trace")
     p_trace.set_defaults(func=cmd_trace)
 
@@ -866,10 +867,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gap.set_defaults(func=cmd_sym_gap)
 
     p_corpus = subs.add_parser("random-corpus", help="seeded random polynomial corpus")
-    p_corpus.add_argument("--count", type=int, default=100)
-    p_corpus.add_argument("--max-vars", dest="max_vars", type=int, default=8)
-    p_corpus.add_argument("--max-terms", dest="max_terms", type=int, default=10)
-    p_corpus.add_argument("--max-degree", dest="max_degree", type=int, default=4)
     _add_knobs(p_corpus, "random-corpus")
     p_corpus.set_defaults(func=cmd_random_corpus)
 

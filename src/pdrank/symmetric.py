@@ -82,19 +82,16 @@ def _exact_dim(n: int, d: int, k: int, rows: int) -> int:
     return min(rows, comb(n, d - k))
 
 
-def sym_exact_dim(n: int, d: int, k: int, *, cross_check: bool | None = None) -> int:
+def sym_exact_dim(n: int, d: int, k: int) -> int:
     """dim of the order-k derivative span of Sym_{d,n}: min(C(n,k), C(n,d-k)).
 
     The disjointness matrix has full rank, which the closed form relies on;
-    with ``cross_check`` (on by default when the matrix has at most
-    ``CROSS_CHECK_CELLS`` cells) the matrix is materialized and its exact
-    rank compared.
+    when the matrix has at most ``CROSS_CHECK_CELLS`` cells it is
+    materialized and its exact rank compared.
     """
     _check_range(n, d, k)
     value = _exact_dim(n, d, k, comb(n, k))
-    if cross_check is None:
-        cross_check = binom(n, k) * binom(n, d - k) <= CROSS_CHECK_CELLS
-    if cross_check:
+    if binom(n, k) * binom(n, d - k) <= CROSS_CHECK_CELLS:
         rank = sparse_int_rank(disjointness_matrix(n, d, k))
         if rank != value:
             raise InvariantViolation(

@@ -220,7 +220,7 @@ def test_criterion_08_symmetric_closed_forms():
                     ok = False
                 closed = min(binom(n, k), binom(n, d - k))
                 rank = sparse_int_rank(disjointness_matrix(n, d, k))
-                if not closed == rank == sym_exact_dim(n, d, k, cross_check=False):
+                if not closed == rank == sym_exact_dim(n, d, k):
                     ok = False
                 cases += 1
     report(8, ok, f"n <= 8, all (d, k): {cases} cases, traces and ranks exact")

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -354,8 +355,7 @@ def test_input_errors_exit_2(capsys, tmp_path, argv):
     assert err
     if "--vertex-trials" in args:  # the cases that pin the knob's least and most
         value = args[args.index("--vertex-trials") + 1]
-        expected = {"-5": "must be >= 0", "10001": "must be at most 10000"}[value]
-        assert err == f"input error: vertex-trials {expected}\n"
+        assert err == f"input error: --vertex-trials must be in 0..10000, got {value}\n"
 
 
 @pytest.mark.parametrize(
@@ -380,6 +380,29 @@ def test_malformed_integer_names_its_parameter(capsys, argv, message):
     argv = [str(DATA / "rational.poly") if arg == "POLY" else arg for arg in argv.split()]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == message
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str digit limit"
+)
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        ("verify --exhaustive n=LONG", "input error: n"),
+        ("sym gap --fixed d=5 k=LONG n=7..9", "input error: k"),
+        ("dim POLY --k 1 --order perm=1,LONG", "input error: --order index"),
+        ("dim POLY --k LONG", "pdrank dim: error: argument --k: k"),
+    ],
+)
+def test_integer_past_the_digit_limit_gives_its_digit_count(capsys, argv, prefix):
+    """int() refuses the text for its length alone: the message gives digits, not the text."""
+    limit = sys.get_int_max_str_digits()
+    long = "1" * (limit + 1)
+    argv = [str(DATA / "rational.poly") if arg == "POLY" else arg for arg in argv.split()]
+    code, out, err = run(capsys, *(arg.replace("LONG", long) for arg in argv))
+    assert (code, out) == (2, "")
+    message = f"{prefix} must be an integer of at most {limit} digits, got {limit + 1} digits"
     assert err.splitlines()[-1] == message
 
 
@@ -429,7 +452,7 @@ def test_trace_samples_below_one_exit_2(capsys, poly_file, samples):
     code, out, err = run(capsys, "trace", "--k", "1", poly_file("x1*x2 + x3"), "--samples", samples)
     assert code == 2
     assert not out
-    assert "samples must be >= 1" in err
+    assert err == f"input error: --samples must be in 1..{cli.MAX_TRACE_SAMPLES}, got {samples}\n"
 
 
 def test_trace_samples_checked_before_any_work(capsys, monkeypatch):
@@ -440,7 +463,7 @@ def test_trace_samples_checked_before_any_work(capsys, monkeypatch):
     argv = ("trace", "--k", "3", "--oracle", "--samples", "0", str(DATA / "multilinear40.poly"))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == "input error: samples must be >= 1\n"
+    assert err == f"input error: --samples must be in 1..{cli.MAX_TRACE_SAMPLES}, got 0\n"
 
 
 def test_trace_samples_above_the_limit_exit_2_before_any_work(capsys, poly_file, monkeypatch):
@@ -452,7 +475,7 @@ def test_trace_samples_above_the_limit_exit_2_before_any_work(capsys, poly_file,
     argv = ("trace", "--k", "2", "--samples", str(count), str(DATA / "multilinear40.poly"))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == f"input error: samples must be at most {cli.MAX_TRACE_SAMPLES}, got {count}\n"
+    assert err == f"input error: --samples must be in 1..{cli.MAX_TRACE_SAMPLES}, got {count}\n"
     # the sample count alone is admitted, but not times the number of terms
     count = cli.MAX_TRACE_SAMPLES
     terms = cli.MAX_TRACE_TERM_SAMPLES // count + 1
@@ -552,7 +575,7 @@ def test_knob_below_its_least_value_exit_2(capsys, poly_file, command, knob, val
     code, out, err = run(capsys, *argv, f"--{knob}", str(value))
     assert code == 2
     assert not out
-    assert f"{knob} must be >= " in err
+    assert f"--{knob} must be " in err and err.endswith(f", got {value}\n")
 
 
 # pdrank reads its knobs from flags only; setting this variable must change nothing.
@@ -678,18 +701,18 @@ KNOB_FLAGS = {
     "dim": "--seed --max-rows --max-cols --elimination-budget --budget "
     "--vertex-trials --order --order-dir --timing",
     "bounds": "--seed --max-rows --max-cols --budget --vertex-trials --order --order-dir --timing",
-    "trace": "--seed --max-rows --max-cols --elimination-budget --budget",
+    "trace": "--seed --max-rows --max-cols --elimination-budget --budget --samples",
     "reduce": "--max-rows --max-cols --elimination-budget",
     "verify": "",
-    "random-corpus": "--seed",
+    "random-corpus": "--seed --count --max-vars --max-terms --max-degree",
 }
 OWN_FLAGS = {
     "dim": "--k --mode",
     "bounds": "--k",
-    "trace": "--k --oracle --samples",
+    "trace": "--k --oracle",
     "reduce": "",
     "verify": "--exhaustive --check-basis",
-    "random-corpus": "--count --max-vars --max-terms --max-degree",
+    "random-corpus": "",
 }
 # Knob flags a subcommand no longer declares, as its handler never read them.
 REFUSED_FLAGS = {
@@ -712,6 +735,42 @@ def test_subcommand_declares_only_the_flags_it_reads(command):
     declared = {flag for action in subs.choices[command]._actions for flag in action.option_strings}
     own = {"-h", "--help", "--format", *OWN_FLAGS[command].split()}
     assert declared == own | set(KNOB_FLAGS[command].split())
+
+
+# Each Options field's admitted range, least..most; None is no limit.
+KNOB_RANGES = {
+    "seed": (None, None),
+    "max_rows": (0, None),
+    "max_cols": (0, None),
+    "elimination_budget": (0, None),
+    "budget": (0, None),
+    "vertex_trials": (0, 10_000),
+    "samples": (1, 4000),
+    "count": (0, 10_000),
+    "max_vars": (2, 16),
+    "max_terms": (1, 16),
+    "max_degree": (0, 16),
+}
+
+
+@pytest.mark.parametrize("knob", dataclasses.fields(cli.Options), ids=lambda knob: knob.name)
+def test_knob_past_its_range_exit_2_in_one_form(capsys, knob):
+    """Each integer flag but --k is an Options field; one value past each limit is refused."""
+    least, most = KNOB_RANGES[knob.name]
+    assert (knob.metadata["least"], knob.metadata["most"]) == (least, most)
+    command = knob.metadata["commands"][0]
+    argv = {
+        "dim": ["dim", "--k", "1", str(DATA / "rational.poly")],
+        "trace": ["trace", "--k", "1", str(DATA / "rational.poly"), "--oracle"],
+        "random-corpus": ["random-corpus"],
+    }[command]
+    rule = f">= {least}" if most is None else f"in {least}..{most}"
+    flag = "--" + knob.name.replace("_", "-")
+    past = ([] if least is None else [least - 1]) + ([] if most is None else [most + 1])
+    for value in past:
+        code, out, err = run(capsys, *argv, flag, str(value))
+        assert (code, out) == (2, "")
+        assert err == f"input error: {flag} must be {rule}, got {value}\n"
 
 
 @pytest.mark.parametrize(
@@ -819,6 +878,29 @@ def test_trace_oracle_report_matches_golden_bytes(capsys):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert out == (GOLDEN_DIR / "wide30.trace_oracle_k10.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (
+            ("random-corpus", "--count", "5", "--seed", "11"),
+            "random_corpus_count5_seed11.json",
+        ),
+        (
+            (
+                "trace", "--k", "2", str(GOLDEN_DIR / "rational.poly"),
+                "--samples", "20", "--seed", "3",
+            ),
+            "rational.trace_samples20_seed3_k2.json",
+        ),
+    ],
+)
+def test_sampler_and_corpus_reports_match_golden_bytes(capsys, argv, golden):
+    """The corpus at its default sizes (8 vars, 10 terms, degree 4) and a seeded sample mean."""
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN_DIR / golden).read_text()
 
 
 @pytest.mark.parametrize(

@@ -52,23 +52,21 @@ def test_sym_exact_dim_cross_check_failure_is_invariant_violation(monkeypatch):
 
     monkeypatch.setattr(symmetric, "disjointness_matrix", rank_deficient)
     with pytest.raises(InvariantViolation, match="disjointness rank 1"):
-        sym_exact_dim(6, 3, 1, cross_check=True)
+        sym_exact_dim(6, 3, 1)
 
 
 def test_sym_exact_dim_symmetry_in_k():
     for n in range(2, 8):
         for d in range(1, n + 1):
             for k in range(d + 1):
-                assert sym_exact_dim(n, d, k, cross_check=False) == sym_exact_dim(
-                    n, d, d - k, cross_check=False
-                )
+                assert sym_exact_dim(n, d, k) == sym_exact_dim(n, d, d - k)
 
 
 def test_sym_exact_dim_matches_full_matrix_rank():
     for n in range(2, 7):
         for d in range(1, n + 1):
             for k in range(d + 1):
-                closed = sym_exact_dim(n, d, k, cross_check=True)
+                closed = sym_exact_dim(n, d, k)
                 assert dim_partials(sym_poly(n, d), OrderSpec.exact(k)) == closed
 
 
