@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -59,8 +58,6 @@ MAX_GAP_POINT_SIZE = 35_000_000  # slowest admitted shapes, d=1000 k=999 n=2^32:
 MAX_GAP_SERIES_SIZE = 40_000_000  # summed point sizes: d=6 k=3 n=9..20000, 31,312,722: 0.5-0.7 s
 MAX_TRACE_SAMPLES = 4000  # the exact running mean: 1.2 s on multilinear40 at k=2
 MAX_TRACE_TERM_SAMPLES = 200_000  # terms * samples: 4000 samples on 50 terms, 1.4 s
-# The text int() reads in base 10: digits (\d is str.isdecimal), single underscores, sign, spaces
-INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
 def _is_long(n: int) -> bool:
@@ -154,7 +151,7 @@ class Options:
     seed: int = _knob(0, "dim bounds trace random-corpus", least=None)
     max_rows: int = _knob(exact.DEFAULT_MAX_ROWS, "dim bounds trace reduce")
     max_cols: int = _knob(exact.DEFAULT_MAX_COLS, "dim bounds trace reduce")
-    elimination_budget: int = _knob(exact.DEFAULT_ELIMINATION_BUDGET, "dim trace reduce")
+    elimination_budget: int = _knob(exact.DEFAULT_ELIMINATION_BUDGET, "dim trace")
     budget: int = _knob(trace.DEFAULT_TRIPLE_BUDGET, "dim bounds trace")
     vertex_trials: int = _knob(
         bounds_mod.DEFAULT_VERTEX_TRIALS, "dim bounds", most=MAX_VERTEX_TRIALS
@@ -175,7 +172,9 @@ class Options:
                 raise ValueError(f"--{name.replace('_', '-')} {why}")
         opts = cls()
         for knob in fields(cls):
-            value = getattr(args, knob.name, None)  # None where the flag is absent or undeclared
+            if args.subcommand not in knob.metadata["commands"]:
+                continue
+            value = getattr(args, knob.name)  # None where the flag is absent
             if value is None:
                 continue
             least, most = knob.metadata["least"], knob.metadata["most"]
@@ -361,17 +360,18 @@ def parse_order_flag(args: argparse.Namespace, nvars: int):
     return [bounds_mod.MonomialOrderSpec(perm, d) for d in directions]
 
 
-def build_bound_report(
-    f: SparsePoly,
-    k: int,
-    args: argparse.Namespace,
-    opts: Options,
-    with_exact: bool,
-) -> dict:
+def build_bound_report(f: SparsePoly, k: int, args: argparse.Namespace, opts: Options) -> dict:
+    """The order-k report of ``bounds``, and of ``dim --k``, which adds the exact rank.
+
+    Each bound is named once, in ``table``, with its value and provenance;
+    a name ending in ``_lower`` is a lower bound on the exact rank, any
+    other an upper bound.
+    """
     timings: dict[str, float] = {}
     if f.is_zero:
         parse_order_flag(args, len(f.vars))  # no bound is drawn, but the flags hold
         return {
+            "command": args.subcommand,
             "input": input_digest(f),
             "k": k,
             "exact_dim": {"value": 0, "status": "zero-poly"},
@@ -409,14 +409,32 @@ def build_bound_report(
     orders = parse_order_flag(args, len(f.vars))
     if capped is not None:
         raise capped
-    extremal = bounds_mod.lower_bound_extremal(
-        f, k, orders=orders, vertex_trials=opts.vertex_trials, rng_seed=opts.seed
-    )
-    upper = bounds_mod.upper_bound_linearity(f, k, matrix=matrix)
+    table = {
+        "extremal_lower": (
+            bounds_mod.lower_bound_extremal(
+                f, k, orders=orders, vertex_trials=opts.vertex_trials, rng_seed=opts.seed
+            ),
+            f"max single-monomial profile over {len(orders)} lex orders "
+            f"plus {opts.vertex_trials} certified vertex trials (seed {opts.seed})",
+        ),
+        "L_lower": (l_scaled, "closed-form trace bound, scaled-basis coefficients"),
+        "proxy_lower": (
+            stats.proxy,
+            "Tr(B)^2/Tr(B^2), B = M^T M, M the order-k rows with 0/1 keys; exact",
+        ),
+        "linearity_upper": (
+            bounds_mod.upper_bound_linearity(f, k, matrix=matrix),
+            "min(per-term profile sum, distinct rows, distinct cols)",
+        ),
+    }
     timings["bounds"] = time.monotonic() - t0
+    bound_entries = {
+        name: frac_str(value) if isinstance(value, Fraction) else value
+        for name, (value, _) in table.items()
+    }
 
     exact_entry: dict = {"value": None, "status": "not-requested"}
-    if with_exact:
+    if args.subcommand == "dim":
         t0 = time.monotonic()
         try:
             value = exact.rank_exact(matrix, budget=opts.elimination_budget)
@@ -424,26 +442,22 @@ def build_bound_report(
         except ResourceLimitError as err:
             exact_entry = {"value": None, "status": f"skipped:caps:{err.what}"}
         timings["exact"] = time.monotonic() - t0
+        if exact_entry["status"] == "computed" and any(
+            bound > value if name.endswith("_lower") else bound < value
+            for name, (bound, _) in table.items()
+        ):
+            listed = " ".join(f"{name}={entry}" for name, entry in bound_entries.items())
+            raise InvariantViolation(f"bound sandwich violated for k={k}: exact={value} {listed}")
 
     report = {
+        "command": args.subcommand,
         "input": input_digest(f),
         "k": k,
         "exact_dim": exact_entry,
-        "bounds": {
-            "extremal_lower": extremal,
-            "L_lower": frac_str(l_scaled),
-            "proxy_lower": frac_str(stats.proxy),
-            "linearity_upper": upper,
-        },
+        "bounds": bound_entries,
         **trace_entries,
         "provenance": {
-            "extremal_lower": (
-                f"max single-monomial profile over {len(orders)} lex orders "
-                f"plus {opts.vertex_trials} certified vertex trials (seed {opts.seed})"
-            ),
-            "L_lower": "closed-form trace bound, scaled-basis coefficients",
-            "proxy_lower": "Tr(B)^2/Tr(B^2), B = M^T M, M the order-k rows with 0/1 keys; exact",
-            "linearity_upper": "min(per-term profile sum, distinct rows, distinct cols)",
+            **{name: why for name, (_, why) in table.items()},
             "exact_dim": "fraction-free elimination rank of the derivative matrix",
             "coefficients": "matrix entries use the scaled monomial basis",
         },
@@ -451,35 +465,17 @@ def build_bound_report(
     }
     if args.timing:
         report["timings_seconds"] = {k2: round(v, 6) for k2, v in timings.items()}
-
-    if exact_entry["status"] == "computed":
-        value = exact_entry["value"]
-        checks = [
-            extremal <= value,
-            l_scaled <= value,
-            stats.proxy <= value,
-            value <= upper,
-        ]
-        if not all(checks):
-            raise InvariantViolation(
-                f"bound sandwich violated for k={k}: "
-                f"extremal={extremal} L={l_scaled} proxy={stats.proxy} "
-                f"exact={value} upper={upper}"
-            )
     return report
 
 
 def cmd_dim(args: argparse.Namespace) -> int:
     mode = args.mode
-    if mode == "k" and args.k is None:
-        raise ValueError("dim requires --k (or --mode star|plus)")
+    if mode == "k":
+        if args.k is None:
+            raise ValueError("dim requires --k (or --mode star|plus)")
+        return cmd_bounds(args)
     opts = Options.resolve(args)
     f = load_poly(args.file)
-    if mode == "k":
-        report = build_bound_report(f, args.k, args, opts, with_exact=True)
-        report["command"] = "dim"
-        emit(report, args)
-        return 0
     # star / plus: exact value only
     spec = exact.OrderSpec.all_orders() if mode == "star" else exact.OrderSpec.interior()
     value = exact.dim_partials(
@@ -506,11 +502,9 @@ def cmd_dim(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds(args: argparse.Namespace) -> int:
+    """The order-k report: ``bounds``, and ``dim --k``, which adds the exact rank."""
     opts = Options.resolve(args)
-    f = load_poly(args.file)
-    report = build_bound_report(f, args.k, args, opts, with_exact=False)
-    report["command"] = "bounds"
-    emit(report, args)
+    emit(build_bound_report(load_poly(args.file), args.k, args, opts), args)
     return 0
 
 
@@ -581,12 +575,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         obj = parse_graph(text)
     else:
         obj = parse_complex(text)
-    report = reductions.verify_reduction(
-        obj,
-        max_rows=opts.max_rows,
-        max_cols=opts.max_cols,
-        budget=opts.elimination_budget,
-    )
+    report = reductions.verify_reduction(obj, max_rows=opts.max_rows, max_cols=opts.max_cols)
     payload = report.to_json_dict()
     payload["command"] = f"reduce-{args.kind}"
     emit(payload, args)
@@ -596,17 +585,16 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 def _parse_int(name: str, text: str) -> int:
     """``int(text)``; text that is not an integer is an input error that names ``name``.
 
-    Text of an integer that ``int()`` refuses for its length alone, past the
-    int-to-str digit limit, is not quoted: the error gives its digit count.
+    Text longer than the int-to-str digit limit is not quoted: the error
+    gives its length.
     """
     try:
         return int(text)
     except ValueError:
-        if INT_TEXT.fullmatch(text):
-            digits = sum(map(str.isdecimal, text))
-            limit = sys.get_int_max_str_digits()
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        if limit and len(text) > limit:
             raise ValueError(
-                f"{name} must be an integer of at most {limit} digits, got {digits} digits"
+                f"{name} must be an integer of at most {limit} digits, got {len(text)} characters"
             ) from None
         raise ValueError(f"{name} must be an integer, got {text!r}") from None
 

@@ -32,7 +32,6 @@ from operator import add, sub
 from .combinat import all_sub_indices, cleared
 from .errors import InvariantViolation, ResourceLimitError
 from .exact import (
-    DEFAULT_ELIMINATION_BUDGET,
     DEFAULT_MAX_COLS,
     DEFAULT_MAX_ROWS,
     DerivMatrix,
@@ -241,7 +240,6 @@ def verify_reduction(
     *,
     max_rows: int = DEFAULT_MAX_ROWS,
     max_cols: int = DEFAULT_MAX_COLS,
-    budget: int = DEFAULT_ELIMINATION_BUDGET,
 ) -> ReductionReport:
     """Run the full construction and check the face-count identity exactly.
 
@@ -250,7 +248,7 @@ def verify_reduction(
     complement complex; then one polynomial gives one interior-order
     matrix.  When its distinct rows share no column their count is its
     rank, ``dim_plus`` (:func:`_disjoint_row_count`); otherwise
-    ``rank_exact`` computes it, under ``budget``.  ``basis_verified`` says
+    ``rank_exact`` computes it, under its default budget.  ``basis_verified`` says
     the certificate held and counted 2 * faces rows: the explicit basis.
     The faces and independent sets (2^n work each) are counted after the
     matrix, so its caps refuse a large input first.
@@ -276,7 +274,7 @@ def verify_reduction(
             complex_to_poly(sc), OrderSpec.interior(), max_rows=max_rows, max_cols=max_cols
         )
         certified = _disjoint_row_count(matrix)
-        dim_plus = rank_exact(matrix, budget=budget) if certified is None else certified
+        dim_plus = rank_exact(matrix) if certified is None else certified
     ind = count_independent_sets(obj) if isinstance(obj, Graph) else None
     faces = count_faces(sc)
     holds = dim_plus == 2 * faces and (ind is None or faces == 2**sc.ground - ind - 1)

@@ -445,25 +445,19 @@ def explicit_B_oracle(
     The rows of a term x^alpha are the k-subsets of its support; rows whose
     derivative vanishes never appear (they contribute nothing to the traces
     or the rank).  M is refused by the rows and columns it builds, as in
-    :func:`assemble`.  B, its traces, and rank(B) are computed directly;
-    B is kept sparse, summed over the pairs of entries within each row of M.
+    :func:`assemble`.  B's traces are computed directly, B kept sparse,
+    summed over the pairs of entries within each row of M.  rank(B) is
+    rank(M), whose elimination ``budget`` caps.
     """
     if f.is_zero:
         raise ValueError("oracle is undefined for the zero polynomial")
     scaled = f if f.basis == SCALED else to_scaled(f)
     matrix = _trace_matrix(scaled, k, max_rows=max_rows, max_cols=max_cols)
     diagonal, upper = _gram(matrix.entries)
-    full: dict[int, dict[int, int]] = {j: {j: d} for j, d in diagonal.items()}
-    for j1, row in upper.items():
-        for j2, g in row.items():
-            full[j1][j2] = full[j2][j1] = g
-    # Ascending keys give sparse_int_rank the rows, and so the elimination
-    # budget counts, of the dense Gram matrix.
-    gram = [{j: grow[j] for j in sorted(grow) if grow[j]} for _, grow in sorted(full.items())]
     denom = matrix.clear_factor
     tr_b = Fraction(sum(diagonal.values()), denom**2)
     tr_b2 = Fraction(_frobenius_square(diagonal, upper), denom**4)
-    rank_b = sparse_int_rank(gram, budget=budget)
+    rank_b = sparse_int_rank(list(matrix.entries), budget=budget)  # rank(M^T M) = rank(M)
     return ExplicitOracle(matrix, TraceStats(k, len(scaled.terms), tr_b, tr_b2), rank_b)
 
 

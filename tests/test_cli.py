@@ -402,8 +402,20 @@ def test_integer_past_the_digit_limit_gives_its_digit_count(capsys, argv, prefix
     argv = [str(DATA / "rational.poly") if arg == "POLY" else arg for arg in argv.split()]
     code, out, err = run(capsys, *(arg.replace("LONG", long) for arg in argv))
     assert (code, out) == (2, "")
-    message = f"{prefix} must be an integer of at most {limit} digits, got {limit + 1} digits"
+    message = f"{prefix} must be an integer of at most {limit} digits, got {limit + 1} characters"
     assert err.splitlines()[-1] == message
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str digit limit"
+)
+def test_long_text_that_is_not_an_integer_gives_its_length(capsys):
+    """Text past the digit limit is never quoted, whether or not it is an integer."""
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "verify", "--exhaustive", "n=" + "1" * (limit + 1) + "x")
+    assert (code, out) == (2, "")
+    message = f"n must be an integer of at most {limit} digits, got {limit + 2} characters"
+    assert err == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -656,6 +668,31 @@ def test_invariant_violation_exit_4(capsys, poly_file, monkeypatch):
     assert "invariant" in err
 
 
+@pytest.mark.parametrize(
+    "bound, name, value",
+    [
+        ("upper_bound_linearity", "linearity_upper", 0),
+        ("lower_bound_extremal", "extremal_lower", 10**6),
+    ],
+)
+def test_each_side_of_the_sandwich_exit_4(capsys, poly_file, monkeypatch, bound, name, value):
+    """An upper bound below the exact rank, or a lower bound above it, trips the self-check."""
+    monkeypatch.setattr(cli.bounds_mod, bound, lambda *a, **kw: value)
+    code, out, err = run(capsys, "dim", "--k", "1", poly_file("x1*x2 + x3"))
+    assert (code, out) == (4, "")
+    assert err.startswith("internal invariant violation: bound sandwich violated for k=1: ")
+    assert f" {name}={value}" in err
+    # bounds draws no exact rank, so it holds no bound against one
+    assert run(capsys, "bounds", "--k", "1", poly_file("x1*x2 + x3"))[0] == 0
+
+
+def test_options_read_only_the_knobs_of_their_subcommand():
+    """A namespace attribute of a knob the subcommand does not declare never reaches Options."""
+    args = argparse.Namespace(subcommand="reduce", max_rows=7, max_cols=None, seed=5, budget=3)
+    opts = cli.Options.resolve(args)
+    assert (opts.max_rows, opts.seed, opts.budget) == (7, 0, trace.DEFAULT_TRIPLE_BUDGET)
+
+
 def test_seeded_runs_byte_identical(capsys, poly_file, tmp_path):
     path = poly_file("x1*x2*x3 + x1^3 + 2*x2")
     graph = tmp_path / "g.edges"
@@ -702,7 +739,7 @@ KNOB_FLAGS = {
     "--vertex-trials --order --order-dir --timing",
     "bounds": "--seed --max-rows --max-cols --budget --vertex-trials --order --order-dir --timing",
     "trace": "--seed --max-rows --max-cols --elimination-budget --budget --samples",
-    "reduce": "--max-rows --max-cols --elimination-budget",
+    "reduce": "--max-rows --max-cols",
     "verify": "",
     "random-corpus": "--seed --count --max-vars --max-terms --max-degree",
 }
@@ -719,7 +756,7 @@ REFUSED_FLAGS = {
     "dim": "--threads",
     "bounds": "--elimination-budget --threads",
     "trace": "--vertex-trials --order --order-dir --timing --threads",
-    "reduce": "--seed --budget --threads",
+    "reduce": "--seed --budget --elimination-budget --threads",
     "verify": "--seed --max-rows --max-cols --elimination-budget --budget --threads",
     "random-corpus": "--max-rows --max-cols --elimination-budget --budget --threads",
 }
@@ -1084,15 +1121,6 @@ def test_repeated_parameter_key_exits_2(capsys, argv, key):
     code, out, err = run(capsys, *argv, "--format", "json")
     assert (code, out) == (2, "")
     assert f"key {key!r} given twice" in err
-
-
-def test_reduce_elimination_budget_caps_only_the_fallback_rank(capsys):
-    """A reduction's matrix is certified without a rank, so a zero budget changes nothing."""
-    graph = str(GOLDEN_DIR / "graph6.graph")
-    argv = ("reduce", "graph", graph, "--elimination-budget", "0", "--format", "json")
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert out == (GOLDEN_DIR / "graph6.reduce.json").read_text()
 
 
 # Exact values past the interpreter's int-to-str digit limit (4300 digits).

@@ -175,6 +175,36 @@ def test_traces_match_oracle_on_random_corpus():
             assert grouped == oracle.stats.tr_b2  # the oracle shares the Gram route's sum
 
 
+def dense_rank(rows: list[list[int]]) -> int:
+    """Rank over the rationals by Gaussian elimination in Fractions."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][col] / rows[rank][col]
+            rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_oracle_rank_b_is_the_rank_of_the_dense_gram():
+    """The oracle ranks M, as rank(M^T M) = rank(M); B built dense here has that rank."""
+    ranks = set()
+    for f in random_polys(seed=74, count=20, max_vars=5, max_terms=6, max_degree=3):
+        for k in range(f.degree + 2):
+            oracle = explicit_B_oracle(f, k)
+            rows = oracle.matrix.entries
+            cols = sorted({j for row in rows for j in row})
+            gram = [[sum(r.get(a, 0) * r.get(b, 0) for r in rows) for b in cols] for a in cols]
+            assert oracle.rank_b == dense_rank(gram), (f, k)
+            ranks.add(oracle.rank_b)
+    assert 0 in ranks and max(ranks) >= 5
+
+
 def test_oracle_refuses_by_the_rows_it_builds():
     """Three 12-term supports over 30 variables: C(30, 10) = 30045015, but M has 198 rows.
 
