@@ -52,10 +52,11 @@ DEC12 = Context(prec=12)  # the 12 significant digits of frac_dec
 EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
 SPLIT_BITS = 4096  # int_decimal calls Decimal(n) up to here; both ways tie near 16,000 bits
 MAX_VERTEX_TRIALS = 10_000  # at most 0.3 ms each on 1000 terms
-MAX_GAP_POINTS = 20_000  # sym gap --fixed d=5 k=2 n=7..20000: 0.5-0.6 s, 6.5 MB of JSON
-MAX_GAP_SCALE = 300  # sym gap --scaled kp=1 dp=2 np=5 m=300: 0.02-0.03 s
-MAX_GAP_POINT_SIZE = 35_000_000  # slowest admitted shapes, d=1000 k=999 n=2^32: 0.4-0.5 s
-MAX_GAP_SERIES_SIZE = 40_000_000  # summed point sizes: d=6 k=3 n=9..20000, 31,312,722: 0.5-0.7 s
+# The sym gap times are in-process wall times on a 2-vCPU x86-64 host, Python 3.11.
+MAX_GAP_POINTS = 20_000  # sym gap --fixed d=5 k=2 n=7..20000: 0.19-0.25 s, 6.5 MB of JSON
+MAX_GAP_SCALE = 300  # sym gap --scaled kp=1 dp=2 np=5 m=300: 0.01 s
+MAX_GAP_POINT_SIZE = 35_000_000  # slowest admitted shapes, d=1000 k=999 n=2^32: 0.23-0.25 s
+MAX_GAP_SERIES_SIZE = 40_000_000  # summed point sizes: d=6 k=3 n=9..20000, 31,312,722: 0.21-0.25 s
 MAX_TRACE_SAMPLES = 4000  # the exact running mean: 1.2 s on multilinear40 at k=2
 MAX_TRACE_TERM_SAMPLES = 200_000  # terms * samples: 4000 samples on 50 terms, 1.4 s
 
@@ -109,8 +110,12 @@ def exact_str(value) -> str:
 
 
 def frac_str(value: Fraction) -> str:
-    """``numerator/denominator`` in full; a side past the digit limit goes to :func:`exact_str`."""
-    num, den = value.numerator, value.denominator
+    """:func:`pair_str` of ``value``'s numerator and denominator."""
+    return pair_str(value.numerator, value.denominator)
+
+
+def pair_str(num: int, den: int) -> str:
+    """``num/den`` in full; a side past the digit limit goes to :func:`exact_str`."""
     try:
         return f"{num}/{den}"
     except ValueError:
@@ -118,12 +123,16 @@ def frac_str(value: Fraction) -> str:
 
 
 def frac_dec(value: Fraction) -> str:
-    """``value`` to 12 significant digits.
+    """:func:`pair_dec` of ``value``'s numerator and denominator."""
+    return pair_dec(value.numerator, value.denominator)
+
+
+def pair_dec(num: int, den: int) -> str:
+    """num/den to 12 significant digits.
 
     DEC12 converts short ints itself, exactly; a long side sends both
     through :func:`int_decimal`.
     """
-    num, den = value.numerator, value.denominator
     if _is_long(num) or _is_long(den):
         num, den = int_decimal(num), int_decimal(den)
     return str(DEC12.divide(num, den))
@@ -613,16 +622,25 @@ def _parse_keyvals(pairs: list[str]) -> dict[str, str]:
 
 def _parse_range(key: str, text: str) -> Sequence[int]:
     """The value of ``key``, ``lo..hi`` or a comma list: a nonempty series of at most
-    ``MAX_GAP_POINTS``."""
+    ``MAX_GAP_POINTS``.
+
+    A range is counted as hi - lo + 1, since ``len`` of a range past the
+    C ssize_t overflows, and two long ends give a count past the digit limit.
+    """
     if ".." in text:
         lo, _, hi = text.partition("..")
-        values: Sequence[int] = range(_parse_int(key, lo), _parse_int(key, hi) + 1)
+        lo, hi = _parse_int(key, lo), _parse_int(key, hi)
+        values: Sequence[int] = range(lo, hi + 1)
+        count = hi - lo + 1
     else:
         values = [_parse_int(key, v) for v in text.split(",")]
-    if not values:
+        count = len(values)
+    if count <= 0:
         raise ValueError(f"empty range {text!r}")
-    if len(values) > MAX_GAP_POINTS:
-        raise ValueError(f"a gap series has at most {MAX_GAP_POINTS} points, got {len(values)}")
+    if count > MAX_GAP_POINTS:
+        raise ValueError(
+            f"a gap series has at most {MAX_GAP_POINTS} points, got {exact_str(count)}"
+        )
     return values
 
 
@@ -668,19 +686,51 @@ GAP_KEYS = ("n", "d", "k", "u", "v", "v_dec", "upper_v", "upper_v_dec", "ratio",
 GAP_INT_KEYS = 4
 
 
-def _gap_row(p: symmetric.SymGapPoint) -> tuple[str, ...]:
-    """A point's cells in ``GAP_KEYS`` order: ints by exact_str, fractions by frac_str, frac_dec."""
+def _gap_row(
+    n: int,
+    d: int,
+    k: int,
+    u: int,
+    v: tuple[int, int],
+    upper_v: tuple[int, int],
+    ratio: tuple[int, int],
+) -> tuple[str, ...]:
+    """A point's cells in ``GAP_KEYS`` order, from ``symmetric._gap_ints``'s reduced pairs.
+
+    When no fraction side is past ``SPLIT_BITS`` bits, the cells are plain
+    f-strings and DEC12 quotients.  A lowered digit limit can still refuse
+    such a short int; then, as for a long side, each cell goes through
+    exact_str, pair_str and pair_dec, which write it the same.
+    """
+    (vn, vd), (un, ud), (rn, rd) = v, upper_v, ratio
+    if not _is_long(max(vn, vd, un, ud, rn, rd)):
+        divide = DEC12.divide
+        try:
+            return (
+                f"{n}",
+                f"{d}",
+                f"{k}",
+                f"{u}",
+                f"{vn}/{vd}",
+                str(divide(vn, vd)),
+                f"{un}/{ud}",
+                str(divide(un, ud)),
+                f"{rn}/{rd}",
+                str(divide(rn, rd)),
+            )
+        except ValueError:
+            pass
     return (
-        exact_str(p.n),
-        exact_str(p.d),
-        exact_str(p.k),
-        exact_str(p.u),
-        frac_str(p.v),
-        frac_dec(p.v),
-        frac_str(p.upper_v),
-        frac_dec(p.upper_v),
-        frac_str(p.ratio),
-        frac_dec(p.ratio),
+        exact_str(n),
+        exact_str(d),
+        exact_str(k),
+        exact_str(u),
+        pair_str(vn, vd),
+        pair_dec(vn, vd),
+        pair_str(un, ud),
+        pair_dec(un, ud),
+        pair_str(rn, rd),
+        pair_dec(rn, rd),
     )
 
 
@@ -709,7 +759,7 @@ def cmd_sym_gap(args: argparse.Namespace) -> int:
             raise ValueError("sym gap --fixed expects d=<d> k=<k> n=<range>")
         d, n_values = _parse_int("d", params["d"]), _parse_range("n", params["n"])
         _check_gap_series([(n, d) for n in n_values])
-        points = symmetric.sym_gap_series_fixed(d, _parse_int("k", params["k"]), n_values)
+        shapes = symmetric._fixed_shapes(d, _parse_int("k", params["k"]), n_values)
         mode = "fixed"
     else:
         needed = {"kp", "dp", "np", "m"}
@@ -720,9 +770,9 @@ def cmd_sym_gap(args: argparse.Namespace) -> int:
             raise ValueError(f"m must be at most {MAX_GAP_SCALE}")
         dp, np_ = _parse_int("dp", params["dp"]), _parse_int("np", params["np"])
         _check_gap_series([(np_ * m, dp * m) for m in m_values])
-        points = symmetric.sym_gap_series_scaled(_parse_int("kp", params["kp"]), dp, np_, m_values)
+        shapes = symmetric._scaled_shapes(_parse_int("kp", params["kp"]), dp, np_, m_values)
         mode = "scaled"
-    rows = [_gap_row(p) for p in points]
+    rows = [_gap_row(*shape, *symmetric._gap_ints(*shape)) for shape in shapes]
     if args.format == "csv":
         sys.stdout.write(",".join(GAP_KEYS) + "\n")
         for row in rows:

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb
-from typing import NamedTuple, Sequence
+from math import comb, gcd
+from typing import Iterable, NamedTuple, Sequence
 
 from .combinat import binom
 from .errors import InvariantViolation, ResourceLimitError
@@ -115,7 +115,7 @@ def _binoms(n: int, d: int, k: int) -> tuple[int, int, int, int]:
     and every binomial has arguments >= 0.  A gap point reads it once.
 
     ``math.comb`` rather than ``binom``: with 0 <= k <= d <= n and that t,
-    no argument is negative, and binom's checks cost 1.2 of 14 us a point.
+    no argument is negative, so binom's checks would only cost time.
     """
     _check_range(n, d, k)
     sums = [
@@ -150,41 +150,73 @@ def sym_upper_v(n: int, d: int, k: int) -> Fraction:
     """
     if not 0 <= k <= d <= n - k:
         raise ValueError("upper bound undefined: need n >= d + k and n >= 2k")
-    rows, diag, _, disjoint = _binoms(n, d, k)
-    return _upper_v(rows, diag, disjoint)
+    return Fraction(*_gap_ints(n, d, k)[2])
 
 
-def _upper_v(rows: int, diag: int, disjoint: int) -> Fraction:
-    """diag^2 * C(n, k) / disjoint, from the ``_binoms`` integers of (n, d, k)."""
-    return Fraction(diag * diag * rows, disjoint)
+def _gap_ints(
+    n: int, d: int, k: int
+) -> tuple[int, tuple[int, int], tuple[int, int], tuple[int, int]]:
+    """u, v, upper_v and ratio of a gap point, each fraction a reduced (num, den) pair.
 
-
-def _gap_point(n: int, d: int, k: int) -> SymGapPoint:
-    """One point from one read of ``_binoms``; the series have checked n >= d + k.
-
-    u and upper_v are the closed forms of ``sym_exact_dim`` and
-    ``sym_upper_v`` (``_exact_dim``, ``_upper_v``), and v is ``sym_proxy``'s
-    Tr(B)^2 / Tr(B^2), each from the same four integers.
+    One read of ``_binoms``; needs 0 <= k <= d <= n - k, so that the
+    disjoint rows exist.  With C(n, k) cancelled, v = diag^2 C(n, k) / row_sum
+    is ``sym_proxy``'s Tr(B)^2 / Tr(B^2), upper_v = diag^2 C(n, k) / disjoint
+    is ``sym_upper_v``'s, and u is ``sym_exact_dim``'s.  Each pair is reduced
+    by one gcd: ratio = v / u by gcd(v_num, u), as v_num and v_den are coprime.
     """
     rows, diag, row_sum, disjoint = _binoms(n, d, k)
     u = _exact_dim(n, d, k, rows)
-    v = proxy_from_traces(diag * rows, rows * row_sum)
-    ratio = Fraction(v.numerator, v.denominator * u)
-    return SymGapPoint(n, d, k, u, v, _upper_v(rows, diag, disjoint), ratio)
+    top = diag * diag * rows
+    g = gcd(top, row_sum)
+    v_num, v_den = top // g, row_sum // g
+    h = gcd(top, disjoint)
+    g = gcd(v_num, u)
+    return u, (v_num, v_den), (top // h, disjoint // h), (v_num // g, v_den * (u // g))
 
 
-def sym_gap_series_fixed(d: int, k: int, n_values: Sequence[int]) -> list[SymGapPoint]:
-    """Gap series at fixed (d, k) over a range of n; needs k < d < n <= n+."""
+def _gap_point(n: int, d: int, k: int) -> SymGapPoint:
+    """The point of (n, d, k): the pairs of ``_gap_ints`` as Fractions."""
+    u, v, upper_v, ratio = _gap_ints(n, d, k)
+    return SymGapPoint(n, d, k, u, Fraction(*v), Fraction(*upper_v), Fraction(*ratio))
+
+
+def _fixed_shapes(d: int, k: int, n_values: Iterable[int]) -> list[tuple[int, int, int]]:
+    """The (n, d, k) of a gap series at fixed (d, k): needs 1 <= k < d and n >= d + k."""
     if not (1 <= k < d):
         raise ValueError("need 1 <= k < d")
-    points = []
+    shapes = []
     for n in n_values:
         if not d < n:
             raise ValueError(f"need d < n (got d={d}, n={n})")
         if n < d + k:
             raise ValueError(f"need n >= d + k for the upper bound (got n={n})")
-        points.append(_gap_point(n, d, k))
-    return points
+        shapes.append((n, d, k))
+    return shapes
+
+
+def _scaled_shapes(
+    kp: int, dp: int, np_: int, m_values: Iterable[int]
+) -> list[tuple[int, int, int]]:
+    """The (n, d, k) = m * (n', d', min(k', d'-k')) of a scaled gap series.
+
+    Needs 1 <= k' < d', 2d' < n' and m >= 1.
+    """
+    if not (1 <= kp < dp):
+        raise ValueError("need 1 <= k' < d'")
+    if not 2 * dp < np_:
+        raise ValueError("need d' < n'/2")
+    kp_eff = min(kp, dp - kp)
+    shapes = []
+    for m in m_values:
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        shapes.append((np_ * m, dp * m, kp_eff * m))
+    return shapes
+
+
+def sym_gap_series_fixed(d: int, k: int, n_values: Sequence[int]) -> list[SymGapPoint]:
+    """Gap series at fixed (d, k) over a range of n; needs 1 <= k < d and n >= d + k."""
+    return [_gap_point(*shape) for shape in _fixed_shapes(d, k, n_values)]
 
 
 def sym_gap_series_scaled(
@@ -196,14 +228,4 @@ def sym_gap_series_scaled(
     order k equals the dimension at order d-k, k' is normalized internally
     to min(k', d'-k') so that 2k' <= d'.
     """
-    if not (1 <= kp < dp):
-        raise ValueError("need 1 <= k' < d'")
-    if not 2 * dp < np_:
-        raise ValueError("need d' < n'/2")
-    kp_eff = min(kp, dp - kp)
-    points = []
-    for m in m_values:
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        points.append(_gap_point(np_ * m, dp * m, kp_eff * m))
-    return points
+    return [_gap_point(*shape) for shape in _scaled_shapes(kp, dp, np_, m_values)]

@@ -949,6 +949,10 @@ def test_sampler_and_corpus_reports_match_golden_bytes(capsys, argv, golden):
             "sym_gap_scaled_k1_d2_n5.csv",
         ),
         (("--fixed", "d=5", "k=2", "n=7..40", "--format", "text"), "sym_gap_fixed_d5_k2.txt"),
+        (
+            ("--fixed", "d=220", "k=110", f"n=330,{10**45}", "--format", "csv"),
+            "sym_gap_long_d220_k110.csv",
+        ),
     ],
 )
 def test_sym_gap_reports_match_golden_bytes(capsys, argv, golden):
@@ -1063,6 +1067,27 @@ def test_long_gap_cases_take_both_paths_of_every_cell():
     assert all(len(_digits(side)) > limit for side in long_sides)
     assert all(side.bit_length() > cli.SPLIT_BITS for side in long_sides)
     assert all(side.bit_length() <= cli.SPLIT_BITS for side in short_sides)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_sym_gap_under_a_lowered_digit_limit(capsys, fmt):
+    """Sides of at most SPLIT_BITS bits, yet past a lowered digit limit, are written in full."""
+    params = {"d": "60", "k": "30", "n": "1000000000000"}
+    u, *pairs = symmetric._gap_ints(10**12, 60, 30)
+    sides = [u] + [side for pair in pairs for side in pair]
+    assert all(side.bit_length() <= cli.SPLIT_BITS for side in sides)
+    assert max(len(_digits(side)) for side in sides) > 640
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        argv = ("sym", "gap", "--fixed", *(f"{key}={value}" for key, value in params.items()))
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        sys.set_int_max_str_digits(0)
+        expected = _reference_gap_report(params, fmt)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, err) == (0, "")
+    assert out == expected
 
 
 @pytest.mark.parametrize(
@@ -1286,6 +1311,9 @@ def test_json_text_refuses_what_it_does_not_write(value):
         cli.json_text(value)
 
 
+NINES = "9" * 4300
+
+
 @pytest.mark.parametrize(
     "params, message",
     [
@@ -1314,6 +1342,25 @@ def test_json_text_refuses_what_it_does_not_write(value):
             ("--fixed", "d=8", "k=3", "n=11..20000"),
             "summed over 19990 points = 46025160 > 40000000",
         ),
+        # ranges past the C ssize_t, and two ends of 4300 digits, whose count has 4301
+        (
+            ("--fixed", "d=5", "k=2", f"n=7..{10**29}"),
+            f"at most 20000 points, got {10**29 - 6}",
+        ),
+        (
+            ("--scaled", "kp=1", "dp=2", "np=5", f"m=1..{10**30}"),
+            f"at most 20000 points, got {10**30}",
+        ),
+        pytest.param(
+            ("--fixed", "d=5", "k=2", f"n=-{NINES}..{NINES}"),
+            f"at most 20000 points, got 1{NINES}\n",
+            id="n-count-past-the-digit-limit",
+        ),
+        pytest.param(
+            ("--scaled", "kp=1", "dp=2", "np=5", f"m=-{NINES}..{NINES}"),
+            f"at most 20000 points, got 1{NINES}\n",
+            id="m-count-past-the-digit-limit",
+        ),
     ],
 )
 def test_sym_gap_series_limits_exit_2_before_any_point(capsys, monkeypatch, params, message):
@@ -1321,6 +1368,7 @@ def test_sym_gap_series_limits_exit_2_before_any_point(capsys, monkeypatch, para
         raise AssertionError("a point was computed before the series was checked")
 
     monkeypatch.setattr(cli.symmetric, "_gap_point", no_point)
+    monkeypatch.setattr(cli.symmetric, "_gap_ints", no_point)
     code, out, err = run(capsys, "sym", "gap", *params, "--format", "json")
     assert (code, out) == (2, "")
     assert message in err

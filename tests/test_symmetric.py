@@ -249,3 +249,21 @@ def test_gap_point_fields_match_the_unfactored_forms(triples):
         assert all(type(value) is Fraction for value in point[4:])
         checked += 1
     assert checked >= 40
+
+
+@pytest.mark.parametrize("triples", [_random_triples(400), EDGE_TRIPLES], ids=["random", "edges"])
+def test_gap_ints_are_the_reduced_unfactored_forms(triples):
+    """Each pair of the integer core is coprime, has a positive denominator and is the
+    numerator and denominator of the unfactored v, upper_v and v / u."""
+    checked = 0
+    for n, d, k in triples:
+        if not 1 <= k <= d <= n - k:
+            continue
+        u, *pairs = symmetric._gap_ints(n, d, k)
+        v = _unfactored_proxy(n, d, k)
+        assert u == min(binom(n, k), binom(n, d - k))
+        for (num, den), value in zip(pairs, [v, _unfactored_upper_v(n, d, k), v / u]):
+            assert den > 0 and math.gcd(num, den) == 1
+            assert (num, den) == (value.numerator, value.denominator), (n, d, k)
+        checked += 1
+    assert checked >= 40
