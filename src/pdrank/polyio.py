@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, NoReturn, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 from .errors import InvariantViolation, ParseError, ResourceLimitError
 
@@ -250,10 +250,16 @@ def permute_vars(f: SparsePoly, perm: Sequence[int]) -> SparsePoly:
 # letters, digits or '_'.  An optional first line "vars: x1 x2 ..." pins
 # the variable order; otherwise variables are ordered by first appearance.
 # Decimal literals become exact rationals; there is no float path anywhere.
+# Digits are ASCII in every input format.  A JSON "coef" string is one coef
+# with an optional sign and no space; _read_coef gives its value and a
+# term's alike.  Graph and complex ids are read by _read_id_lines.
 # ---------------------------------------------------------------------------
 
-_COEF = r"\d+\.\d+|\d+(?:\s*/\s*\d+)?"
-_FACTOR = rf"{_NAME}(?:\s*\^\s*\d+)?"
+_UINT = "[0-9]+"  # ASCII digits only; \d and str.isdigit() take any Unicode digit
+_UINT_RE = re.compile(_UINT)
+_COEF = rf"{_UINT}\.{_UINT}|{_UINT}(?:\s*/\s*{_UINT})?"
+_COEF_STRING_RE = re.compile("([-+]?)(" + _COEF.replace(r"\s*", "") + ")")  # JSON: no space
+_FACTOR = rf"{_NAME}(?:\s*\^\s*{_UINT})?"
 _MONO = rf"{_FACTOR}(?:\s*\*\s*{_FACTOR})*"
 # One signed term and the space after it; a term ends where the next sign
 # or the text does, so a match never stops inside a token.
@@ -262,12 +268,24 @@ _TERM_RE = re.compile(
     rf"(?:(?:(?P<coef>{_COEF})\s*\*\s*)?(?P<mono>{_MONO})|(?P<const>{_COEF}))"
     rf"\s*(?=[-+]|\Z)"
 )
-_FACTOR_RE = re.compile(rf"({_NAME})\s*(?:\^\s*(\d+))?")
+_FACTOR_RE = re.compile(rf"({_NAME})\s*(?:\^\s*({_UINT}))?")
 # Tokens for error diagnosis only; BADDEC and BAD are lexical errors.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<DEC>\d+\.\d+)|(?P<BADDEC>\d+\.)|(?P<NUM>\d+)"
+    rf"\s*(?:(?P<DEC>{_UINT}\.{_UINT})|(?P<BADDEC>{_UINT}\.)|(?P<NUM>{_UINT})"
     rf"|(?P<NAME>{_NAME})|(?P<OP>[-+*^/])|(?P<BAD>\S))"
 )
+
+
+def _read_coef(sign: str, coef: str) -> Fraction | int:
+    """The exact value of a ``coef`` under ``sign``; ZeroDivisionError on a zero denominator."""
+    if "/" in coef:
+        num, den = coef.split("/")
+        return Fraction(int(sign + num), int(den))
+    if "." in coef:  # exact: "1.25" -> 5/4
+        whole, frac = coef.split(".")
+        num = int(whole) * 10 ** len(frac) + int(frac)
+        return Fraction(-num if sign == "-" else num, 10 ** len(frac))
+    return int(sign + coef)
 
 
 def _line_col(text: str, offset: int) -> tuple[int, int]:
@@ -388,18 +406,10 @@ def parse_poly(text: str) -> SparsePoly:
         if m is None:
             _diagnose(body, pos)
         sign, coef_text, mono, const = m.groups("")
-        coef_text = coef_text or const
-        if not coef_text:
-            coefs.append(-1 if sign == "-" else 1)
-        elif "." in coef_text:
-            coefs.append(Fraction(sign + coef_text))  # exact: "1.25" -> 5/4
-        elif "/" in coef_text:
-            num, den = coef_text.split("/")
-            if int(den) == 0:
-                _diagnose(body, pos)
-            coefs.append(Fraction(int(sign + num), int(den)))
-        else:
-            coefs.append(int(sign + coef_text))
+        try:
+            coefs.append(_read_coef(sign, coef_text or const or "1"))  # "1": a bare monomial
+        except ZeroDivisionError:
+            _diagnose(body, pos)
         e = [0] * n
         if mono:
             for name, power in _FACTOR_RE.findall(mono):
@@ -411,10 +421,6 @@ def parse_poly(text: str) -> SparsePoly:
     return _canonical(order, exps, coefs, ORDINARY)
 
 
-def _frac_text(value: Fraction) -> str:
-    return str(value)  # "3/2" or "5"
-
-
 def format_poly(f: SparsePoly, header: bool = True) -> str:
     """Canonical text for a polynomial; parse(format(f)) == f for ordinary f."""
     parts: list[str] = []
@@ -424,11 +430,11 @@ def format_poly(f: SparsePoly, header: bool = True) -> str:
             v if e == 1 else f"{v}^{e}" for v, e in zip(f.vars, t.exps) if e > 0
         ]
         if not factors:
-            body = _frac_text(mag)
+            body = str(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = _frac_text(mag) + "*" + "*".join(factors)
+            body = str(mag) + "*" + "*".join(factors)
         if i == 0:
             parts.append(body if t.coef > 0 else "-" + body)
         else:
@@ -445,7 +451,7 @@ def poly_to_json_dict(f: SparsePoly) -> dict:
         raise ValueError("JSON polynomial interchange uses the ordinary basis")
     return {
         "vars": list(f.vars),
-        "terms": [{"coef": _frac_text(t.coef), "exps": list(t.exps)} for t in f.terms],
+        "terms": [{"coef": str(t.coef), "exps": list(t.exps)} for t in f.terms],
     }
 
 
@@ -475,8 +481,11 @@ def poly_from_json_dict(data: dict) -> SparsePoly:
         if isinstance(coef, float):
             raise ParseError("floating-point coefficient rejected; use an exact string")
         if isinstance(coef, str):
+            m = _COEF_STRING_RE.fullmatch(coef)
             try:
-                coef = Fraction(coef)
+                if m is None:
+                    raise ValueError("not a coef of the text grammar")
+                coef = _read_coef(*m.groups())
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"malformed rational {entry['coef']!r}") from exc
         elif isinstance(coef, bool) or not isinstance(coef, int):
@@ -515,12 +524,7 @@ class Graph:
 
     @classmethod
     def make(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        canon = set()
-        for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop edge {u}-{v}")
-            canon.add((min(u, v), max(u, v)))
-        return cls(n, frozenset(canon))
+        return cls(n, frozenset((min(u, v), max(u, v)) for u, v in edges))
 
     @property
     def m(self) -> int:
@@ -555,9 +559,8 @@ class SimplicialComplex:
     @classmethod
     def make(cls, ground: int, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
         sets = {frozenset(f) for f in facets}
-        for f in sets:
-            if not f:
-                raise ValueError("empty facet")
+        if frozenset() in sets:
+            raise ValueError("empty facet")
         pruned = [f for f in sets if not any(f < g for g in sets)]
         pruned.sort(key=lambda f: tuple(sorted(f)))
         return cls(ground, tuple(pruned))
@@ -568,36 +571,54 @@ class SimplicialComplex:
         return len(sizes) <= 1
 
 
-def parse_graph(text: str) -> Graph:
-    """Parse edge-list text: optional header "p <n>", one "u v" per line."""
-    lines = text.split("\n")
+def _read_id_lines(
+    text: str, keyword: str, size: str, header_error: str, line_error: str,
+    line_rule: Callable[[list[int]], str | None] = lambda ids: None,
+) -> tuple[int, list[list[int]]]:
+    """The size and the id lines of a graph or complex file.
+
+    An optional "<keyword> <n>" line before the first id line gives the size,
+    else the largest id does.  Every other nonblank line holds ids of ASCII
+    digits that ``line_rule`` accepts, each in 1..n; the first line that
+    breaks a rule is a ParseError at column 1.
+    """
     n: int | None = None
-    edges: list[tuple[int, int]] = []
-    saw_edges = False
-    max_seen = 0
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped:
+    lines: list[list[int]] = []
+    for lineno, parts in enumerate(map(str.split, text.split("\n")), start=1):
+        if not parts:
             continue
-        parts = stripped.split()
-        if parts[0] == "p" and not saw_edges:
-            if n is not None or len(parts) != 2 or not parts[1].isdigit():
-                raise ParseError("malformed graph header (expected 'p <n>')", lineno, 1)
+        if parts[0] == keyword and not lines:
+            if n is not None or len(parts) != 2 or not _UINT_RE.fullmatch(parts[1]):
+                raise ParseError(header_error, lineno, 1)
             n = int(parts[1])
             continue
-        if len(parts) != 2 or not all(p.isdigit() for p in parts):
-            raise ParseError("expected an edge 'u v'", lineno, 1)
-        saw_edges = True
-        u, v = int(parts[0]), int(parts[1])
-        if u == v:
-            raise ParseError(f"loop edge {u}-{v}", lineno, 1)
-        if u < 1 or v < 1:
+        if not all(map(_UINT_RE.fullmatch, parts)):
+            raise ParseError(line_error, lineno, 1)
+        ids = list(map(int, parts))
+        if error := line_rule(ids):
+            raise ParseError(error, lineno, 1)
+        if min(ids) < 1:
             raise ParseError("vertex ids are 1-based", lineno, 1)
-        if n is not None and (u > n or v > n):
-            raise ParseError(f"vertex out of range (n = {n})", lineno, 1)
-        max_seen = max(max_seen, u, v)
-        edges.append((u, v))
-    return Graph.make(n if n is not None else max_seen, edges)
+        if n is not None and max(ids) > n:
+            raise ParseError(f"vertex out of range ({size} = {n})", lineno, 1)
+        lines.append(ids)
+    return (max(map(max, lines), default=0) if n is None else n), lines
+
+
+def _edge_error(ids: list[int]) -> str | None:
+    """What an id line lacks to be an edge: exactly two ids, and no loop."""
+    if len(ids) != 2:
+        return "expected an edge 'u v'"
+    return f"loop edge {ids[0]}-{ids[1]}" if ids[0] == ids[1] else None
+
+
+def parse_graph(text: str) -> Graph:
+    """Parse edge-list text: optional header "p <n>", one "u v" per line."""
+    n, edges = _read_id_lines(
+        text, "p", "n", "malformed graph header (expected 'p <n>')", "expected an edge 'u v'",
+        _edge_error,
+    )
+    return Graph.make(n, edges)
 
 
 def format_graph(g: Graph) -> str:
@@ -607,30 +628,11 @@ def format_graph(g: Graph) -> str:
 
 def parse_complex(text: str) -> SimplicialComplex:
     """Parse facet lines (space-separated vertex ids); optional "ground <n>"."""
-    lines = text.split("\n")
-    ground: int | None = None
-    facets: list[list[int]] = []
-    max_seen = 0
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
-        if parts[0] == "ground" and not facets:
-            if ground is not None or len(parts) != 2 or not parts[1].isdigit():
-                raise ParseError("malformed header (expected 'ground <n>')", lineno, 1)
-            ground = int(parts[1])
-            continue
-        if not all(p.isdigit() for p in parts):
-            raise ParseError("expected a facet of vertex ids", lineno, 1)
-        verts = [int(p) for p in parts]
-        if any(v < 1 for v in verts):
-            raise ParseError("vertex ids are 1-based", lineno, 1)
-        if ground is not None and any(v > ground for v in verts):
-            raise ParseError(f"vertex out of range (ground = {ground})", lineno, 1)
-        max_seen = max(max_seen, *verts)
-        facets.append(verts)
-    return SimplicialComplex.make(ground if ground is not None else max_seen, facets)
+    ground, facets = _read_id_lines(
+        text, "ground", "ground", "malformed header (expected 'ground <n>')",
+        "expected a facet of vertex ids",
+    )
+    return SimplicialComplex.make(ground, facets)
 
 
 def format_complex(sc: SimplicialComplex) -> str:

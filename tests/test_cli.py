@@ -250,6 +250,17 @@ def test_reduce_complex(capsys, tmp_path):
     assert report["face_count"] == 5
 
 
+@pytest.mark.parametrize("kind", ["graph", "complex"])
+@pytest.mark.parametrize("text, line", [("1 2\n1 ²\n", 2), ("١ ٢\n", 1)])
+def test_reduce_refuses_non_ascii_ids_with_their_line(capsys, tmp_path, kind, text, line):
+    """Ids are ASCII digits in both formats; another digit is a ParseError at its line."""
+    path = tmp_path / f"f.{kind}"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "reduce", kind, str(path), "--format", "json")
+    rule = "expected an edge 'u v'" if kind == "graph" else "expected a facet of vertex ids"
+    assert (code, out, err) == (2, "", f"input error: line {line}, col 1: {rule}\n")
+
+
 def test_verify_exhaustive(capsys):
     code, out, _ = run(capsys, "verify", "--exhaustive", "n=3", "--format", "json")
     assert code == 0
@@ -340,6 +351,16 @@ def test_random_corpus_roundtrip(capsys):
         ("bounds", "--k", "1", "--vertex-trials", "-5", ("f.poly", "x1 + x2")),
         ("dim", "--k", "1", ("f.json", '{"vars": ["a b", "1x"], "terms": [{"coef": "1", "exps": [1, 1]}]}')),
         ("bounds", "--k", "1", "--vertex-trials", "10001", ("f.poly", "x1 + x2")),
+        # A JSON coefficient string is one signed coef of the text grammar, so
+        # exponent notation never reaches a big-int power.
+        *(
+            (
+                "dim", "--k", "1",
+                ("f.json", json.dumps({"vars": ["x"], "terms": [{"coef": c, "exps": [1]}]})),
+            )
+            for c in ["1e3000000", "1e10000000", "1.", ".5", "1_000", " 3/4 ", "١٢", "nan"]
+        ),
+        ("dim", "--k", "1", ("f.poly", "١٢*x1")),
     ],
 )
 def test_input_errors_exit_2(capsys, tmp_path, argv):

@@ -1,6 +1,7 @@
 """Polynomial / graph / complex parsing, canonicalization, basis conversion."""
 
 import re
+import string
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -82,6 +83,8 @@ PARSE_ERROR_CASES = [
     "1.",  # malformed decimal
     "",  # empty input
     "x1 & x2",  # stray character
+    "١٢*x1",  # digits are ASCII only
+    "x1^٣",
 ]
 
 
@@ -125,13 +128,13 @@ def _tokenize(text: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        if ch.isdigit():
+        if ch in string.digits:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in string.digits:
                 j += 1
             if j < n and text[j] == ".":
                 k = j + 1
-                while k < n and text[k].isdigit():
+                while k < n and text[k] in string.digits:
                     k += 1
                 if k == j + 1:
                     raise ParseError("malformed decimal (digits required after '.')", line, col)
@@ -374,6 +377,8 @@ def test_parse_errors_match_token_parser(text):
         ("x1 + é", "line 1, col 6: unexpected character 'é'"),
         ("xé1", "line 1, col 2: unexpected character 'é'"),
         ("x1^²", "line 1, col 4: unexpected character '²'"),
+        ("١٢*x1", "line 1, col 1: unexpected character '١'"),
+        ("x1^٣", "line 1, col 4: unexpected character '٣'"),
     ],
 )
 def test_non_ascii_text_is_a_parse_error(text, message):
@@ -647,6 +652,28 @@ def test_lex_order_compatible_with_addition(triple):
         assert tuple(x + y for x, y in zip(a, c)) < tuple(x + y for x, y in zip(b, c))
 
 
+@pytest.mark.parametrize(
+    "coef",
+    [
+        "3/4", "-3/4", "+2", "007", "0.25", "-1.50", "-0",
+        "1/0", "1.", ".5", "1_000", "1e3", "3/-4", "١٢",
+        "1" * 4301, "1/" + "1" * 4301, "0." + "1" * 4301,
+    ],
+    ids=lambda coef: coef if len(coef) < 10 else f"{len(coef)}-chars",
+)
+def test_json_coefficient_reads_like_text(coef):
+    """A JSON string coefficient and the same text have one value, or both are refused."""
+
+    def read(parse, arg):
+        try:
+            return parse(arg)
+        except ValueError:  # a ParseError, or a number past the int-to-str digit limit
+            return "refused"
+
+    data = {"vars": [], "terms": [{"coef": coef, "exps": []}]}
+    assert read(poly_from_json_dict, data) == read(parse_poly, coef)
+
+
 def test_poly_json_rejects_floats():
     with pytest.raises(ParseError):
         poly_from_json_dict({"vars": ["x"], "terms": [{"coef": 0.5, "exps": [1]}]})
@@ -673,13 +700,51 @@ def test_parse_graph_infers_n_without_header():
     assert g.m == 2
 
 
+# The rules of the id-line reader that graph and complex files share:
+# (text, line, rule), with "H" standing for the header keyword.
+ID_LINE_ERRORS = [
+    ("H 3\nH 3\n1 2", 2, "header"),  # header given twice
+    ("1 2\nH 3", 2, "line"),  # header after data
+    ("H\n1 2", 1, "header"),
+    ("H x\n1 2", 1, "header"),
+    ("H 3 4\n1 2", 1, "header"),
+    ("H ٣\n1 2", 1, "header"),  # header digits are ASCII too
+    ("\n  \n1 2\n\n1 0\n", 5, "vertex ids are 1-based"),  # blank lines are counted
+    ("H 3\n1 2\n\n2 4", 4, "range"),
+    ("1 x", 1, "line"),
+    ("1 2\n1 ²", 2, "line"),
+    ("١ ٢", 1, "line"),
+]
+
+
+def check_id_line_rules(parse, keyword, rules, size):
+    """Every ID_LINE_ERRORS row fails with its message, line and column 1; sizes are read."""
+    for text, line, rule in ID_LINE_ERRORS:
+        with pytest.raises(ParseError) as err:
+            parse(text.replace("H", keyword))
+        message = f"line {line}, col 1: {rules.get(rule, rule)}"
+        assert (str(err.value), err.value.line, err.value.col) == (message, line, 1), text
+    assert size(parse("\n1 2\n\n2 5\n")) == 5  # inferred: the largest id
+    assert size(parse(f"\n {keyword} 7 \n1 2")) == 7
+
+
 def test_parse_graph_errors():
-    with pytest.raises(ParseError):
-        parse_graph("p 3\n1 4")  # out of range
-    with pytest.raises(ParseError):
-        parse_graph("p 3\n2 2")  # loop
-    with pytest.raises(ParseError):
-        parse_graph("p 3\n0 1")  # ids are 1-based
+    rules = {
+        "header": "malformed graph header (expected 'p <n>')",
+        "line": "expected an edge 'u v'",
+        "range": "vertex out of range (n = 3)",
+    }
+    check_id_line_rules(parse_graph, "p", rules, lambda g: g.n)
+    # An edge's own rules come before the shared id rules on its line.
+    for text, message in [
+        ("p 3\n2 2", "line 2, col 1: loop edge 2-2"),
+        ("0 0", "line 1, col 1: loop edge 0-0"),
+        ("p 3\n5 5", "line 2, col 1: loop edge 5-5"),
+        ("1 2 3", "line 1, col 1: expected an edge 'u v'"),
+        ("1 2\n1\n0 1", "line 2, col 1: expected an edge 'u v'"),
+    ]:
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_graph(text)
 
 
 def test_graph_roundtrip_and_dedup():
@@ -705,8 +770,12 @@ def test_parse_complex_prunes_contained_facet():
 def test_parse_complex_header_and_errors():
     sc = parse_complex("ground 5\n1 2")
     assert sc.ground == 5
-    with pytest.raises(ParseError):
-        parse_complex("ground 2\n1 3")
+    rules = {
+        "header": "malformed header (expected 'ground <n>')",
+        "line": "expected a facet of vertex ids",
+        "range": "vertex out of range (ground = 3)",
+    }
+    check_id_line_rules(parse_complex, "ground", rules, lambda sc: sc.ground)
     with pytest.raises(ValueError):
         SimplicialComplex.make(3, [[]])
 
