@@ -39,6 +39,7 @@ from .corpus import random_polys
 from .errors import InvariantViolation, ParseError, ResourceLimitError
 from .polyio import (
     SparsePoly,
+    _parse_int,
     parse_complex,
     parse_graph,
     parse_poly,
@@ -59,6 +60,7 @@ MAX_GAP_POINT_SIZE = 35_000_000  # slowest admitted shapes, d=1000 k=999 n=2^32:
 MAX_GAP_SERIES_SIZE = 40_000_000  # summed point sizes: d=6 k=3 n=9..20000, 31,312,722: 0.21-0.25 s
 MAX_TRACE_SAMPLES = 4000  # the exact running mean: 1.2 s on multilinear40 at k=2
 MAX_TRACE_TERM_SAMPLES = 200_000  # terms * samples: 4000 samples on 50 terms, 1.4 s
+JSON_INT = functools.partial(_parse_int, "JSON number")  # json.loads's reader of an int literal
 
 
 def _is_long(n: int) -> bool:
@@ -152,11 +154,12 @@ class Options:
     """Resolved knobs: the CLI flag, else the default.
 
     Each field is an integer flag, its name with dashes for underscores, on
-    the subcommands its metadata names; every integer flag but --k is one.
-    A flag outside its field's ``least``..``most`` is an input error, named
-    in one form for all of them.
+    the subcommands its metadata names; every integer flag is one.  Its text
+    that is not an integer, or outside the field's ``least``..``most``, is
+    an input error, named in one form for all of them.
     """
 
+    k: int | None = _knob(None, "dim bounds trace")
     seed: int = _knob(0, "dim bounds trace random-corpus", least=None)
     max_rows: int = _knob(exact.DEFAULT_MAX_ROWS, "dim bounds trace reduce")
     max_cols: int = _knob(exact.DEFAULT_MAX_COLS, "dim bounds trace reduce")
@@ -183,13 +186,15 @@ class Options:
         for knob in fields(cls):
             if args.subcommand not in knob.metadata["commands"]:
                 continue
-            value = getattr(args, knob.name)  # None where the flag is absent
-            if value is None:
+            text = getattr(args, knob.name)  # None where the flag is absent
+            if text is None:
                 continue
+            flag = "--" + knob.name.replace("_", "-")
+            value = _parse_int(flag, text)
             least, most = knob.metadata["least"], knob.metadata["most"]
             if (least is not None and value < least) or (most is not None and value > most):
                 rule = f">= {least}" if most is None else f"in {least}..{most}"
-                raise ValueError(f"--{knob.name.replace('_', '-')} must be {rule}, got {value}")
+                raise ValueError(f"{flag} must be {rule}, got {value}")
             setattr(opts, knob.name, value)
         return opts
 
@@ -218,7 +223,7 @@ def read_text(path: str) -> str:
 def load_poly(path: str) -> SparsePoly:
     text = read_text(path)
     if text.lstrip().startswith("{"):
-        return poly_from_json_dict(json.loads(text))
+        return poly_from_json_dict(json.loads(text, parse_int=JSON_INT))
     return parse_poly(text)
 
 
@@ -477,11 +482,16 @@ def build_bound_report(f: SparsePoly, k: int, args: argparse.Namespace, opts: Op
     return report
 
 
+def require_k(args: argparse.Namespace) -> None:
+    """Refuse an order-k request (dim --mode k, bounds, trace) without --k."""
+    if args.k is None:
+        also = " (or --mode star|plus)" if args.subcommand == "dim" else ""
+        raise ValueError(f"{args.subcommand} requires --k{also}")
+
+
 def cmd_dim(args: argparse.Namespace) -> int:
     mode = args.mode
     if mode == "k":
-        if args.k is None:
-            raise ValueError("dim requires --k (or --mode star|plus)")
         return cmd_bounds(args)
     opts = Options.resolve(args)
     f = load_poly(args.file)
@@ -512,12 +522,14 @@ def cmd_dim(args: argparse.Namespace) -> int:
 
 def cmd_bounds(args: argparse.Namespace) -> int:
     """The order-k report: ``bounds``, and ``dim --k``, which adds the exact rank."""
+    require_k(args)
     opts = Options.resolve(args)
-    emit(build_bound_report(load_poly(args.file), args.k, args, opts), args)
+    emit(build_bound_report(load_poly(args.file), opts.k, args, opts), args)
     return 0
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    require_k(args)
     opts = Options.resolve(args)
     f = load_poly(args.file)
     if f.is_zero:
@@ -525,7 +537,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if opts.samples is not None and opts.samples * len(f.terms) > MAX_TRACE_TERM_SAMPLES:
         got = f"{opts.samples} * {len(f.terms)}"
         raise ValueError(f"samples * terms must be at most {MAX_TRACE_TERM_SAMPLES}, got {got}")
-    k = args.k
+    k = opts.k
     scaled = to_scaled(f)
     stats, l_scaled, trace_entries = trace_section(f, scaled, k, opts)
     report: dict = {
@@ -591,23 +603,6 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_int(name: str, text: str) -> int:
-    """``int(text)``; text that is not an integer is an input error that names ``name``.
-
-    Text longer than the int-to-str digit limit is not quoted: the error
-    gives its length.
-    """
-    try:
-        return int(text)
-    except ValueError:
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-        if limit and len(text) > limit:
-            raise ValueError(
-                f"{name} must be an integer of at most {limit} digits, got {len(text)} characters"
-            ) from None
-        raise ValueError(f"{name} must be an integer, got {text!r}") from None
-
-
 def _parse_keyvals(pairs: list[str]) -> dict[str, str]:
     out = {}
     for pair in pairs:
@@ -644,18 +639,18 @@ def _parse_range(key: str, text: str) -> Sequence[int]:
     return values
 
 
-def _check_gap_series(shapes: Sequence[tuple[int, int]]) -> None:
-    """Refuse a Sym_{d,n} gap series, given by its (n, d) pairs, that is too large.
+def _check_gap_series(shapes: Sequence[tuple[int, int, int]]) -> None:
+    """Refuse a Sym_{d,n} gap series, given by its (n, d, k) shapes, that is too large.
 
     With b = bit_length(n), every binomial of a point has at most d*b bits,
     and the work of the point grows like its size d*b*(d + b).  No point may
     have a size above ``MAX_GAP_POINT_SIZE``, and the sizes may not sum to
     more than ``MAX_GAP_SERIES_SIZE``.
     """
-    sizes = [d * n.bit_length() * (d + n.bit_length()) for n, d in shapes]
+    sizes = [d * n.bit_length() * (d + n.bit_length()) for n, d, _ in shapes]
     largest = max(sizes)
     if largest > MAX_GAP_POINT_SIZE:
-        n, d = shapes[sizes.index(largest)]
+        n, d, _ = shapes[sizes.index(largest)]
         raise ValueError(
             f"gap point too large: d*b*(d+b) = {largest} > {MAX_GAP_POINT_SIZE}, "
             f"where d = {d} and b = bit_length(n) = {n.bit_length()}"
@@ -758,7 +753,6 @@ def cmd_sym_gap(args: argparse.Namespace) -> int:
         if set(params) != needed:
             raise ValueError("sym gap --fixed expects d=<d> k=<k> n=<range>")
         d, n_values = _parse_int("d", params["d"]), _parse_range("n", params["n"])
-        _check_gap_series([(n, d) for n in n_values])
         shapes = symmetric._fixed_shapes(d, _parse_int("k", params["k"]), n_values)
         mode = "fixed"
     else:
@@ -769,9 +763,9 @@ def cmd_sym_gap(args: argparse.Namespace) -> int:
         if max(m_values) > MAX_GAP_SCALE:
             raise ValueError(f"m must be at most {MAX_GAP_SCALE}")
         dp, np_ = _parse_int("dp", params["dp"]), _parse_int("np", params["np"])
-        _check_gap_series([(np_ * m, dp * m) for m in m_values])
         shapes = symmetric._scaled_shapes(_parse_int("kp", params["kp"]), dp, np_, m_values)
         mode = "scaled"
+    _check_gap_series(shapes)
     rows = [_gap_row(*shape, *symmetric._gap_ints(*shape)) for shape in shapes]
     if args.format == "csv":
         sys.stdout.write(",".join(GAP_KEYS) + "\n")
@@ -821,23 +815,12 @@ def cmd_random_corpus(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _order_k(text: str) -> int:
-    """The type of --k on dim, bounds and trace: a nonnegative order."""
-    try:
-        k = _parse_int("k", text)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
-    if k < 0:
-        raise argparse.ArgumentTypeError("k must be nonnegative")
-    return k
-
-
 def _add_knobs(sub: argparse.ArgumentParser, command: str) -> None:
-    """--format and the flag of each Options field the command's handler reads."""
+    """--format and the flag of each Options field the command's handler reads, as text."""
     sub.add_argument("--format", choices=["json", "text"], default="text")
     for knob in fields(Options):
         if command in knob.metadata["commands"]:
-            sub.add_argument("--" + knob.name.replace("_", "-"), type=int)
+            sub.add_argument("--" + knob.name.replace("_", "-"))
 
 
 @functools.cache
@@ -858,14 +841,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dim = subs.add_parser("dim", help="exact dimension plus all bounds")
     p_dim.add_argument("file", help="polynomial file (text grammar or JSON), - for stdin")
-    p_dim.add_argument("--k", type=_order_k, default=None)
     p_dim.add_argument("--mode", choices=["k", "star", "plus"], default="k")
     _add_knobs(p_dim, "dim")
     p_dim.set_defaults(func=cmd_dim)
 
     p_bounds = subs.add_parser("bounds", help="fast bounds only")
     p_bounds.add_argument("file")
-    p_bounds.add_argument("--k", type=_order_k, required=True)
     _add_knobs(p_bounds, "bounds")
     p_bounds.set_defaults(func=cmd_bounds)
 
@@ -876,7 +857,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = subs.add_parser("trace", help="trace statistics")
     p_trace.add_argument("file")
-    p_trace.add_argument("--k", type=_order_k, required=True)
     p_trace.add_argument("--oracle", action="store_true", help="cross-check explicitly")
     _add_knobs(p_trace, "trace")
     p_trace.set_defaults(func=cmd_trace)

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -257,6 +258,7 @@ def permute_vars(f: SparsePoly, perm: Sequence[int]) -> SparsePoly:
 
 _UINT = "[0-9]+"  # ASCII digits only; \d and str.isdigit() take any Unicode digit
 _UINT_RE = re.compile(_UINT)
+_INT_RE = re.compile(f"[-+]?{_UINT}")
 _COEF = rf"{_UINT}\.{_UINT}|{_UINT}(?:\s*/\s*{_UINT})?"
 _COEF_STRING_RE = re.compile("([-+]?)(" + _COEF.replace(r"\s*", "") + ")")  # JSON: no space
 _FACTOR = rf"{_NAME}(?:\s*\^\s*{_UINT})?"
@@ -274,6 +276,34 @@ _TOKEN_RE = re.compile(
     rf"\s*(?:(?P<DEC>{_UINT}\.{_UINT})|(?P<BADDEC>{_UINT}\.)|(?P<NUM>{_UINT})"
     rf"|(?P<NAME>{_NAME})|(?P<OP>[-+*^/])|(?P<BAD>\S))"
 )
+
+
+def _is_past_limit(text: str) -> bool:
+    """Whether ``text`` is longer than the int-to-str digit limit, where there is one."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    return 0 < limit < len(text)
+
+
+def _parse_int(name: str, text: str, line: int | None = None, col: int | None = None) -> int:
+    """The int of ``text``, ASCII digits with an optional sign.
+
+    Other text is a ParseError, at ``line`` and ``col`` when given, that
+    names ``name``.  Text longer than the int-to-str digit limit is not
+    quoted: the error gives its length.  A term or an id line calls
+    ``int()`` on the digits its pattern matched, and this only where that
+    fails, past the digit limit.
+    """
+    if _INT_RE.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # past the digit limit
+            pass
+    if _is_past_limit(text):
+        limit = sys.get_int_max_str_digits()
+        message = f"{name} must be an integer of at most {limit} digits, got {len(text)} characters"
+    else:
+        message = f"{name} must be an integer, got {text!r}"
+    raise ParseError(message, line, col)
 
 
 def _read_coef(sign: str, coef: str) -> Fraction | int:
@@ -299,8 +329,9 @@ def _diagnose(body: str, pos: int) -> NoReturn:
     The first lexical error in the rest of the text wins (an unexpected
     character, or a decimal point without digits after it).  Otherwise the
     term's tokens are walked by the grammar and the error names the first
-    token that does not fit, or the end of the text.  A zero denominator,
-    which the term pattern accepts, is reported here too.
+    token that does not fit, or the end of the text.  A zero denominator and
+    a number past the int-to-str digit limit, which the term pattern
+    accepts, are reported here too.
     """
     tokens = []  # (kind, text, offset)
     for m in _TOKEN_RE.finditer(body, pos):
@@ -326,17 +357,29 @@ def _diagnose(body: str, pos: int) -> NoReturn:
             offset = tokens[-1][2] + len(tokens[-1][1])
         raise ParseError(message, *_line_col(body, offset))
 
+    def number(i: int, name: str) -> int:
+        """The int of token i, a decimal's digits before its point; each run of
+        digits past the digit limit is a ParseError at its start."""
+        whole, _, frac = tokens[i][1].partition(".")
+        value = _parse_int(name, whole, *_line_col(body, tokens[i][2]))
+        if frac:
+            _parse_int("fractional part", frac, *_line_col(body, tokens[i][2] + len(whole) + 1))
+        return value
+
     i = 1 if op(0) in ("+", "-") else 0
     if kind(i) is None:
         fail("expected a term", i)
     name_expected = "expected a variable name"
     if kind(i) in ("NUM", "DEC"):
         if kind(i) == "NUM" and op(i + 1) == "/":
+            number(i, "numerator")
             i += 2
             if kind(i) != "NUM":
                 fail("malformed rational: expected an unsigned integer denominator", i)
-            if int(tokens[i][1]) == 0:
+            if number(i, "denominator") == 0:
                 fail("malformed rational: zero denominator", i)
+        else:
+            number(i, "coefficient")
         i += 1
         if op(i) == "*":
             i += 1
@@ -352,6 +395,7 @@ def _diagnose(body: str, pos: int) -> NoReturn:
                 fail("negative exponent", i)
             if kind(i) != "NUM":
                 fail("expected an unsigned integer exponent after '^'", i)
+            number(i, "exponent")
             i += 1
         if op(i) != "*":
             break
@@ -408,12 +452,12 @@ def parse_poly(text: str) -> SparsePoly:
         sign, coef_text, mono, const = m.groups("")
         try:
             coefs.append(_read_coef(sign, coef_text or const or "1"))  # "1": a bare monomial
-        except ZeroDivisionError:
+            e = [0] * n
+            if mono:
+                for name, power in _FACTOR_RE.findall(mono):
+                    e[index[name]] += int(power) if power else 1
+        except (ValueError, ZeroDivisionError):  # past the digit limit; a zero denominator
             _diagnose(body, pos)
-        e = [0] * n
-        if mono:
-            for name, power in _FACTOR_RE.findall(mono):
-                e[index[name]] += int(power) if power else 1
         exps.append(tuple(e))
         pos = m.end()
     if declared is not None and n > len(declared):
@@ -487,7 +531,8 @@ def poly_from_json_dict(data: dict) -> SparsePoly:
                     raise ValueError("not a coef of the text grammar")
                 coef = _read_coef(*m.groups())
             except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(f"malformed rational {entry['coef']!r}") from exc
+                shown = f"of {len(coef)} characters" if _is_past_limit(coef) else repr(coef)
+                raise ParseError(f"malformed rational {shown}") from exc
         elif isinstance(coef, bool) or not isinstance(coef, int):
             raise ParseError("coefficient must be an exact string or integer")
         exps = entry["exps"]
@@ -580,21 +625,28 @@ def _read_id_lines(
     An optional "<keyword> <n>" line before the first id line gives the size,
     else the largest id does.  Every other nonblank line holds ids of ASCII
     digits that ``line_rule`` accepts, each in 1..n; the first line that
-    breaks a rule is a ParseError at column 1.
+    breaks a rule is a ParseError at column 1, and a number past the
+    int-to-str digit limit is one at its own column.
     """
     n: int | None = None
     lines: list[list[int]] = []
-    for lineno, parts in enumerate(map(str.split, text.split("\n")), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        parts = raw.split()
         if not parts:
             continue
         if parts[0] == keyword and not lines:
             if n is not None or len(parts) != 2 or not _UINT_RE.fullmatch(parts[1]):
                 raise ParseError(header_error, lineno, 1)
-            n = int(parts[1])
+            n = _parse_int(size, parts[1], lineno, raw.find(parts[1]) + 1)
             continue
         if not all(map(_UINT_RE.fullmatch, parts)):
             raise ParseError(line_error, lineno, 1)
-        ids = list(map(int, parts))
+        try:
+            ids = list(map(int, parts))
+        except ValueError:  # past the digit limit: the first such id is the error
+            for part in parts:
+                _parse_int("vertex id", part, lineno, raw.find(part) + 1)
+            raise
         if error := line_rule(ids):
             raise ParseError(error, lineno, 1)
         if min(ids) < 1:

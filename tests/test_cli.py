@@ -393,11 +393,11 @@ def test_input_errors_exit_2(capsys, tmp_path, argv):
             "sym gap --scaled kp=1 dp=2 np=5 m=1..2.5",
             "input error: m must be an integer, got '2.5'",
         ),
-        ("dim POLY --k x", "pdrank dim: error: argument --k: k must be an integer, got 'x'"),
+        ("dim POLY --k x", "input error: --k must be an integer, got 'x'"),
     ],
 )
 def test_malformed_integer_names_its_parameter(capsys, argv, message):
-    """The last stderr line names the key or flag; --k is refused by the argument parser."""
+    """The last stderr line names the key or flag."""
     argv = [str(DATA / "rational.poly") if arg == "POLY" else arg for arg in argv.split()]
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
@@ -413,7 +413,7 @@ def test_malformed_integer_names_its_parameter(capsys, argv, message):
         ("verify --exhaustive n=LONG", "input error: n"),
         ("sym gap --fixed d=5 k=LONG n=7..9", "input error: k"),
         ("dim POLY --k 1 --order perm=1,LONG", "input error: --order index"),
-        ("dim POLY --k LONG", "pdrank dim: error: argument --k: k"),
+        ("dim POLY --k LONG", "input error: --k"),
     ],
 )
 def test_integer_past_the_digit_limit_gives_its_digit_count(capsys, argv, prefix):
@@ -439,6 +439,139 @@ def test_long_text_that_is_not_an_integer_gives_its_length(capsys):
     assert err == f"input error: {message}\n"
 
 
+# The base request of each subcommand that reads a knob flag.
+KNOB_REQUESTS = {
+    "dim": ("dim", "POLY", "--k", "1"),
+    "bounds": ("bounds", "POLY", "--k", "1"),
+    "trace": ("trace", "POLY", "--k", "1", "--oracle"),
+    "reduce": ("reduce", "graph", ("g.graph", "p 3\n1 2\n")),
+    "random-corpus": ("random-corpus",),
+}
+# Every entry point of an integer on the command line: the request, with N
+# where the integer's text goes, and the name its refusal gives.
+CLI_INTEGERS = [
+    *(
+        pytest.param(
+            (*KNOB_REQUESTS[command], "--" + knob.name.replace("_", "-"), "N"),
+            "--" + knob.name.replace("_", "-"),
+            id=f"{command}--{knob.name}",
+        )
+        for knob in dataclasses.fields(cli.Options)
+        for command in knob.metadata["commands"]
+    ),
+    pytest.param(("dim", "POLY", "--k", "1", "--order", "perm=1,N"), "--order index", id="order"),
+    pytest.param(("verify", "--exhaustive", "n=N"), "n", id="verify-n"),
+    pytest.param(("sym", "gap", "--fixed", "d=N", "k=2", "n=7..9"), "d", id="fixed-d"),
+    pytest.param(("sym", "gap", "--fixed", "d=5", "k=N", "n=7..9"), "k", id="fixed-k"),
+    pytest.param(("sym", "gap", "--fixed", "d=5", "k=2", "n=N..9"), "n", id="fixed-n-lo"),
+    pytest.param(("sym", "gap", "--fixed", "d=5", "k=2", "n=7..N"), "n", id="fixed-n-hi"),
+    pytest.param(("sym", "gap", "--fixed", "d=5", "k=2", "n=7,N"), "n", id="fixed-n-list"),
+    pytest.param(("sym", "gap", "--scaled", "kp=N", "dp=2", "np=5", "m=1"), "kp", id="kp"),
+    pytest.param(("sym", "gap", "--scaled", "kp=1", "dp=N", "np=5", "m=1"), "dp", id="dp"),
+    pytest.param(("sym", "gap", "--scaled", "kp=1", "dp=2", "np=N", "m=1"), "np", id="np"),
+    pytest.param(("sym", "gap", "--scaled", "kp=1", "dp=2", "np=5", "m=N..2"), "m", id="m-lo"),
+    pytest.param(("sym", "gap", "--scaled", "kp=1", "dp=2", "np=5", "m=1..N"), "m", id="m-hi"),
+]
+LONG_INT = "1" * (getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1)
+# Every entry point of an integer in an input file: the request, with N
+# where a number past the digit limit goes, and the start of its refusal.
+DIM_K1 = ("dim", "--k", "1")
+FILE_INTEGERS = [
+    pytest.param((*DIM_K1, ("f.poly", "x1 + N*x2")), "line 1, col 6: coefficient", id="coef"),
+    pytest.param((*DIM_K1, ("f.poly", "-N/3")), "line 1, col 2: numerator", id="numerator"),
+    pytest.param((*DIM_K1, ("f.poly", "x1 + 3/N*x2")), "line 1, col 8: denominator", id="den"),
+    pytest.param((*DIM_K1, ("f.poly", "N.5*x1")), "line 1, col 1: coefficient", id="decimal"),
+    pytest.param((*DIM_K1, ("f.poly", "1.N*x1")), "line 1, col 3: fractional part", id="decimals"),
+    pytest.param((*DIM_K1, ("f.poly", "x1*x2^N")), "line 1, col 7: exponent", id="exponent"),
+    pytest.param(
+        (*DIM_K1, ("f.json", '{"vars": ["x"], "terms": [{"coef": N, "exps": [1]}]}')),
+        "JSON number",
+        id="json-coef-literal",
+    ),
+    pytest.param(
+        (*DIM_K1, ("f.json", '{"vars": ["x"], "terms": [{"coef": 1, "exps": [N]}]}')),
+        "JSON number",
+        id="json-exps-literal",
+    ),
+    pytest.param(
+        (*DIM_K1, ("f.json", '{"vars": ["x"], "terms": [{"coef": "N", "exps": [1]}]}')),
+        "malformed rational",
+        id="json-coef-string",
+    ),
+    pytest.param(
+        (*DIM_K1, ("f.json", '{"vars": ["x"], "terms": [{"coef": "3/N", "exps": [1]}]}')),
+        "malformed rational",
+        id="json-coef-string-den",
+    ),
+    pytest.param(
+        ("reduce", "graph", ("g.graph", "p 3\n1  N\n")), "line 2, col 4: vertex id", id="graph-id"
+    ),
+    pytest.param(
+        ("reduce", "graph", ("g.graph", "p N\n1 2\n")), "line 1, col 3: n", id="graph-header"
+    ),
+    pytest.param(
+        ("reduce", "complex", ("c.complex", "1 2\n\n3 N\n")),
+        "line 3, col 3: vertex id",
+        id="complex-id",
+    ),
+    pytest.param(
+        ("reduce", "complex", ("c.complex", " ground N\n1\n")),
+        "line 1, col 9: ground",
+        id="complex-header",
+    ),
+]
+
+
+def _request(argv, text: str, tmp_path) -> list[str]:
+    """The argv with ``text`` for N; a (name, contents) entry becomes a file of that name."""
+    args = []
+    for arg in argv:
+        if isinstance(arg, tuple):
+            name, contents = arg
+            (tmp_path / name).write_text(contents.replace("N", text), encoding="utf-8")
+            arg = str(tmp_path / name)
+        args.append(str(DATA / "rational.poly") if arg == "POLY" else arg.replace("N", text))
+    return args
+
+
+def _refused(capsys, args) -> str:
+    """The one stderr line of a request refused as an input error."""
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (2, "")
+    assert "Exceeds the limit" not in err and len(err) < 200
+    assert err.endswith("\n") and "\n" not in err[:-1]
+    return err[:-1]
+
+
+@pytest.mark.skipif(not LONG_INT[1:], reason="no int-to-str digit limit")
+@pytest.mark.parametrize("argv, name", CLI_INTEGERS)
+def test_every_command_line_integer_is_read_by_one_rule(capsys, tmp_path, argv, name):
+    """Past the digit limit, non-ASCII digits and '_' are refused in one form that names the entry."""
+    limit = len(LONG_INT) - 1
+    refusals = {
+        LONG_INT: f"must be an integer of at most {limit} digits, got {limit + 1} characters",
+        "١": "must be an integer, got '١'",
+        "1_0": "must be an integer, got '1_0'",
+    }
+    for text, form in refusals.items():
+        assert _refused(capsys, _request(argv, text, tmp_path)) == f"input error: {name} {form}"
+
+
+@pytest.mark.skipif(not LONG_INT[1:], reason="no int-to-str digit limit")
+@pytest.mark.parametrize("argv, start", FILE_INTEGERS)
+def test_every_input_file_integer_past_the_digit_limit_is_named(capsys, tmp_path, argv, start):
+    """A number past the digit limit is refused by its length, with its position where the
+    format has one, never quoted and never with the interpreter's own message."""
+    limit = len(LONG_INT) - 1
+    err = _refused(capsys, _request(argv, LONG_INT, tmp_path))
+    if start == "malformed rational":  # the coef string's length
+        length = len(json.loads(argv[-1][1].replace("N", LONG_INT))["terms"][0]["coef"])
+        assert err == f"input error: malformed rational of {length} characters"
+    else:
+        form = f"must be an integer of at most {limit} digits, got {limit + 1} characters"
+        assert err == f"input error: {start} {form}"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -450,10 +583,13 @@ def test_long_text_that_is_not_an_integer_gives_its_length(capsys):
     ],
 )
 def test_negative_order_exit_2(capsys, poly_file, argv):
+    """--k is a knob of least 0; dim --mode star reads no --k, so it names the unread flag."""
     code, out, err = run(capsys, *argv, poly_file("x1*x2 + x3"))
-    assert code == 2
-    assert not out
-    assert "k must be nonnegative" in err
+    assert (code, out) == (2, "")
+    if "star" in argv:
+        assert err == "input error: --k applies to --mode k only, not to --mode star\n"
+    else:
+        assert err == "input error: --k must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize(
@@ -709,7 +845,9 @@ def test_each_side_of_the_sandwich_exit_4(capsys, poly_file, monkeypatch, bound,
 
 def test_options_read_only_the_knobs_of_their_subcommand():
     """A namespace attribute of a knob the subcommand does not declare never reaches Options."""
-    args = argparse.Namespace(subcommand="reduce", max_rows=7, max_cols=None, seed=5, budget=3)
+    args = argparse.Namespace(
+        subcommand="reduce", max_rows="7", max_cols=None, seed="5", budget="3", k="x"
+    )
     opts = cli.Options.resolve(args)
     assert (opts.max_rows, opts.seed, opts.budget) == (7, 0, trace.DEFAULT_TRIPLE_BUDGET)
 
@@ -756,18 +894,19 @@ def test_config_seed_reaches_dim_report(capsys, poly_file):
 # The flags of the knobs each subcommand's handler reads, and the flags of
 # its own arguments; every subcommand also takes --format.
 KNOB_FLAGS = {
-    "dim": "--seed --max-rows --max-cols --elimination-budget --budget "
+    "dim": "--k --seed --max-rows --max-cols --elimination-budget --budget "
     "--vertex-trials --order --order-dir --timing",
-    "bounds": "--seed --max-rows --max-cols --budget --vertex-trials --order --order-dir --timing",
-    "trace": "--seed --max-rows --max-cols --elimination-budget --budget --samples",
+    "bounds": "--k --seed --max-rows --max-cols --budget --vertex-trials --order --order-dir "
+    "--timing",
+    "trace": "--k --seed --max-rows --max-cols --elimination-budget --budget --samples",
     "reduce": "--max-rows --max-cols",
     "verify": "",
     "random-corpus": "--seed --count --max-vars --max-terms --max-degree",
 }
 OWN_FLAGS = {
-    "dim": "--k --mode",
-    "bounds": "--k",
-    "trace": "--k --oracle",
+    "dim": "--mode",
+    "bounds": "",
+    "trace": "--oracle",
     "reduce": "",
     "verify": "--exhaustive --check-basis",
     "random-corpus": "",
@@ -797,6 +936,7 @@ def test_subcommand_declares_only_the_flags_it_reads(command):
 
 # Each Options field's admitted range, least..most; None is no limit.
 KNOB_RANGES = {
+    "k": (0, None),
     "seed": (None, None),
     "max_rows": (0, None),
     "max_cols": (0, None),
@@ -813,7 +953,7 @@ KNOB_RANGES = {
 
 @pytest.mark.parametrize("knob", dataclasses.fields(cli.Options), ids=lambda knob: knob.name)
 def test_knob_past_its_range_exit_2_in_one_form(capsys, knob):
-    """Each integer flag but --k is an Options field; one value past each limit is refused."""
+    """Each integer flag is an Options field; one value past each limit is refused."""
     least, most = KNOB_RANGES[knob.name]
     assert (knob.metadata["least"], knob.metadata["most"]) == (least, most)
     command = knob.metadata["commands"][0]
@@ -1349,7 +1489,7 @@ NINES = "9" * 4300
             "gap point too large: d*b*(d+b) = 1516278400 > 35000000, "
             "where d = 10400 and b = bit_length(n) = 14",
         ),
-        (("--fixed", "d=2600", "k=1300", "n=3899..3900"), "= 81494400 > 35000000"),
+        (("--fixed", "d=2600", "k=1300", "n=3900..3901"), "= 81494400 > 35000000"),
         (("--scaled", "kp=5", "dp=10", "np=21", "m=1..300"), "= 117507000 > 35000000"),
         (
             ("--fixed", "d=1000", "k=999", "n=4294967294..4294967296"),
@@ -1381,6 +1521,12 @@ NINES = "9" * 4300
             ("--scaled", "kp=1", "dp=2", "np=5", f"m=-{NINES}..{NINES}"),
             f"at most 20000 points, got 1{NINES}\n",
             id="m-count-past-the-digit-limit",
+        ),
+        # Each shape is checked before the series' size: n=3899 < d + k is malformed.
+        pytest.param(
+            ("--fixed", "d=2600", "k=1300", "n=3899..3900"),
+            "need n >= d + k for the upper bound (got n=3899)",
+            id="malformed-before-too-large",
         ),
     ],
 )

@@ -85,6 +85,7 @@ PARSE_ERROR_CASES = [
     "x1 & x2",  # stray character
     "١٢*x1",  # digits are ASCII only
     "x1^٣",
+    "x1 + é",  # names are ASCII only
 ]
 
 
@@ -146,9 +147,8 @@ def _tokenize(text: str) -> list[_Token]:
                 col += j - i
                 i = j
             continue
-        if ch.isalpha():
+        if ch in string.ascii_letters:
             m = re.compile(r"[A-Za-z][A-Za-z0-9_]*").match(text, i)
-            assert m is not None
             tokens.append(_Token("NAME", m.group(), line, col))
             col += m.end() - i
             i = m.end()
