@@ -9,11 +9,9 @@ Subcommands
     sym            symmetric-polynomial gap series
     random-corpus  deterministic random polynomial corpus
 
-Reports go to stdout as human text or JSON (--format json).  JSON output
-is schema-stable: rationals are "p/q" strings, decimal approximations use
-12 significant digits, keys are sorted, and a fixed --seed reproduces the
-output byte for byte.  Stage wall-times are available with --timing and
-deliberately excluded otherwise (they would break reproducibility).
+The module holds argparse, the Options table and the handlers.  Each handler
+builds its report as a dict, and pdrank.report writes it as JSON or text.  A
+fixed --seed reproduces a report byte for byte; wall times need --timing.
 
 Exit codes: 0 success, 2 input error, 3 resource cap exceeded,
 4 internal invariant violation.
@@ -25,12 +23,8 @@ import argparse
 import functools
 import json
 import sys
-import time
 from dataclasses import dataclass, field, fields
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Sequence
 
 from . import bounds as bounds_mod
@@ -47,97 +41,18 @@ from .polyio import (
     poly_to_json_dict,
     to_scaled,
 )
+from .report import (
+    GAP_KEYS, Stages, Verbatim, _gap_layout, _gap_row, emit, exact_str, frac_dec, frac_str
+)
 
-DEC12 = Context(prec=12)  # the 12 significant digits of frac_dec
-# Every operation of int_decimal is exact; an inexact one would raise.
-EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
-SPLIT_BITS = 4096  # int_decimal calls Decimal(n) up to here; both ways tie near 16,000 bits
 MAX_VERTEX_TRIALS = 10_000  # at most 0.3 ms each on 1000 terms
 # The sym gap times are in-process wall times on a 2-vCPU x86-64 host, Python 3.11.
 MAX_GAP_POINTS = 20_000  # sym gap --fixed d=5 k=2 n=7..20000: 0.19-0.25 s, 6.5 MB of JSON
-MAX_GAP_SCALE = 300  # sym gap --scaled kp=1 dp=2 np=5 m=300: 0.01 s
 MAX_GAP_POINT_SIZE = 35_000_000  # slowest admitted shapes, d=1000 k=999 n=2^32: 0.23-0.25 s
 MAX_GAP_SERIES_SIZE = 40_000_000  # summed point sizes: d=6 k=3 n=9..20000, 31,312,722: 0.21-0.25 s
 MAX_TRACE_SAMPLES = 4000  # the exact running mean: 1.2 s on multilinear40 at k=2
 MAX_TRACE_TERM_SAMPLES = 200_000  # terms * samples: 4000 samples on 50 terms, 1.4 s
 JSON_INT = functools.partial(_parse_int, "JSON number")  # json.loads's reader of an int literal
-
-
-def _is_long(n: int) -> bool:
-    """Whether n is past ``SPLIT_BITS`` bits, where ``Decimal(n)`` is too slow."""
-    return n.bit_length() > SPLIT_BITS
-
-
-def int_decimal(n: int) -> Decimal:
-    """``Decimal(n)``, in time sub-quadratic in the digits of a long int.
-
-    ``Decimal(n)`` itself is quadratic.  Past ``SPLIT_BITS`` bits, n is
-    split as hi * 2^h + lo with h half its bit length, the halves are
-    converted alike, and one exact multiply-add joins them; libmpdec
-    multiplies long operands by number-theoretic transform.  Each power
-    2^h is made once per call, from the two powers of half its size.
-    """
-    if not _is_long(n):
-        return Decimal(n)
-    powers: dict[int, Decimal] = {}
-
-    def power(h: int) -> Decimal:
-        if h not in powers:
-            half = h // 2
-            powers[h] = Decimal(1 << h) if h <= SPLIT_BITS else power(half) * power(h - half)
-        return powers[h]
-
-    def join(m: int, bits: int) -> Decimal:
-        if bits <= SPLIT_BITS:
-            return Decimal(m)
-        h = bits // 2
-        hi = m >> h
-        return join(hi, bits - h) * power(h) + join(m - (hi << h), h)
-
-    with localcontext(EXACT):
-        d = join(abs(n), n.bit_length())
-    return d.copy_negate() if n < 0 else d
-
-
-def exact_str(value) -> str:
-    """``str(value)``, in full also for an int past the int-to-str digit limit.
-
-    The interpreter's limit stays in force, as it guards ``int()`` on input
-    text; :func:`int_decimal` converts an int of any size exactly without it.
-    """
-    try:
-        return str(value)
-    except ValueError:
-        return str(int_decimal(value))
-
-
-def frac_str(value: Fraction) -> str:
-    """:func:`pair_str` of ``value``'s numerator and denominator."""
-    return pair_str(value.numerator, value.denominator)
-
-
-def pair_str(num: int, den: int) -> str:
-    """``num/den`` in full; a side past the digit limit goes to :func:`exact_str`."""
-    try:
-        return f"{num}/{den}"
-    except ValueError:
-        return f"{exact_str(num)}/{exact_str(den)}"
-
-
-def frac_dec(value: Fraction) -> str:
-    """:func:`pair_dec` of ``value``'s numerator and denominator."""
-    return pair_dec(value.numerator, value.denominator)
-
-
-def pair_dec(num: int, den: int) -> str:
-    """num/den to 12 significant digits.
-
-    DEC12 converts short ints itself, exactly; a long side sends both
-    through :func:`int_decimal`.
-    """
-    if _is_long(num) or _is_long(den):
-        num, den = int_decimal(num), int_decimal(den)
-    return str(DEC12.divide(num, den))
 
 
 def _knob(default: int | None, commands: str, least: int | None = 0, most: int | None = None):
@@ -237,90 +152,6 @@ def input_digest(f: SparsePoly) -> dict:
     }
 
 
-def emit(payload: dict, args: argparse.Namespace) -> None:
-    if args.format == "json":
-        sys.stdout.write(json_text(payload) + "\n")
-    else:
-        _emit_text(payload)
-
-
-class Verbatim(str):
-    """JSON text, already rendered, that json_text writes as it stands.
-
-    json_text checks nothing in it: its text must be valid JSON that needs
-    no escaping.
-    """
-
-
-# The writer of each JSON scalar type; json_text looks a value up by its exact
-# type, and a subclass by the first of its bases found here.
-_SCALAR_WRITERS = {
-    Verbatim: str,
-    str: encode_basestring_ascii,
-    int: exact_str,
-    float: float.__repr__,
-    bool: lambda value: "true" if value else "false",
-    type(None): lambda value: "null",
-}
-
-
-def json_text(value, newline: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, with every int in full.
-
-    Writes dicts with ``str`` keys, lists, str, int, float, bool and None,
-    subclasses of str, int and float included; anything else raises
-    ``TypeError``.  A :class:`Verbatim` str is written as it stands.  A
-    scalar item of a list or dict goes straight to its writer, without a
-    recursive call.
-    """
-    get = _SCALAR_WRITERS.get
-    write = get(type(value))
-    if write is not None:
-        return write(value)
-    inner = newline + "  "
-    if isinstance(value, list):
-        ends = "[]"
-        items = [
-            write(item) if (write := get(type(item))) else json_text(item, inner)
-            for item in value
-        ]
-    elif isinstance(value, dict):
-        ends = "{}"
-        items = [
-            encode_basestring_ascii(key)
-            + ": "
-            + (write(item) if (write := get(type(item := value[key]))) else json_text(item, inner))
-            for key in sorted(value)
-        ]
-    else:
-        for kind in type(value).__mro__:
-            if kind in _SCALAR_WRITERS:
-                return _SCALAR_WRITERS[kind](value)
-        raise TypeError(f"{type(value).__name__} is not JSON serializable")
-    if not items:
-        return ends
-    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
-
-
-def _emit_text(payload: dict, indent: int = 0) -> None:
-    pad = "  " * indent
-    for key in sorted(payload):
-        value = payload[key]
-        if isinstance(value, dict):
-            sys.stdout.write(f"{pad}{key}:\n")
-            _emit_text(value, indent + 1)
-        elif isinstance(value, list):
-            sys.stdout.write(f"{pad}{key}: [{len(value)} entries]\n")
-            for item in value:
-                if isinstance(item, dict):
-                    _emit_text(item, indent + 1)
-                    sys.stdout.write("\n")
-                else:
-                    sys.stdout.write(f"{pad}  {exact_str(item)}\n")
-        else:
-            sys.stdout.write(f"{pad}{key}: {exact_str(value)}\n")
-
-
 # ---------------------------------------------------------------------------
 # dim / bounds
 # ---------------------------------------------------------------------------
@@ -381,14 +212,14 @@ def build_bound_report(f: SparsePoly, k: int, args: argparse.Namespace, opts: Op
     a name ending in ``_lower`` is a lower bound on the exact rank, any
     other an upper bound.
     """
-    timings: dict[str, float] = {}
+    stages = Stages()
     if f.is_zero:
         parse_order_flag(args, len(f.vars))  # no bound is drawn, but the flags hold
         return {
             "command": args.subcommand,
             "input": input_digest(f),
             "k": k,
-            "exact_dim": {"value": 0, "status": "zero-poly"},
+            "exact_dim": stages.record("exact", None, zero=True),
             "bounds": None,
             "trace": None,
             "provenance": {"exact_dim": "zero polynomial spans nothing"},
@@ -401,11 +232,9 @@ def build_bound_report(f: SparsePoly, k: int, args: argparse.Namespace, opts: Op
     # trace's other caps, the --order flag, the matrix caps.  So a capped
     # matrix is kept as its error, raised once the trace (on its own M) and
     # the flag are read.
-    t0 = time.monotonic()
     scaled = to_scaled(f)
     trace.check_pair_budget(scaled, opts.budget)
-    timings["trace"] = time.monotonic() - t0
-    t0 = time.monotonic()
+    stages.lap("trace")
     capped = None
     try:
         matrix = exact.build_matrix(
@@ -413,13 +242,11 @@ def build_bound_report(f: SparsePoly, k: int, args: argparse.Namespace, opts: Op
         )
     except ResourceLimitError as err:
         capped, matrix = err, None
-    timings["matrix"] = time.monotonic() - t0
+    stages.lap("matrix")
 
-    t0 = time.monotonic()
     stats, l_scaled, trace_entries = trace_section(f, scaled, k, opts, matrix)
-    timings["trace"] += time.monotonic() - t0
+    stages.lap("trace")
 
-    t0 = time.monotonic()
     orders = parse_order_flag(args, len(f.vars))
     if capped is not None:
         raise capped
@@ -441,27 +268,20 @@ def build_bound_report(f: SparsePoly, k: int, args: argparse.Namespace, opts: Op
             "min(per-term profile sum, distinct rows, distinct cols)",
         ),
     }
-    timings["bounds"] = time.monotonic() - t0
+    stages.lap("bounds")
+    rank = functools.partial(exact.rank_exact, matrix, budget=opts.elimination_budget)
+    exact_entry = stages.record("exact", rank if args.subcommand == "dim" else None)
     bound_entries = {
         name: frac_str(value) if isinstance(value, Fraction) else value
         for name, (value, _) in table.items()
     }
-
-    exact_entry: dict = {"value": None, "status": "not-requested"}
-    if args.subcommand == "dim":
-        t0 = time.monotonic()
-        try:
-            value = exact.rank_exact(matrix, budget=opts.elimination_budget)
-            exact_entry = {"value": value, "status": "computed"}
-        except ResourceLimitError as err:
-            exact_entry = {"value": None, "status": f"skipped:caps:{err.what}"}
-        timings["exact"] = time.monotonic() - t0
-        if exact_entry["status"] == "computed" and any(
-            bound > value if name.endswith("_lower") else bound < value
-            for name, (bound, _) in table.items()
-        ):
-            listed = " ".join(f"{name}={entry}" for name, entry in bound_entries.items())
-            raise InvariantViolation(f"bound sandwich violated for k={k}: exact={value} {listed}")
+    value = exact_entry["value"]
+    if exact_entry["status"] == "computed" and any(
+        bound > value if name.endswith("_lower") else bound < value
+        for name, (bound, _) in table.items()
+    ):
+        listed = " ".join(f"{name}={entry}" for name, entry in bound_entries.items())
+        raise InvariantViolation(f"bound sandwich violated for k={k}: exact={value} {listed}")
 
     report = {
         "command": args.subcommand,
@@ -478,7 +298,7 @@ def build_bound_report(f: SparsePoly, k: int, args: argparse.Namespace, opts: Op
         "seed": opts.seed,
     }
     if args.timing:
-        report["timings_seconds"] = {k2: round(v, 6) for k2, v in timings.items()}
+        report["timings_seconds"] = {k2: round(v, 6) for k2, v in stages.seconds.items()}
     return report
 
 
@@ -497,18 +317,15 @@ def cmd_dim(args: argparse.Namespace) -> int:
     f = load_poly(args.file)
     # star / plus: exact value only
     spec = exact.OrderSpec.all_orders() if mode == "star" else exact.OrderSpec.interior()
-    value = exact.dim_partials(
-        f,
-        spec,
-        max_rows=opts.max_rows,
-        max_cols=opts.max_cols,
-        budget=opts.elimination_budget,
+    matrix = None if f.is_zero else exact.build_matrix(
+        f, spec, max_rows=opts.max_rows, max_cols=opts.max_cols
     )
+    rank = functools.partial(exact.rank_exact, matrix, budget=opts.elimination_budget)
     report = {
         "command": "dim",
         "input": input_digest(f),
         "mode": mode,
-        "exact_dim": {"value": value, "status": "zero-poly" if f.is_zero else "computed"},
+        "exact_dim": Stages().record("exact", rank, zero=f.is_zero),
         "provenance": {"exact_dim": "fraction-free elimination rank"},
     }
     if mode == "star":
@@ -676,76 +493,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if summary["all_hold"] else 4
 
 
-# The cells of a gap point, in csv column order; the first four are JSON ints.
-GAP_KEYS = ("n", "d", "k", "u", "v", "v_dec", "upper_v", "upper_v_dec", "ratio", "ratio_dec")
-GAP_INT_KEYS = 4
-
-
-def _gap_row(
-    n: int,
-    d: int,
-    k: int,
-    u: int,
-    v: tuple[int, int],
-    upper_v: tuple[int, int],
-    ratio: tuple[int, int],
-) -> tuple[str, ...]:
-    """A point's cells in ``GAP_KEYS`` order, from ``symmetric._gap_ints``'s reduced pairs.
-
-    When no fraction side is past ``SPLIT_BITS`` bits, the cells are plain
-    f-strings and DEC12 quotients.  A lowered digit limit can still refuse
-    such a short int; then, as for a long side, each cell goes through
-    exact_str, pair_str and pair_dec, which write it the same.
-    """
-    (vn, vd), (un, ud), (rn, rd) = v, upper_v, ratio
-    if not _is_long(max(vn, vd, un, ud, rn, rd)):
-        divide = DEC12.divide
-        try:
-            return (
-                f"{n}",
-                f"{d}",
-                f"{k}",
-                f"{u}",
-                f"{vn}/{vd}",
-                str(divide(vn, vd)),
-                f"{un}/{ud}",
-                str(divide(un, ud)),
-                f"{rn}/{rd}",
-                str(divide(rn, rd)),
-            )
-        except ValueError:
-            pass
-    return (
-        exact_str(n),
-        exact_str(d),
-        exact_str(k),
-        exact_str(u),
-        pair_str(vn, vd),
-        pair_dec(vn, vd),
-        pair_str(un, ud),
-        pair_dec(un, ud),
-        pair_str(rn, rd),
-        pair_dec(rn, rd),
-    )
-
-
-def _gap_layout(newline: str) -> tuple[str, itemgetter]:
-    """A gap point's JSON at this indentation, as a %-format, and the getter of a row's cells.
-
-    json_text renders a placeholder point whose cells are all the mark
-    ``%s``: an int cell's as Verbatim, bare, and a string cell's as str,
-    which it quotes.  It writes a dict's keys sorted, so the getter takes a
-    row's cells in ``sorted(GAP_KEYS)`` order; key order and indentation
-    stay json_text's.  The cells fill the marks unescaped, which holds as
-    every cell is made of digits, '/', '.', 'E', '+' and '-'.
-    """
-    text = json_text(
-        {key: Verbatim("%s") if i < GAP_INT_KEYS else "%s" for i, key in enumerate(GAP_KEYS)},
-        newline,
-    )
-    return text, itemgetter(*sorted(range(len(GAP_KEYS)), key=GAP_KEYS.__getitem__))
-
-
 def cmd_sym_gap(args: argparse.Namespace) -> int:
     params = _parse_keyvals(args.params)
     if args.fixed:
@@ -760,8 +507,6 @@ def cmd_sym_gap(args: argparse.Namespace) -> int:
         if set(params) != needed:
             raise ValueError("sym gap --scaled expects kp=<k'> dp=<d'> np=<n'> m=<range>")
         m_values = _parse_range("m", params["m"])
-        if max(m_values) > MAX_GAP_SCALE:
-            raise ValueError(f"m must be at most {MAX_GAP_SCALE}")
         dp, np_ = _parse_int("dp", params["dp"]), _parse_int("np", params["np"])
         shapes = symmetric._scaled_shapes(_parse_int("kp", params["kp"]), dp, np_, m_values)
         mode = "scaled"

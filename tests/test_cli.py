@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdrank import cli, exact, polyio, reductions, symmetric, trace
+from pdrank import cli, exact, polyio, reductions, report, symmetric, trace
 
 DATA = Path(__file__).parent / "data"
 
@@ -179,6 +179,35 @@ def test_dim_zero_polynomial_flagged(capsys, poly_file):
     assert report["exact_dim"] == {"status": "zero-poly", "value": 0}
 
 
+@pytest.mark.parametrize(
+    "mode, computed", [(("--k", "2"), 14), (("--mode", "star"), 21), (("--mode", "plus"), 20)]
+)
+@pytest.mark.parametrize(
+    "text, caps, status",
+    [
+        (None, (), "computed"),
+        (None, ("--elimination-budget", "0"), "skipped:caps:elimination-budget"),
+        ("x1 - x1", (), "zero-poly"),
+    ],
+)
+def test_exact_dim_record_on_every_mode(capsys, poly_file, mode, computed, text, caps, status):
+    """A rank past --elimination-budget is a skip with exit 0 on every dim mode."""
+    path = poly_file(text) if text else str(DATA / "rational.poly")
+    value = {"computed": computed, "zero-poly": 0}.get(status)
+    code, out, err = run(capsys, "dim", path, *mode, *caps, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["exact_dim"] == {"status": status, "value": value}
+    code, out, err = run(capsys, "dim", path, *mode, *caps, "--format", "text")
+    assert (code, err) == (0, "")
+    assert f"exact_dim:\n  status: {status}\n  value: {value}\n" in out
+
+
+@pytest.mark.parametrize("mode", [("--k", "2"), ("--mode", "star"), ("--mode", "plus")])
+def test_matrix_caps_end_every_dim_mode(capsys, mode):
+    argv = ("dim", str(DATA / "rational.poly"), *mode, "--max-rows", "1")
+    assert run(capsys, *argv) == (3, "", "resource limit: rows limit exceeded: 2 > 1\n")
+
+
 def test_dim_star_mode_and_note(capsys, poly_file):
     path = poly_file("x1^2*x2")
     code, out, _ = run(capsys, "dim", "--mode", "star", path, "--format", "json")
@@ -202,7 +231,7 @@ def test_bounds_subcommand_skips_exact(capsys, poly_file):
     code, out, _ = run(capsys, "bounds", "--k", "1", path, "--format", "json")
     assert code == 0
     report = json.loads(out)
-    assert report["exact_dim"]["status"] == "not-requested"
+    assert report["exact_dim"] == {"status": "not-requested", "value": None}
     assert report["bounds"]["linearity_upper"] == 3
 
 
@@ -1061,11 +1090,19 @@ def test_reports_match_golden_bytes(capsys, name, command):
         ),
         (("verify", "--exhaustive", "n=5", "--check-basis"), "exhaustive_n5.verify.json"),
         (("verify", "--exhaustive", "n=6", "--check-basis"), "exhaustive_n6.verify.json"),
+        (("dim", "--k", "2", str(GOLDEN_DIR / "rational.poly")), "rational.dim_k2.txt"),
+        (("dim", "--mode", "star", str(GOLDEN_DIR / "rational.poly")), "rational.dim_star.txt"),
+        (("bounds", "--k", "2", str(GOLDEN_DIR / "rational.poly")), "rational.bounds_k2.txt"),
+        (("trace", "--k", "2", str(GOLDEN_DIR / "rational.poly")), "rational.trace_k2.txt"),
+        (("reduce", "graph", str(GOLDEN_DIR / "k3.graph")), "k3.reduce.txt"),
+        (("verify", "--exhaustive", "n=4", "--check-basis"), "exhaustive_n4.verify.txt"),
     ],
 )
 def test_reduction_reports_match_golden_bytes(capsys, argv, golden):
-    """reduce/verify and dim --mode reports stay byte-identical to the recorded ones."""
-    code, out, _ = run(capsys, *argv, "--format", "json")
+    """reduce/verify and dim --mode JSON reports, and text reports of each subcommand, stay
+    byte-identical to the recorded ones."""
+    fmt = "text" if golden.endswith(".txt") else "json"
+    code, out, _ = run(capsys, *argv, "--format", fmt)
     assert code == 0
     assert out == (GOLDEN_DIR / golden).read_text()
 
@@ -1126,7 +1163,7 @@ def _reference_gap_point(p: symmetric.SymGapPoint) -> dict:
     """A point as a dict of JSON values: ints, and fractions as str() and 12-digit Decimal."""
 
     def dec(q: Fraction) -> str:
-        return str(cli.DEC12.divide(Decimal(q.numerator), Decimal(q.denominator)))
+        return str(report.DEC12.divide(Decimal(q.numerator), Decimal(q.denominator)))
 
     return {
         "n": p.n,
@@ -1165,7 +1202,7 @@ def _reference_gap_report(params: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with contextlib.redirect_stdout(io.StringIO()) as text:
-        cli._emit_text(payload)
+        report._emit_text(payload)
     return text.getvalue()
 
 
@@ -1226,8 +1263,8 @@ def test_long_gap_cases_take_both_paths_of_every_cell():
     long_sides = sides(symmetric._gap_point(10**45, 220, 110))
     short_sides = sides(symmetric._gap_point(330, 220, 110))
     assert all(len(_digits(side)) > limit for side in long_sides)
-    assert all(side.bit_length() > cli.SPLIT_BITS for side in long_sides)
-    assert all(side.bit_length() <= cli.SPLIT_BITS for side in short_sides)
+    assert all(side.bit_length() > report.SPLIT_BITS for side in long_sides)
+    assert all(side.bit_length() <= report.SPLIT_BITS for side in short_sides)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
@@ -1236,7 +1273,7 @@ def test_sym_gap_under_a_lowered_digit_limit(capsys, fmt):
     params = {"d": "60", "k": "30", "n": "1000000000000"}
     u, *pairs = symmetric._gap_ints(10**12, 60, 30)
     sides = [u] + [side for pair in pairs for side in pair]
-    assert all(side.bit_length() <= cli.SPLIT_BITS for side in sides)
+    assert all(side.bit_length() <= report.SPLIT_BITS for side in sides)
     assert max(len(_digits(side)) for side in sides) > 640
     limit = sys.get_int_max_str_digits()
     try:
@@ -1259,13 +1296,13 @@ def test_frac_str_falls_back_under_a_lowered_digit_limit(q):
     limit = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(640)  # 3^1400 has 2219 bits and 668 digits
-        text = cli.frac_str(q)
-        dec = cli.frac_dec(q)
+        text = report.frac_str(q)
+        dec = report.frac_dec(q)
     finally:
         sys.set_int_max_str_digits(limit)
-    assert max(q.numerator.bit_length(), q.denominator.bit_length()) <= cli.SPLIT_BITS
+    assert max(q.numerator.bit_length(), q.denominator.bit_length()) <= report.SPLIT_BITS
     assert text == f"{q.numerator}/{q.denominator}"
-    assert dec == str(cli.DEC12.divide(Decimal(q.numerator), Decimal(q.denominator)))
+    assert dec == str(report.DEC12.divide(Decimal(q.numerator), Decimal(q.denominator)))
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -1281,7 +1318,7 @@ def test_sym_gap_work_per_request(capsys, monkeypatch, fmt):
         return wrapper
 
     monkeypatch.setattr(symmetric, "_binoms", counted("binoms", symmetric._binoms))
-    monkeypatch.setattr(cli, "json_text", counted("json_text", cli.json_text))
+    monkeypatch.setattr(report, "json_text", counted("json_text", report.json_text))
     per_request = []
     for hi, points in ((10, 4), (200, 194)):
         calls.update(binoms=0, json_text=0)
@@ -1353,7 +1390,7 @@ def test_sym_gap_writes_a_long_rank_in_full(capsys, fmt):
         assert out.split("\n")[1].split(",")[3] == _digits(u)
 
 
-SPLIT_SIZES = sorted({m * cli.SPLIT_BITS + d for m in (1, 2, 3, 5, 8) for d in (-1, 0, 1)})
+SPLIT_SIZES = sorted({m * report.SPLIT_BITS + d for m in (1, 2, 3, 5, 8) for d in (-1, 0, 1)})
 
 
 @settings(max_examples=60, deadline=None)
@@ -1375,27 +1412,27 @@ def test_int_decimal_matches_str(bits, shape, seed, negative):
             "nines": 10 ** len(str(1 << bits)) - 1,
         }[shape]
         n = -n if negative else n
-        assert str(cli.int_decimal(n)) == str(n)
-        assert cli.exact_str(n) == str(n)
+        assert str(report.int_decimal(n)) == str(n)
+        assert report.exact_str(n) == str(n)
         # Both sides long (for most sizes), then one side at most SPLIT_BITS
         # bits and the other as long as n, both ways round.
         rng = random.Random(seed + 1)
         half = rng.getrandbits(bits // 2) + 1
-        short = rng.getrandbits(cli.SPLIT_BITS) | 1
+        short = rng.getrandbits(report.SPLIT_BITS) | 1
         for q in (Fraction(n, half), Fraction(n, short), Fraction(short, n)):
-            expected = cli.DEC12.divide(Decimal(q.numerator), Decimal(q.denominator))
-            assert cli.frac_dec(q) == str(expected)
+            expected = report.DEC12.divide(Decimal(q.numerator), Decimal(q.denominator))
+            assert report.frac_dec(q) == str(expected)
     finally:
         sys.set_int_max_str_digits(limit)
 
 
 def test_long_ints_in_json_and_text_reports(capsys):
     payload = {"long": 10**5000, "short": "5", "list": [3, 10**4400, True, None]}
-    text = cli.json_text(payload)
+    text = report.json_text(payload)
     assert text.startswith('{\n  "list": [\n    3,\n    1' + "0" * 4400 + ",\n    true")
     assert '"long": 1' + "0" * 5000 + ",\n" in text
     assert text.endswith('"short": "5"\n}')
-    cli._emit_text(payload)
+    report._emit_text(payload)
     assert capsys.readouterr().out == (
         f"list: [4 entries]\n  3\n  1{'0' * 4400}\n  True\n  None\n"
         f"long: 1{'0' * 5000}\nshort: 5\n"
@@ -1420,7 +1457,7 @@ json_values = st.recursive(
 
 @given(json_values)
 def test_json_text_matches_the_stdlib_encoder(value):
-    assert cli.json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert report.json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 class Text(str):
@@ -1451,7 +1488,7 @@ class Count(int):
 )
 def test_json_text_matches_the_stdlib_encoder_on_edge_values(value):
     """Booleans stay true/false though bool is an int; subclasses of str and int are written."""
-    assert cli.json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert report.json_text(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize(
@@ -1469,7 +1506,7 @@ def test_json_text_matches_the_stdlib_encoder_on_edge_values(value):
 )
 def test_json_text_refuses_what_it_does_not_write(value):
     with pytest.raises(TypeError):
-        cli.json_text(value)
+        report.json_text(value)
 
 
 NINES = "9" * 4300
@@ -1482,8 +1519,18 @@ NINES = "9" * 4300
         (("--scaled", "kp=1", "dp=2", "np=5", "m=3..1"), "empty range '3..1'"),
         (("--fixed", "d=5", "k=2", "n=7..100000000"), "at most 20000 points, got 99999994"),
         (("--fixed", "d=5", "k=2", "n=1..20001"), "at most 20000 points, got 20001"),
-        (("--scaled", "kp=1", "dp=2", "np=5", "m=2400"), "m must be at most 300"),
-        (("--scaled", "kp=1", "dp=2", "np=5", "m=1,301"), "m must be at most 300"),
+        # m has no cap of its own: the point-size cap refuses its point from m=820
+        pytest.param(
+            ("--scaled", "kp=1", "dp=2", "np=5", "m=2400"),
+            "gap point too large: d*b*(d+b) = 323500800 > 35000000, "
+            "where d = 4800 and b = bit_length(n) = 14",
+            id="scaled-m-2400-point-too-large",
+        ),
+        pytest.param(
+            ("--scaled", "kp=1", "dp=2", "np=5", "m=820"),
+            "d*b*(d+b) = 35241960 > 35000000",
+            id="scaled-m-820-point-too-large",
+        ),
         (
             ("--fixed", "d=10400", "k=5200", "n=15600"),
             "gap point too large: d*b*(d+b) = 1516278400 > 35000000, "
@@ -1550,6 +1597,9 @@ def test_sym_gap_series_limits_exit_2_before_any_point(capsys, monkeypatch, para
         (("--fixed", "d=6", "k=3", "n=9..1208"), 1200),
         (("--fixed", "d=3", "k=1", "n=4..200"), 197),
         (("--scaled", "kp=1", "dp=3", "np=8", "m=1..3"), 3),
+        # m has no cap of its own: m=819 is the largest the point-size cap admits here
+        (("--scaled", "kp=1", "dp=2", "np=5", "m=1,301"), 2),
+        (("--scaled", "kp=1", "dp=2", "np=5", "m=819"), 1),
     ],
 )
 def test_sym_gap_limits_admit_long_series(capsys, params, points):
