@@ -42,7 +42,7 @@ from .polyio import (
     to_scaled,
 )
 from .report import (
-    GAP_KEYS, Stages, Verbatim, _gap_layout, _gap_row, emit, exact_str, frac_dec, frac_str
+    GAP_KEYS, SKIPPED, Stages, Verbatim, _gap_layout, _gap_row, emit, exact_str, frac_dec, frac_str
 )
 
 MAX_VERTEX_TRIALS = 10_000  # at most 0.3 ms each on 1000 terms
@@ -53,6 +53,8 @@ MAX_GAP_SERIES_SIZE = 40_000_000  # summed point sizes: d=6 k=3 n=9..20000, 31,3
 MAX_TRACE_SAMPLES = 4000  # the exact running mean: 1.2 s on multilinear40 at k=2
 MAX_TRACE_TERM_SAMPLES = 200_000  # terms * samples: 4000 samples on 50 terms, 1.4 s
 JSON_INT = functools.partial(_parse_int, "JSON number")  # json.loads's reader of an int literal
+# The provenance of an exact_dim that a cap skipped, on every dim mode.
+NO_RANK = "not computed: a cap stopped the rank (see status)"
 
 
 def _knob(default: int | None, commands: str, least: int | None = 0, most: int | None = None):
@@ -292,7 +294,9 @@ def build_bound_report(f: SparsePoly, k: int, args: argparse.Namespace, opts: Op
         **trace_entries,
         "provenance": {
             **{name: why for name, (_, why) in table.items()},
-            "exact_dim": "fraction-free elimination rank of the derivative matrix",
+            "exact_dim": exact_provenance(
+                exact_entry, "fraction-free elimination rank of the derivative matrix"
+            ),
             "coefficients": "matrix entries use the scaled monomial basis",
         },
         "seed": opts.seed,
@@ -300,6 +304,11 @@ def build_bound_report(f: SparsePoly, k: int, args: argparse.Namespace, opts: Op
     if args.timing:
         report["timings_seconds"] = {k2: round(v, 6) for k2, v in stages.seconds.items()}
     return report
+
+
+def exact_provenance(entry: dict, why: str) -> str:
+    """``why``, the provenance of an ``exact_dim`` record, or ``NO_RANK`` if a cap skipped it."""
+    return NO_RANK if entry["status"].startswith(SKIPPED) else why
 
 
 def require_k(args: argparse.Namespace) -> None:
@@ -321,12 +330,13 @@ def cmd_dim(args: argparse.Namespace) -> int:
         f, spec, max_rows=opts.max_rows, max_cols=opts.max_cols
     )
     rank = functools.partial(exact.rank_exact, matrix, budget=opts.elimination_budget)
+    exact_entry = Stages().record("exact", rank, zero=f.is_zero)
     report = {
         "command": "dim",
         "input": input_digest(f),
         "mode": mode,
-        "exact_dim": Stages().record("exact", rank, zero=f.is_zero),
-        "provenance": {"exact_dim": "fraction-free elimination rank"},
+        "exact_dim": exact_entry,
+        "provenance": {"exact_dim": exact_provenance(exact_entry, "fraction-free elimination rank")},
     }
     if mode == "star":
         report["note"] = (

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import chain, combinations, compress, islice, product
 from typing import Iterable, Iterator, Sequence
 
@@ -32,27 +33,31 @@ def packed_subsets(units: Sequence[int], k: int) -> Iterator[int]:
 
 
 def packed_sub_indices(
-    alpha: tuple[int, ...], units: Sequence[int], order: int
+    alpha: tuple[int, ...], units: Sequence[int], orders: range
 ) -> Iterator[int]:
-    """Every beta with 0 <= beta <= alpha and sum(beta) == order, packed, each once.
+    """Every beta with 0 <= beta <= alpha and sum(beta) in ``orders``, packed, each once.
 
-    Variable i counts ``units[i]`` in the packed key.  The order of the
-    keys is unspecified.  The variables with alpha_i == 1 are placed by
-    ``packed_subsets``; for a 0/1 alpha that is the whole walk.  Otherwise
-    a depth-first walk over the variables with alpha_i >= 2, carrying the
-    packed key of the exponents chosen so far, enters only the branches
-    that can still reach ``order``, and under each of its leaves the rest
-    of the order goes to the ones.  A branch with nothing left to place, or
-    with room for exactly what is left, is a leaf of one key at once; then
-    an inner node forks, or has one child, a leaf, so the walk costs O(1)
-    per key.  No candidate is drawn and thrown away, and k > deg alpha
-    returns at once.
+    ``orders`` is a range of naturals, step 1.  Variable i counts
+    ``units[i]`` in the packed key.  The keys come one
+    order after another; within an order their sequence is unspecified.
+    The variables with alpha_i == 1 are placed by ``packed_subsets``; for a
+    0/1 alpha that is the whole walk.  Otherwise a depth-first walk over
+    the variables with alpha_i >= 2, carrying the packed key of the
+    exponents chosen so far, enters only the branches that can still reach
+    the order, and under each of its leaves the rest of the order goes to
+    the ones.  A branch with nothing left to place, or with room for
+    exactly what is left, is a leaf of one key at once; then an inner node
+    forks, or has one child, a leaf, so the walk costs O(1) per key.
+    Orders outside 0..deg alpha have no key and are cut off first (one
+    order of a 0/1 alpha goes straight to ``packed_subsets``, which refuses
+    it), so no candidate is drawn and thrown away, and an order past
+    deg alpha returns at once.  A term's setup is shared by all its orders.
     """
     # Selected in C: a term's setup takes no Python step per variable.
     ones = list(compress(units, map((1).__eq__, alpha)))
     multi = list(compress(zip(alpha, units), map((1).__lt__, alpha)))
-    if not multi:
-        return packed_subsets(ones, order)
+    if not multi and len(orders) == 1:
+        return packed_subsets(ones, orders[0])
     # room[j]: the largest order that multi[j:] and the ones can still
     # take; full[j]: the packed key that takes all of it
     room = [len(ones)] * (len(multi) + 1)
@@ -61,23 +66,26 @@ def packed_sub_indices(
         a, u = multi[j]
         room[j] = room[j + 1] + a
         full[j] = full[j + 1] + a * u
-    if not 0 <= order <= room[0]:
-        return iter(())
+    if orders.stop > room[0] + 1:  # no key past deg alpha
+        orders = range(orders.start, room[0] + 1)
+    if not multi:
+        return chain.from_iterable(map(partial(packed_subsets, ones), orders))
 
     def leaves() -> Iterator[Iterable[int]]:
-        stack = [(0, order, 0)]  # (next multi variable, order left, packed key so far)
-        while stack:
-            j, rem, base = stack.pop()
-            if rem == 0:
-                yield (base,)
-            elif rem == room[j]:
-                yield (base + full[j],)
-            elif j == len(multi):
-                yield map(base.__add__, packed_subsets(ones, rem))
-            else:
-                a, u = multi[j]
-                for b in range(max(0, rem - room[j + 1]), min(a, rem) + 1):
-                    stack.append((j + 1, rem - b, base + b * u))
+        for order in orders:
+            stack = [(0, order, 0)]  # (next multi variable, order left, packed key so far)
+            while stack:
+                j, rem, base = stack.pop()
+                if rem == 0:
+                    yield (base,)
+                elif rem == room[j]:
+                    yield (base + full[j],)
+                elif j == len(multi):
+                    yield map(base.__add__, packed_subsets(ones, rem))
+                else:
+                    a, u = multi[j]
+                    for b in range(max(0, rem - room[j + 1]), min(a, rem) + 1):
+                        stack.append((j + 1, rem - b, base + b * u))
 
     return chain.from_iterable(leaves())
 

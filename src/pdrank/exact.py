@@ -40,27 +40,37 @@ DEFAULT_ELIMINATION_BUDGET = 10**8
 MODE_EXACT = "exact-order"
 MODE_ALL = "all-orders"
 MODE_INTERIOR = "interior-orders"
+MODE_RANGE = "order-range"
 
 
 @dataclass(frozen=True)
 class OrderSpec:
-    """Which differentiation orders to span: a single k, all, or 1..deg-1."""
+    """Which differentiation orders to span: a single k, k..top, all, or 1..deg-1."""
 
     mode: str
     k: int | None = None
+    top: int | None = None
 
     def __post_init__(self):
-        if self.mode not in (MODE_EXACT, MODE_ALL, MODE_INTERIOR):
+        if self.mode not in (MODE_EXACT, MODE_ALL, MODE_INTERIOR, MODE_RANGE):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == MODE_EXACT:
-            if self.k is None or self.k < 0:
-                raise ValueError("exact-order mode needs k >= 0")
-        elif self.k is not None:
-            raise ValueError("k is only meaningful for exact-order mode")
+            if self.k is None or self.k < 0 or self.top is not None:
+                raise ValueError("exact-order mode needs k >= 0 and no top")
+        elif self.mode == MODE_RANGE:
+            if self.k is None or self.top is None or not 0 <= self.k <= self.top:
+                raise ValueError("order-range mode needs 0 <= k <= top")
+        elif self.k is not None or self.top is not None:
+            raise ValueError("k and top are only meaningful for exact-order and order-range modes")
 
     @classmethod
     def exact(cls, k: int) -> "OrderSpec":
         return cls(MODE_EXACT, k)
+
+    @classmethod
+    def between(cls, k: int, top: int) -> "OrderSpec":
+        """The orders k..top, both included."""
+        return cls(MODE_RANGE, k, top)
 
     @classmethod
     def all_orders(cls) -> "OrderSpec":
@@ -74,6 +84,9 @@ class OrderSpec:
         if self.mode == MODE_EXACT:
             assert self.k is not None
             return range(self.k, self.k + 1)
+        if self.mode == MODE_RANGE:
+            assert self.k is not None and self.top is not None
+            return range(self.k, self.top + 1)
         if self.mode == MODE_ALL:
             return range(0, degree + 1)
         if degree < 2:
@@ -215,18 +228,18 @@ def build_matrix(
     all orders and the interior orders draw each term's whole box of
     sub-indices in one ``product`` (:func:`packed_box`), the interior
     orders leaving out beta = 0 and, on the terms of top degree,
-    beta = alpha.  Either way each drawn key is one nonzero entry, at a
-    cost that does not grow with the number of variables (see
-    :func:`assemble`).
+    beta = alpha.  An order range k..top draws order k, then k + 1, up to
+    top.  Either way each drawn key is one nonzero entry, at a cost that
+    does not grow with the number of variables (see :func:`assemble`).
     """
     if f.is_zero:
         raise ValueError("derivative matrix of the zero polynomial")
     scaled = f if f.basis == SCALED else to_scaled(f)
-    if spec.mode == MODE_EXACT:
-        k = spec.k
+    if spec.mode in (MODE_EXACT, MODE_RANGE):
+        orders = spec.orders(0)  # these orders do not depend on the degree
 
         def sub_indices(alpha, units):
-            return packed_sub_indices(alpha, units, k)
+            return packed_sub_indices(alpha, units, orders)
 
     else:
         # These orders run from 0 or 1 up to deg or deg - 1: only beta = 0

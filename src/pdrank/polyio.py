@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterable, NoReturn, Sequence
+from typing import Callable, Collection, Iterable, NoReturn, Sequence
 
 from .errors import InvariantViolation, ParseError, ResourceLimitError
 
@@ -579,6 +579,18 @@ class Graph:
         return sorted(self.edges)
 
 
+def _nested(sets: Collection[frozenset[int]]) -> set[frozenset[int]]:
+    """The sets that lie inside another of ``sets``.
+
+    Only a smaller set can lie inside a larger one, so only sets of
+    different sizes are compared: a family of one size, as every pure
+    complex is, makes no test.
+    """
+    if len(set(map(len, sets))) < 2:
+        return set()
+    return {f for f in sets for g in sets if len(f) < len(g) and f < g}
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Facet-generated abstract simplicial complex over ground set {1..n}.
@@ -596,17 +608,15 @@ class SimplicialComplex:
                 raise ValueError("empty facet")
             if any(not (1 <= v <= self.ground) for v in f):
                 raise ValueError("facet vertex out of range")
-        for i, a in enumerate(self.facets):
-            for j, b in enumerate(self.facets):
-                if i != j and a <= b:
-                    raise ValueError("redundant facet (contained in another)")
+        if len(set(self.facets)) != len(self.facets) or _nested(self.facets):
+            raise ValueError("redundant facet (contained in another)")
 
     @classmethod
     def make(cls, ground: int, facets: Iterable[Iterable[int]]) -> "SimplicialComplex":
         sets = {frozenset(f) for f in facets}
         if frozenset() in sets:
             raise ValueError("empty facet")
-        pruned = [f for f in sets if not any(f < g for g in sets)]
+        pruned = list(sets - _nested(sets))
         pruned.sort(key=lambda f: tuple(sorted(f)))
         return cls(ground, tuple(pruned))
 

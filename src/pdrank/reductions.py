@@ -12,8 +12,9 @@ of degree d+1 in n+m variables, whose span of derivatives of orders
 1..deg-1 has dimension exactly twice the face count, with an explicit
 basis: the face monomials and the face derivatives of f.
 ``verify_reduction`` reads the basis off the distinct rows of the
-interior-order derivative matrix: they share no column, so their count is
-the dimension, and the exact rank is only the fallback for a matrix whose
+derivative matrix of orders 1..deg//2, whose transposes are the other
+interior orders: they share no column, so their count gives the
+dimension, and the exact rank is only the fallback for a matrix whose
 rows overlap.  ``partial_plus_basis`` and ``poly_stack_rank`` build and
 rank the basis as polynomials, the reference the tests compare the rows
 against.
@@ -22,12 +23,12 @@ against.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, combinations, compress, count, permutations
-from operator import add, sub
+from operator import add, not_, sub
 
 from .combinat import all_sub_indices, cleared
 from .errors import InvariantViolation, ResourceLimitError
@@ -37,10 +38,9 @@ from .exact import (
     DerivMatrix,
     OrderSpec,
     build_matrix,
-    rank_exact,
     sparse_int_rank,
 )
-from .polyio import ORDINARY, Graph, SimplicialComplex, SparsePoly, Term
+from .polyio import ORDINARY, SCALED, Graph, SimplicialComplex, SparsePoly, Term
 
 GROUND_CAP = 24
 
@@ -136,27 +136,37 @@ def enumerate_faces(sc: SimplicialComplex) -> list[frozenset[int]]:
 
 
 def _poly_from_facets(
-    n: int, facets: list[frozenset[int]], y_names: list[str]
+    n: int, facets: Sequence[frozenset[int]], y_names: list[str], basis: str = ORDINARY
 ) -> SparsePoly:
-    x_names = [f"X{i}" for i in range(1, n + 1)]
-    variables = x_names + y_names
-    items = []
+    """sum_i Y_i * X_{F_i} over the ground set [n], built canonical.
+
+    Each Y_i is its own variable, so no two terms are alike, and the terms
+    need only sorting.  f is multilinear with unit coefficients, so its
+    scaled coefficients (c * prod(e_i!)) are its ordinary ones: ``basis``
+    only labels the same terms, with no factorial computed.
+    """
+    width = n + len(facets)
+    exps = []
     for idx, facet in enumerate(facets):
-        exps = [0] * len(variables)
+        e = [0] * width
         for v in facet:
-            exps[v - 1] = 1
-        exps[n + idx] = 1
-        items.append((tuple(exps), 1))
-    return SparsePoly.from_terms(variables, items)
+            e[v - 1] = 1
+        e[n + idx] = 1
+        exps.append(tuple(e))
+    one = Fraction(1)
+    variables = (*(f"X{i}" for i in range(1, n + 1)), *y_names)
+    return SparsePoly(variables, tuple(Term(one, e) for e in sorted(exps)), basis)
 
 
-def complex_to_poly(sc: SimplicialComplex) -> SparsePoly:
-    """Multilinear polynomial sum_i Y_i * prod_{j in F_i} X_j for a pure complex."""
+def complex_to_poly(sc: SimplicialComplex, basis: str = ORDINARY) -> SparsePoly:
+    """Multilinear polynomial sum_i Y_i * prod_{j in F_i} X_j for a pure complex.
+
+    Its terms are the same in either coefficient basis; ``basis`` labels them.
+    """
     if not sc.is_pure:
         raise ValueError("complex must be pure (all facets the same size)")
-    facets = list(sc.facets)
     return _poly_from_facets(
-        sc.ground, facets, [f"Y{i}" for i in range(1, len(facets) + 1)]
+        sc.ground, sc.facets, [f"Y{i}" for i in range(1, len(sc.facets) + 1)], basis
     )
 
 
@@ -178,9 +188,9 @@ def partial_plus_basis(sc: SimplicialComplex) -> list[SparsePoly]:
     first, then derivatives, faces in sorted order.  The derivatives are
     built in one pass over the facet terms: each term lands, with X_F
     divided out, in the derivative of every face F it contains.
-    ``verify_reduction`` reads the same vectors off the distinct rows of
-    the interior-order derivative matrix (``_disjoint_row_count``); this
-    is the tests' reference.
+    The distinct rows of the interior-order derivative matrix are the
+    same vectors, which ``verify_reduction`` certifies from half its
+    orders (``_half_order_dim``); this is the tests' reference.
     """
     f = complex_to_poly(sc)
     nvars = len(f.vars)
@@ -235,6 +245,47 @@ def _disjoint_row_count(matrix: DerivMatrix) -> int | None:
     return len(distinct) if sum(map(len, distinct)) == matrix.ncols else None
 
 
+def _half_order_dim(matrix: DerivMatrix, degree: int) -> tuple[int, int | None]:
+    """dim_+ of a complex polynomial f of degree D from its orders 1..D//2, and its certificate.
+
+    ``matrix`` holds f's derivatives of orders 1..D//2 (``degree`` is D).
+    Returns dim_+ and the count the certificate gives, None where it fails.
+
+    *The other half.* f is homogeneous.  In the scaled basis the order-j
+    matrix M_j holds a_{beta+gamma} at row beta and column gamma, so
+    M_{D-j} is M_j transposed and rank M_{D-j} = rank M_j.  Rows of
+    different orders reach columns of different degrees, so the interior
+    matrix is block-diagonal by order and dim_+ = sum_{j=1..D-1} rank M_j
+    = 2 * (the ranks below D/2) + rank M_{D/2}, the last when D is even.
+
+    *The certificate.*  The packed keys of f are its 0/1 exponents, so a
+    row's order is the bit count of its key, and every entry is 1: a row
+    or a column is its support.  In such a matrix, distinct rows with
+    pairwise disjoint supports make distinct columns with pairwise
+    disjoint supports, as many.  For if distinct columns c and c' met in a
+    row r, some row s would hold one of them, say c, but not c'; then r
+    and s differ (only r holds c') and share c.  And each column lies in
+    one distinct row's support, where every column has the same support,
+    the rows equal to it.  So when the distinct rows here share no column
+    (:func:`_disjoint_row_count`), the rows of each M_{D-j}, the columns of
+    M_j, pass the same test with the same count, and the whole interior
+    matrix passes with 2 * (distinct rows) - (distinct rows of order D/2)
+    distinct rows, which is then dim_+.  When they do not, neither does
+    the whole matrix, whose rows these are; then ``sparse_int_rank`` ranks
+    the rows below D/2 and the middle rows apart, for 2 * r_low + r_mid.
+    Either way the count and the verdict are the whole matrix's.
+    """
+    middle_order = degree // 2 if degree % 2 == 0 else -1  # -1: no middle order
+    in_middle = list(map(middle_order.__eq__, map(int.bit_count, matrix.rows)))
+    middle = list(compress(matrix.entries, in_middle))
+    distinct = _disjoint_row_count(matrix)
+    if distinct is not None:
+        certified = 2 * distinct - len(set(map(frozenset, map(dict.items, middle))))
+        return certified, certified
+    low = list(compress(matrix.entries, map(not_, in_middle)))
+    return sum(w * sparse_int_rank(rows) for w, rows in ((2, low), (1, middle)) if rows), None
+
+
 def verify_reduction(
     obj: Graph | SimplicialComplex,
     *,
@@ -245,13 +296,14 @@ def verify_reduction(
 
     For graphs: dim = 2 * (2^n - Ind(G) - 1) and faces = 2^n - Ind(G) - 1.
     For pure complexes: dim = 2 * faces.  A graph goes through its edge
-    complement complex; then one polynomial gives one interior-order
-    matrix.  When its distinct rows share no column their count is its
-    rank, ``dim_plus`` (:func:`_disjoint_row_count`); otherwise
-    ``rank_exact`` computes it, under its default budget.  ``basis_verified`` says
-    the certificate held and counted 2 * faces rows: the explicit basis.
-    The faces and independent sets (2^n work each) are counted after the
-    matrix, so its caps refuse a large input first.
+    complement complex; then one polynomial, built in the scaled basis,
+    gives one matrix of its orders 1..deg//2, the other half being their
+    transposes (:func:`_half_order_dim`).  When its distinct rows share no
+    column their count gives ``dim_plus``; otherwise the exact rank does,
+    under its default budget.  ``basis_verified`` says the certificate
+    held and counted 2 * faces: the explicit basis.  The faces and
+    independent sets (2^n work each) are counted after the matrix, so its
+    caps refuse a large input first.
     """
     if isinstance(obj, Graph):
         _check_ground(obj.n, "vertices")
@@ -270,11 +322,14 @@ def verify_reduction(
             note = "identity not applicable: empty complex gives the zero polynomial"
     dim_plus, certified = 0, None
     if sc.facets:
+        degree = len(sc.facets[0]) + 1
         matrix = build_matrix(
-            complex_to_poly(sc), OrderSpec.interior(), max_rows=max_rows, max_cols=max_cols
+            complex_to_poly(sc, SCALED),
+            OrderSpec.between(1, degree // 2),
+            max_rows=max_rows,
+            max_cols=max_cols,
         )
-        certified = _disjoint_row_count(matrix)
-        dim_plus = rank_exact(matrix) if certified is None else certified
+        dim_plus, certified = _half_order_dim(matrix, degree)
     ind = count_independent_sets(obj) if isinstance(obj, Graph) else None
     faces = count_faces(sc)
     holds = dim_plus == 2 * faces and (ind is None or faces == 2**sc.ground - ind - 1)

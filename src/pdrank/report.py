@@ -260,6 +260,9 @@ def _gap_layout(newline: str) -> tuple[str, itemgetter]:
     return text, itemgetter(*sorted(range(len(GAP_KEYS)), key=GAP_KEYS.__getitem__))
 
 
+SKIPPED = "skipped:caps:"  # the status of a value a cap skipped, before the cap's name
+
+
 class Stages:
     """The wall time of each stage of one report, by name, and the record of each capped value."""
 
@@ -284,6 +287,6 @@ class Stages:
         try:
             entry = {"value": compute(), "status": "computed"}
         except ResourceLimitError as err:
-            entry = {"value": None, "status": f"skipped:caps:{err.what}"}
+            entry = {"value": None, "status": SKIPPED + err.what}
         self.lap(name)
         return entry

@@ -202,6 +202,31 @@ def test_exact_dim_record_on_every_mode(capsys, poly_file, mode, computed, text,
     assert f"exact_dim:\n  status: {status}\n  value: {value}\n" in out
 
 
+@pytest.mark.parametrize(
+    "mode, computed",
+    [
+        (("--k", "2"), "fraction-free elimination rank of the derivative matrix"),
+        (("--mode", "star"), "fraction-free elimination rank"),
+        (("--mode", "plus"), "fraction-free elimination rank"),
+    ],
+)
+def test_skipped_exact_dim_says_no_rank_came_out(capsys, mode, computed):
+    """A capped rank's provenance says so on every dim mode; a computed one's is unchanged."""
+    path = str(DATA / "rational.poly")
+    for caps, why in (((), computed), (("--elimination-budget", "0"), cli.NO_RANK)):
+        code, out, err = run(capsys, "dim", path, *mode, *caps, "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["provenance"]["exact_dim"] == why
+        code, out, err = run(capsys, "dim", path, *mode, *caps, "--format", "text")
+        assert (code, err) == (0, "")
+        assert f"  exact_dim: {why}\n" in out
+    code, out, _ = run(capsys, "bounds", path, "--k", "2", "--format", "json")
+    assert json.loads(out)["exact_dim"]["status"] == "not-requested"
+    assert json.loads(out)["provenance"]["exact_dim"] == (
+        "fraction-free elimination rank of the derivative matrix"
+    )
+
+
 @pytest.mark.parametrize("mode", [("--k", "2"), ("--mode", "star"), ("--mode", "plus")])
 def test_matrix_caps_end_every_dim_mode(capsys, mode):
     argv = ("dim", str(DATA / "rational.poly"), *mode, "--max-rows", "1")

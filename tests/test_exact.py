@@ -389,7 +389,7 @@ def test_sub_index_enumerators_match_brute_force(seed):
         assert list(packed_box(alpha, units, drop_zero=True, drop_top=True)) == packed[1:-1]
         support = [u for a, u in zip(alpha, units) if a]
         for k in range(sum(alpha) + 3):
-            got = list(packed_sub_indices(alpha, units, k))
+            got = list(packed_sub_indices(alpha, units, range(k, k + 1)))
             assert len(got) == len(set(got))
             assert set(got) == {pack(b) for b in box if sum(b) == k}, (alpha, k)
             subsets = list(packed_subsets(support, k))
@@ -400,11 +400,11 @@ def test_sub_index_enumerators_match_brute_force(seed):
 
 def test_sub_indices_above_the_degree_are_empty_at_once():
     # Walking the candidates here would not finish: C(10^4 + 2, 2) multisets.
-    assert list(packed_sub_indices((3, 2, 1), slot_units(3, 2), 10**4)) == []
-    assert list(packed_sub_indices((1, 1, 0, 1), slot_units(4, 1), 10**4)) == []
+    assert list(packed_sub_indices((3, 2, 1), slot_units(3, 2), range(10**4, 10**4 + 1))) == []
+    assert list(packed_sub_indices((1, 1, 0, 1), slot_units(4, 1), range(10**4, 10**4 + 1))) == []
     # combinations() would allocate k indices first, or overflow past a C ssize_t
     for k in (10**9, 2**63 - 1, 10**20):
-        assert list(packed_sub_indices((1, 1, 0, 1), slot_units(4, 1), k)) == []
+        assert list(packed_sub_indices((1, 1, 0, 1), slot_units(4, 1), range(k, k + 1))) == []
         assert list(packed_subsets([4, 2, 1], k)) == []
 
 
@@ -476,7 +476,7 @@ def test_build_matrix_work_is_one_step_per_nonzero(monkeypatch, top):
         items[tuple(exps)] = Fraction(rng.randint(1, 9), rng.randint(1, 10))
     f = SparsePoly.from_terms([f"x{i}" for i in range(1, 15)], items.items())
     assert f.is_multilinear == (top == 1)
-    specs = [OrderSpec.exact(k) for k in (1, 2, 3)]
+    specs = [OrderSpec.exact(k) for k in (1, 2, 3)] + [OrderSpec.between(1, 3)]
     for spec in specs + [OrderSpec.all_orders(), OrderSpec.interior()]:
         with counted_draws(monkeypatch) as drawn, combinat_steps(10**9) as steps:
             m = build_matrix(f, spec)
@@ -783,6 +783,56 @@ def test_homogeneous_direct_sum_and_interior_identity():
         if deg >= 2:
             star = dim_partials(f, OrderSpec.all_orders())
             assert dim_partials(f, OrderSpec.interior()) == star - 2
+
+
+def test_homogeneous_order_matrices_are_transposes():
+    """For f homogeneous of degree d, the order-(d-j) matrix is the order-j
+    matrix transposed (scaled basis), so dim_j = dim_{d-j} by rank_exact."""
+    polys = random_homogeneous_polys(seed=12, count=30, max_terms=8, degree_range=(2, 6))
+    assert {f.degree for f in polys} == {2, 3, 4, 5, 6}
+    for f in polys:
+        d = f.degree
+        matrices = [build_matrix(f, OrderSpec.exact(j)) for j in range(d + 1)]
+        for j in range(d + 1):
+            low, high = matrices[j], matrices[d - j]
+            assert dict(zip(high.rows, high.entries)) == low.columns()
+            assert rank_exact(low) == rank_exact(high)
+
+
+def test_order_range_matrix_is_the_union_of_its_orders():
+    """OrderSpec.between(k, top) gives the rows of every exact(j), k <= j <= top,
+    with the same entries in the same order; columns shared by orders count once."""
+    polys = random_polys(seed=84, count=30, max_vars=5, max_terms=8, max_degree=5)
+    polys += random_homogeneous_polys(seed=85, count=10, max_vars=5, max_terms=8)
+    assert any(not f.is_homogeneous for f in polys)
+    for f in polys:
+        for k in range(f.degree + 2):
+            for top in range(k, f.degree + 2):
+                parts = [build_matrix(f, OrderSpec.exact(j)) for j in range(k, top + 1)]
+                rows = sorted(
+                    (beta, row) for m in parts for beta, row in zip(m.rows, m.entries)
+                )
+                union = DerivMatrix(
+                    tuple(beta for beta, _ in rows),
+                    tuple(row for _, row in rows),
+                    len({gamma for _, row in rows for gamma in row}),
+                    parts[0].clear_factor,
+                )
+                assert_same_matrix(build_matrix(f, OrderSpec.between(k, top)), union)
+
+
+def test_order_spec_checks_its_fields():
+    assert OrderSpec.between(1, 3).orders(7) == range(1, 4)
+    assert OrderSpec.between(2, 2).orders(0) == OrderSpec.exact(2).orders(0)
+    for bad in (
+        lambda: OrderSpec.between(3, 2),
+        lambda: OrderSpec.between(-1, 2),
+        lambda: OrderSpec(exact.MODE_EXACT, 1, 2),
+        lambda: OrderSpec(exact.MODE_RANGE, 1),
+        lambda: OrderSpec(exact.MODE_ALL, None, 2),
+    ):
+        with pytest.raises(ValueError):
+            bad()
 
 
 def test_dimension_invariant_under_scaling_and_permutation():

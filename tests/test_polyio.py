@@ -1,5 +1,6 @@
 """Polynomial / graph / complex parsing, canonicalization, basis conversion."""
 
+import itertools
 import re
 import string
 from dataclasses import dataclass
@@ -778,6 +779,36 @@ def test_parse_complex_header_and_errors():
     check_id_line_rules(parse_complex, "ground", rules, lambda sc: sc.ground)
     with pytest.raises(ValueError):
         SimplicialComplex.make(3, [[]])
+
+
+def test_complex_nesting_is_tested_only_across_sizes():
+    """A nested facet of a mixed-size complex is refused, or pruned by
+    ``make``; a duplicate is refused; a pure complex makes no pair test."""
+    tests = []
+
+    class Counted(frozenset):
+        """A frozenset that records each subset test it is the left side of."""
+
+        def __lt__(self, other):
+            tests.append((self, other))
+            return frozenset.__lt__(self, other)
+
+        def __le__(self, other):
+            tests.append((self, other))
+            return frozenset.__le__(self, other)
+
+    sets = [Counted(f) for f in ({1, 2}, {1, 2, 3}, {3, 4}, {2, 4, 5})]
+    with pytest.raises(ValueError, match="redundant facet"):
+        SimplicialComplex(5, tuple(sets))
+    assert tests and all(len(a) < len(b) for a, b in tests)
+    with pytest.raises(ValueError, match="redundant facet"):
+        SimplicialComplex(5, (sets[2], sets[2]))
+    sc = SimplicialComplex.make(5, [[1, 2], [1, 2, 3], [3, 4], [2, 4, 5], [4, 5]])
+    assert sc.facets == (frozenset({1, 2, 3}), frozenset({2, 4, 5}), frozenset({3, 4}))
+    tests.clear()
+    pure = tuple(Counted(f) for f in itertools.combinations(range(1, 7), 3))
+    assert SimplicialComplex(6, pure).is_pure
+    assert tests == []
 
 
 def test_complex_roundtrip_and_purity():

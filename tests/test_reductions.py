@@ -295,16 +295,17 @@ def test_basis_check_rejects_a_face_count_off_by_one(monkeypatch, sc):
 
 
 def test_verify_reduction_reports_a_corrupted_basis(monkeypatch):
-    """A derivative matrix whose rows share a column fails the basis check
-    of ``verify_reduction``; its rank, from the fallback, still meets the
-    identity."""
+    """A half matrix whose rows share a column fails the basis check of
+    ``verify_reduction``; its rank, from the fallback, still meets the
+    identity.  K3's polynomial has degree 2, so its half matrix is all of
+    the middle order, and the fallback ranks it once."""
     real = reductions.build_matrix
-    real_rank = reductions.rank_exact
+    real_rank = reductions.sparse_int_rank
     ranked = []
 
-    def recording_rank(matrix, **kwargs):
-        ranked.append(matrix)
-        return real_rank(matrix, **kwargs)
+    def recording_rank(rows, **kwargs):
+        ranked.append(rows)
+        return real_rank(rows, **kwargs)
 
     def shared_column(f, spec, **kwargs):
         matrix = real(f, spec, **kwargs)
@@ -313,7 +314,7 @@ def test_verify_reduction_reports_a_corrupted_basis(monkeypatch):
         return rebuild(matrix, rows)
 
     monkeypatch.setattr(reductions, "build_matrix", shared_column)
-    monkeypatch.setattr(reductions, "rank_exact", recording_rank)
+    monkeypatch.setattr(reductions, "sparse_int_rank", recording_rank)
     report = verify_reduction(K3)
     assert len(ranked) == 1
     assert report.dim_plus == 6
@@ -321,8 +322,8 @@ def test_verify_reduction_reports_a_corrupted_basis(monkeypatch):
     assert report.basis_verified is False
 
 
-def test_disjoint_row_count_is_the_exact_rank():
-    """On every nonempty class on 3..6 vertices and two random corpora."""
+def nonempty_classes_and_random_complexes():
+    """Every nonempty graph class on 3..6 vertices, as its complex, and two random corpora."""
     complexes = [
         graph_complex(reductions._graph_from_bits(n, bits))
         for n in range(3, 7)
@@ -332,9 +333,40 @@ def test_disjoint_row_count_is_the_exact_rank():
     complexes += random_pure_complexes(seed=31, count=10, max_ground=6, max_facets=5)
     complexes += random_pure_complexes(seed=37, count=15, max_ground=7, max_facets=6)
     assert len(complexes) == 3 + 10 + 33 + 155 + 10 + 15
-    for sc in complexes:
+    return complexes
+
+
+def test_disjoint_row_count_is_the_exact_rank():
+    """On every nonempty class on 3..6 vertices and two random corpora."""
+    for sc in nonempty_classes_and_random_complexes():
         matrix = interior_matrix(sc)
         assert reductions._disjoint_row_count(matrix) == rank_exact(matrix)
+
+
+def half_matrix(sc):
+    """The matrix ``verify_reduction`` assembles, of orders 1..deg//2, and deg."""
+    degree = len(sc.facets[0]) + 1
+    return build_matrix(complex_to_poly(sc), OrderSpec.between(1, degree // 2)), degree
+
+
+def test_half_orders_give_the_interior_rank_and_certificate(monkeypatch):
+    """dim_plus and basis_verified from the half matrix are those of the
+    whole interior matrix, its exact rank and its distinct-row certificate:
+    from the certified count, and from the fallback rank."""
+    parities = set()
+    for sc in nonempty_classes_and_random_complexes():
+        full = interior_matrix(sc)
+        rank, count = rank_exact(full), reductions._disjoint_row_count(full)
+        half, degree = half_matrix(sc)
+        parities.add(degree % 2)
+        assert reductions._half_order_dim(half, degree) == (rank, count)
+        report = verify_reduction(sc)
+        assert report.dim_plus == rank
+        assert report.basis_verified is (count == 2 * count_faces(sc))
+        with monkeypatch.context() as patch:
+            patch.setattr(reductions, "_disjoint_row_count", lambda matrix: None)
+            assert reductions._half_order_dim(half, degree) == (rank, None)
+    assert parities == {0, 1}
 
 
 @pytest.mark.parametrize(
@@ -351,11 +383,28 @@ def test_verify_reduction_certifies_without_ranking(monkeypatch, obj):
     expected = verify_reduction(obj)
 
     def no_rank(*args, **kwargs):
-        raise AssertionError("rank_exact called on a certified matrix")
+        raise AssertionError("sparse_int_rank called on a certified matrix")
 
-    monkeypatch.setattr(reductions, "rank_exact", no_rank)
+    monkeypatch.setattr(reductions, "sparse_int_rank", no_rank)
     assert verify_reduction(obj) == expected
     assert expected.identity_holds is True and expected.basis_verified is True
+
+
+def test_verify_reduction_assembles_half_the_orders(monkeypatch):
+    """graph6's polynomial has degree 5: its matrix of orders 1..2 has 61
+    rows and 120 entries; the whole interior matrix would have 167 and 240."""
+    built = []
+    real = reductions.build_matrix
+
+    def recording(f, spec, **kwargs):
+        built.append(real(f, spec, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(reductions, "build_matrix", recording)
+    report = verify_reduction(parse_graph((DATA / "graph6.graph").read_text()))
+    assert report.identity_holds is True and report.basis_verified is True
+    [matrix] = built
+    assert (matrix.nrows, sum(map(len, matrix.entries))) == (61, 120)
 
 
 def test_verify_reduction_k3():
@@ -467,12 +516,13 @@ def test_exhaustive_failures_expand_to_every_labeling(monkeypatch):
     real_count = reductions._disjoint_row_count
 
     def count_off(matrix):
-        """One too many on 16 matrix rows; no certificate for six faces
-        (12 distinct rows), so the fallback rank meets the identity there."""
+        """One too many on 7 half-matrix rows; no certificate for six faces
+        (6 distinct rows of order 1, the whole half matrix at n=4), so the
+        fallback rank meets the identity there."""
         count = real_count(matrix)
-        if count == 12:
+        if count == 6:
             return None
-        return count + (matrix.nrows == 16)
+        return count + (matrix.nrows == 7)
 
     monkeypatch.setattr(reductions, "_disjoint_row_count", count_off)
     labeled = [verify_reduction(g) for g in all_graphs(4)]
