@@ -7,15 +7,15 @@ product of sums (where adding monomials does NOT add dimension), and a
 polynomial whose dimension profile we tabulate completely.
 """
 
-from pdrank import OrderSpec, dim_partials, parse_poly
+from pdrank import dim_partials, parse_poly
 
 print("=" * 70)
 print("1. A single monomial: x1^2 * x2^3")
 print("=" * 70)
 f = parse_poly("x1^2*x2^3")
 for k in range(f.degree + 1):
-    print(f"   order {k}: dim = {dim_partials(f, OrderSpec.exact(k))}")
-star = dim_partials(f, OrderSpec.all_orders())
+    print(f"   order {k}: dim = {dim_partials(f, range(k, k + 1))}")
+star = dim_partials(f, range(f.degree + 1))
 print(f"   all orders: dim = {star}  (expected (2+1)*(3+1) = {3 * 4})")
 
 print()
@@ -30,7 +30,7 @@ f = parse_poly(
 )
 print(f"   terms: {len(f.terms)}")
 for k in range(3):
-    print(f"   order {k}: dim = {dim_partials(f, OrderSpec.exact(k))}  "
+    print(f"   order {k}: dim = {dim_partials(f, range(k, k + 1))}  "
           f"(binomial C(2,{k}))")
 
 print()
@@ -43,7 +43,7 @@ for n in (4, 5):
         + [f"x{i}^{n}" for i in range(1, n + 1)]
     )
     f = parse_poly(body)
-    dims = [dim_partials(f, OrderSpec.exact(k)) for k in range(n + 1)]
+    dims = [dim_partials(f, range(k, k + 1)) for k in range(n + 1)]
     print(f"   n={n}: dims by order = {dims}")
     print(f"        pattern: 1, n, C(n,k)+n for 2<=k<=n-2, n, 1")
 
@@ -52,9 +52,9 @@ print("=" * 70)
 print("4. All-order and interior-order spans of a homogeneous polynomial")
 print("=" * 70)
 f = parse_poly("x1*x2*x3 + x1^2*x2 + x2^2*x3")
-per_order = [dim_partials(f, OrderSpec.exact(k)) for k in range(f.degree + 1)]
-star = dim_partials(f, OrderSpec.all_orders())
-plus = dim_partials(f, OrderSpec.interior())
+per_order = [dim_partials(f, range(k, k + 1)) for k in range(f.degree + 1)]
+star = dim_partials(f, range(f.degree + 1))
+plus = dim_partials(f, range(1, f.degree))
 print(f"   per-order dims: {per_order}, sum = {sum(per_order)}")
 print(f"   all orders: {star} (homogeneous: equals the sum)")
 print(f"   interior orders: {plus} (drops order 0 and the constants: star - 2)")

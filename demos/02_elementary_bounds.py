@@ -9,7 +9,6 @@ in the interior of the Newton polytope is invisible to it.
 
 from pdrank import (
     MonomialOrderSpec,
-    OrderSpec,
     dim_partials,
     extremal_monomial,
     lower_bound_extremal,
@@ -62,7 +61,7 @@ for text in cases:
     print(f"   f = {text}")
     for k in range(f.degree + 1):
         low = lower_bound_extremal(f, k)
-        exact = dim_partials(f, OrderSpec.exact(k))
+        exact = dim_partials(f, range(k, k + 1))
         up = upper_bound_linearity(f, k)
         print(f"     k={k}: {low:3d} <= {exact:3d} <= {up:3d}")
 
@@ -81,4 +80,4 @@ f = parse_poly(
 )
 for k in (1, 2, 3):
     print(f"     n=4, k={k}: extremal bound {lower_bound_extremal(f, k)}, "
-          f"exact {dim_partials(f, OrderSpec.exact(k))}")
+          f"exact {dim_partials(f, range(k, k + 1))}")

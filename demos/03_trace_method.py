@@ -10,7 +10,6 @@ in polynomial time, even though B itself can be exponentially large.
 from fractions import Fraction
 
 from pdrank import (
-    OrderSpec,
     closed_form_L,
     dim_partials,
     explicit_B_oracle,
@@ -47,7 +46,7 @@ print("   f = x1*...*x5 + x1^5 + ... + x5^5")
 for k in (1, 2, 3):
     extremal = lower_bound_extremal(f, k)
     proxy = proxy_rank(f, k)
-    exact = dim_partials(f, OrderSpec.exact(k))
+    exact = dim_partials(f, range(k, k + 1))
     print(f"   k={k}: extremal bound {extremal}, proxy {proxy} "
           f"(~{float(proxy):.2f}), exact {exact}")
 
@@ -61,7 +60,7 @@ scaled = to_scaled(f)
 L = closed_form_L(scaled, k)
 stats = trace_stats(f, k)
 oracle = explicit_B_oracle(f, k)
-exact = dim_partials(f, OrderSpec.exact(k))
+exact = dim_partials(f, range(k, k + 1))
 print(f"   f = {f.vars}: L = {L} <= proxy = {stats.proxy} "
       f"<= rank(B) = {oracle.rank_b} <= dim = {exact}")
 

@@ -28,7 +28,6 @@ from .bounds import (
 from .errors import InvariantViolation, ParseError, ResourceLimitError
 from .exact import (
     DerivMatrix,
-    OrderSpec,
     build_matrix,
     derivative,
     dim_partials,
@@ -88,7 +87,6 @@ __all__ = [
     "Graph",
     "InvariantViolation",
     "MonomialOrderSpec",
-    "OrderSpec",
     "ParseError",
     "ReductionReport",
     "ResourceLimitError",

@@ -21,11 +21,7 @@ from itertools import accumulate, chain
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
-from .exact import (
-    DerivMatrix,
-    OrderSpec,
-    build_matrix,
-)
+from .exact import DerivMatrix, build_matrix
 from .polyio import ExponentVector, SparsePoly
 
 DEFAULT_VERTEX_TRIALS = 32
@@ -268,6 +264,6 @@ def upper_bound_linearity(
         return 0
     per_term = sum(_profile_column([t.exps for t in f.terms], k))
     if matrix is None:
-        matrix = build_matrix(f, OrderSpec.exact(k))
+        matrix = build_matrix(f, range(k, k + 1))
     distinct_cols = set(map(frozenset, map(dict.items, matrix.columns().values())))
     return min(per_term, len(matrix.distinct_rows()), len(distinct_cols))

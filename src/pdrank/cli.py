@@ -41,9 +41,7 @@ from .polyio import (
     poly_to_json_dict,
     to_scaled,
 )
-from .report import (
-    GAP_KEYS, SKIPPED, Stages, Verbatim, _gap_layout, _gap_row, emit, exact_str, frac_dec, frac_str
-)
+from .report import SKIPPED, ZERO_POLY, Stages, emit, emit_gap, exact_str, frac_dec, frac_str
 
 MAX_VERTEX_TRIALS = 10_000  # at most 0.3 ms each on 1000 terms
 # The sym gap times are in-process wall times on a 2-vCPU x86-64 host, Python 3.11.
@@ -53,8 +51,10 @@ MAX_GAP_SERIES_SIZE = 40_000_000  # summed point sizes: d=6 k=3 n=9..20000, 31,3
 MAX_TRACE_SAMPLES = 4000  # the exact running mean: 1.2 s on multilinear40 at k=2
 MAX_TRACE_TERM_SAMPLES = 200_000  # terms * samples: 4000 samples on 50 terms, 1.4 s
 JSON_INT = functools.partial(_parse_int, "JSON number")  # json.loads's reader of an int literal
-# The provenance of an exact_dim that a cap skipped, on every dim mode.
+# The provenance of an exact_dim that a cap skipped, or of the zero polynomial, on every dim mode.
 NO_RANK = "not computed: a cap stopped the rank (see status)"
+ZERO_SPAN = "zero polynomial spans nothing"
+ORDER_K_RANK = "fraction-free elimination rank of the derivative matrix"  # dim --k, bounds
 
 
 def _knob(default: int | None, commands: str, least: int | None = 0, most: int | None = None):
@@ -217,14 +217,15 @@ def build_bound_report(f: SparsePoly, k: int, args: argparse.Namespace, opts: Op
     stages = Stages()
     if f.is_zero:
         parse_order_flag(args, len(f.vars))  # no bound is drawn, but the flags hold
+        exact_entry = stages.record("exact", None, zero=True)
         return {
             "command": args.subcommand,
             "input": input_digest(f),
             "k": k,
-            "exact_dim": stages.record("exact", None, zero=True),
+            "exact_dim": exact_entry,
             "bounds": None,
             "trace": None,
-            "provenance": {"exact_dim": "zero polynomial spans nothing"},
+            "provenance": {"exact_dim": exact_provenance(exact_entry, ORDER_K_RANK)},
             "seed": opts.seed,
         }
 
@@ -240,7 +241,7 @@ def build_bound_report(f: SparsePoly, k: int, args: argparse.Namespace, opts: Op
     capped = None
     try:
         matrix = exact.build_matrix(
-            scaled, exact.OrderSpec.exact(k), max_rows=opts.max_rows, max_cols=opts.max_cols
+            scaled, range(k, k + 1), max_rows=opts.max_rows, max_cols=opts.max_cols
         )
     except ResourceLimitError as err:
         capped, matrix = err, None
@@ -294,9 +295,7 @@ def build_bound_report(f: SparsePoly, k: int, args: argparse.Namespace, opts: Op
         **trace_entries,
         "provenance": {
             **{name: why for name, (_, why) in table.items()},
-            "exact_dim": exact_provenance(
-                exact_entry, "fraction-free elimination rank of the derivative matrix"
-            ),
+            "exact_dim": exact_provenance(exact_entry, ORDER_K_RANK),
             "coefficients": "matrix entries use the scaled monomial basis",
         },
         "seed": opts.seed,
@@ -307,8 +306,12 @@ def build_bound_report(f: SparsePoly, k: int, args: argparse.Namespace, opts: Op
 
 
 def exact_provenance(entry: dict, why: str) -> str:
-    """``why``, the provenance of an ``exact_dim`` record, or ``NO_RANK`` if a cap skipped it."""
-    return NO_RANK if entry["status"].startswith(SKIPPED) else why
+    """The provenance of an ``exact_dim`` record: ``ZERO_SPAN`` for the zero polynomial,
+    ``NO_RANK`` if a cap skipped it, else ``why``."""
+    status = entry["status"]
+    if status == ZERO_POLY:
+        return ZERO_SPAN
+    return NO_RANK if status.startswith(SKIPPED) else why
 
 
 def require_k(args: argparse.Namespace) -> None:
@@ -325,10 +328,13 @@ def cmd_dim(args: argparse.Namespace) -> int:
     opts = Options.resolve(args)
     f = load_poly(args.file)
     # star / plus: exact value only
-    spec = exact.OrderSpec.all_orders() if mode == "star" else exact.OrderSpec.interior()
-    matrix = None if f.is_zero else exact.build_matrix(
-        f, spec, max_rows=opts.max_rows, max_cols=opts.max_cols
-    )
+    matrix = None
+    if not f.is_zero:
+        deg = f.degree
+        if mode == "plus" and deg < 2:
+            raise ValueError("interior-orders mode requires degree >= 2")
+        orders = range(deg + 1) if mode == "star" else range(1, deg)
+        matrix = exact.build_matrix(f, orders, max_rows=opts.max_rows, max_cols=opts.max_cols)
     rank = functools.partial(exact.rank_exact, matrix, budget=opts.elimination_budget)
     exact_entry = Stages().record("exact", rank, zero=f.is_zero)
     report = {
@@ -521,25 +527,12 @@ def cmd_sym_gap(args: argparse.Namespace) -> int:
         shapes = symmetric._scaled_shapes(_parse_int("kp", params["kp"]), dp, np_, m_values)
         mode = "scaled"
     _check_gap_series(shapes)
-    rows = [_gap_row(*shape, *symmetric._gap_ints(*shape)) for shape in shapes]
-    if args.format == "csv":
-        sys.stdout.write(",".join(GAP_KEYS) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(row) + "\n")
-        return 0
-    if args.format == "json":
-        # The points are the items of a list in the report's top-level dict.
-        layout, cells = _gap_layout("\n" + "  " * 2)
-        points = [Verbatim(layout % cells(row)) for row in rows]
-    else:
-        points = [dict(zip(GAP_KEYS, row)) for row in rows]
     payload = {
         "command": "sym-gap",
         "mode": mode,
         "params": {k: v for k, v in sorted(params.items())},
-        "points": points,
     }
-    emit(payload, args)
+    emit_gap(payload, [(*shape, *symmetric._gap_ints(*shape)) for shape in shapes], args)
     return 0
 
 

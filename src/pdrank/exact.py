@@ -37,62 +37,6 @@ DEFAULT_MAX_ROWS = 20_000
 DEFAULT_MAX_COLS = 20_000
 DEFAULT_ELIMINATION_BUDGET = 10**8
 
-MODE_EXACT = "exact-order"
-MODE_ALL = "all-orders"
-MODE_INTERIOR = "interior-orders"
-MODE_RANGE = "order-range"
-
-
-@dataclass(frozen=True)
-class OrderSpec:
-    """Which differentiation orders to span: a single k, k..top, all, or 1..deg-1."""
-
-    mode: str
-    k: int | None = None
-    top: int | None = None
-
-    def __post_init__(self):
-        if self.mode not in (MODE_EXACT, MODE_ALL, MODE_INTERIOR, MODE_RANGE):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == MODE_EXACT:
-            if self.k is None or self.k < 0 or self.top is not None:
-                raise ValueError("exact-order mode needs k >= 0 and no top")
-        elif self.mode == MODE_RANGE:
-            if self.k is None or self.top is None or not 0 <= self.k <= self.top:
-                raise ValueError("order-range mode needs 0 <= k <= top")
-        elif self.k is not None or self.top is not None:
-            raise ValueError("k and top are only meaningful for exact-order and order-range modes")
-
-    @classmethod
-    def exact(cls, k: int) -> "OrderSpec":
-        return cls(MODE_EXACT, k)
-
-    @classmethod
-    def between(cls, k: int, top: int) -> "OrderSpec":
-        """The orders k..top, both included."""
-        return cls(MODE_RANGE, k, top)
-
-    @classmethod
-    def all_orders(cls) -> "OrderSpec":
-        return cls(MODE_ALL)
-
-    @classmethod
-    def interior(cls) -> "OrderSpec":
-        return cls(MODE_INTERIOR)
-
-    def orders(self, degree: int) -> range:
-        if self.mode == MODE_EXACT:
-            assert self.k is not None
-            return range(self.k, self.k + 1)
-        if self.mode == MODE_RANGE:
-            assert self.k is not None and self.top is not None
-            return range(self.k, self.top + 1)
-        if self.mode == MODE_ALL:
-            return range(0, degree + 1)
-        if degree < 2:
-            raise ValueError("interior-orders mode requires degree >= 2")
-        return range(1, degree)
-
 
 @dataclass(frozen=True)
 class DerivMatrix:
@@ -215,41 +159,43 @@ def assemble(
 
 def build_matrix(
     f: SparsePoly,
-    spec: OrderSpec,
+    orders: range,
     *,
     max_rows: int = DEFAULT_MAX_ROWS,
     max_cols: int = DEFAULT_MAX_COLS,
 ) -> DerivMatrix:
-    """Materialize the derivative matrix for the requested orders.
+    """Materialize the derivative matrix of the orders in ``orders``.
 
-    Rows are exactly the multi-indices with a nonzero derivative (those
-    dividing some term), so no zero row or column is ever stored.  Order k
-    draws each term's sub-indices of order k (:func:`packed_sub_indices`);
-    all orders and the interior orders draw each term's whole box of
-    sub-indices in one ``product`` (:func:`packed_box`), the interior
-    orders leaving out beta = 0 and, on the terms of top degree,
-    beta = alpha.  An order range k..top draws order k, then k + 1, up to
-    top.  Either way each drawn key is one nonzero entry, at a cost that
-    does not grow with the number of variables (see :func:`assemble`).
+    ``orders`` is a range of naturals, step 1: ``range(k, k + 1)`` for
+    order k, ``range(deg + 1)`` for all orders and ``range(1, deg)`` for
+    the interior ones.  Rows are exactly the multi-indices of those orders
+    with a nonzero derivative (those dividing some term), so no zero row or
+    column is ever stored; an empty window, or one past the degree, gives
+    an empty matrix.  A window that holds every order 1..deg-1 draws each
+    term's whole box of sub-indices in one ``product``
+    (:func:`packed_box`), leaving out beta = 0 and beta = alpha when their
+    orders fall outside it; any other window draws each term's sub-indices
+    order by order (:func:`packed_sub_indices`).  Either way each drawn key
+    is one nonzero entry, at a cost that does not grow with the number of
+    variables (see :func:`assemble`).
     """
     if f.is_zero:
         raise ValueError("derivative matrix of the zero polynomial")
+    if orders.start < 0 or orders.step != 1:
+        raise ValueError(f"orders must be a range of naturals with step 1, got {orders!r}")
     scaled = f if f.basis == SCALED else to_scaled(f)
-    if spec.mode in (MODE_EXACT, MODE_RANGE):
-        orders = spec.orders(0)  # these orders do not depend on the degree
+    if orders.start <= 1 and orders.stop >= scaled.degree:
+        # Every order 1..deg-1 is in the window: only beta = 0 can fall
+        # below it, and only beta = alpha above it.
+        def sub_indices(alpha, units):
+            return packed_box(
+                alpha, units, drop_zero=0 not in orders, drop_top=sum(alpha) not in orders
+            )
+
+    else:
 
         def sub_indices(alpha, units):
             return packed_sub_indices(alpha, units, orders)
-
-    else:
-        # These orders run from 0 or 1 up to deg or deg - 1: only beta = 0
-        # can fall below them, and only beta = alpha with |alpha| = deg above.
-        orders = spec.orders(scaled.degree)
-
-        def sub_indices(alpha, units):
-            return packed_box(
-                alpha, units, drop_zero=orders[0] > 0, drop_top=sum(alpha) > orders[-1]
-            )
 
     return assemble(scaled, sub_indices, max_rows=max_rows, max_cols=max_cols)
 
@@ -385,19 +331,21 @@ def rank_exact(
 
 def dim_partials(
     f: SparsePoly,
-    spec: OrderSpec,
+    orders: range,
     *,
     max_rows: int = DEFAULT_MAX_ROWS,
     max_cols: int = DEFAULT_MAX_COLS,
     budget: int = DEFAULT_ELIMINATION_BUDGET,
 ) -> int:
-    """Dimension of the span of the requested partial derivatives of f.
+    """Dimension of the span of f's partial derivatives of the orders in ``orders``.
 
-    The zero polynomial spans nothing: the result is 0 (callers that need
-    to distinguish this case should test ``f.is_zero``).  The all-orders
-    span includes order 0 (f itself) and the top order (constants).
+    ``orders`` is a range as :func:`build_matrix` takes it.  The zero
+    polynomial spans nothing: the result is 0 (callers that need to
+    distinguish this case should test ``f.is_zero``), as it is for an
+    empty window or one past the degree.  All orders, ``range(deg + 1)``,
+    include order 0 (f itself) and the top order (constants).
     """
     if f.is_zero:
         return 0
-    matrix = build_matrix(f, spec, max_rows=max_rows, max_cols=max_cols)
+    matrix = build_matrix(f, orders, max_rows=max_rows, max_cols=max_cols)
     return rank_exact(matrix, budget=budget)

@@ -36,7 +36,6 @@ from .exact import (
     DEFAULT_MAX_COLS,
     DEFAULT_MAX_ROWS,
     DerivMatrix,
-    OrderSpec,
     build_matrix,
     sparse_int_rank,
 )
@@ -228,21 +227,29 @@ def poly_stack_rank(polys: list[SparsePoly]) -> int:
     return sparse_int_rank(rows)
 
 
-def _disjoint_row_count(matrix: DerivMatrix) -> int | None:
-    """The rank of ``matrix`` when its distinct rows share no column, else None.
+def _certified_dim(matrix: DerivMatrix, degree: int) -> int | None:
+    """dim_+ of a degree-D complex polynomial from orders 1..D//2 when their rows share no column.
 
-    Duplicate rows add nothing to the span, so the rank is that of the
-    distinct rows.  The stored matrix has no zero row and every column
-    lies in some row, so the distinct rows' sizes sum to ``ncols`` exactly
-    when their supports are pairwise disjoint; distinct nonzero rows with
-    disjoint supports are independent, and their count is the rank.  An
-    O(nnz) certificate.  In the interior-order matrix of a complex
-    polynomial, row X_F is the face derivative of F and each row
-    Y_g * X_{G minus F} (facet G) is the face monomial X_F, so the count is
-    2 * faces exactly when these derivatives of f are the explicit basis.
+    None when they do.  Duplicate rows add nothing to the span, so the
+    rank is that of the distinct rows.  The stored matrix has no zero row
+    and every column lies in some row, so the distinct rows' sizes sum to
+    ``ncols`` exactly when their supports are pairwise disjoint; distinct
+    nonzero rows with disjoint supports are independent, and their count
+    is the rank.  One pass maps each distinct row to its weight in dim_+
+    (see :func:`_half_order_dim`): 1 in the middle order D/2, where the
+    key's bit count is D/2, and 2 below it, for the row and its transpose.
+    Equal rows reach columns of one degree, so they have one order and one
+    weight.  An O(nnz) certificate that hashes each row once.  In the
+    interior-order matrix of a complex polynomial, row X_F is the face
+    derivative of F and each row Y_g * X_{G minus F} (facet G) is the face
+    monomial X_F, so the count is 2 * faces exactly when these derivatives
+    of f are the explicit basis.
     """
-    distinct = matrix.distinct_rows()
-    return len(distinct) if sum(map(len, distinct)) == matrix.ncols else None
+    below_middle = map(degree.__ne__, map((2).__mul__, map(int.bit_count, matrix.rows)))
+    weights = dict(zip(map(frozenset, map(dict.items, matrix.entries)), below_middle))
+    if sum(map(len, weights)) != matrix.ncols:
+        return None
+    return len(weights) + sum(weights.values())
 
 
 def _half_order_dim(matrix: DerivMatrix, degree: int) -> tuple[int, int | None]:
@@ -266,22 +273,21 @@ def _half_order_dim(matrix: DerivMatrix, degree: int) -> tuple[int, int | None]:
     row r, some row s would hold one of them, say c, but not c'; then r
     and s differ (only r holds c') and share c.  And each column lies in
     one distinct row's support, where every column has the same support,
-    the rows equal to it.  So when the distinct rows here share no column
-    (:func:`_disjoint_row_count`), the rows of each M_{D-j}, the columns of
-    M_j, pass the same test with the same count, and the whole interior
-    matrix passes with 2 * (distinct rows) - (distinct rows of order D/2)
-    distinct rows, which is then dim_+.  When they do not, neither does
+    the rows equal to it.  So when the distinct rows here share no column,
+    the rows of each M_{D-j}, the columns of M_j, pass the same test with
+    the same count, and the whole interior matrix passes with
+    2 * (distinct rows) - (distinct rows of order D/2) distinct rows, which
+    is then dim_+ (:func:`_certified_dim`).  When they do not, neither does
     the whole matrix, whose rows these are; then ``sparse_int_rank`` ranks
     the rows below D/2 and the middle rows apart, for 2 * r_low + r_mid.
     Either way the count and the verdict are the whole matrix's.
     """
+    certified = _certified_dim(matrix, degree)
+    if certified is not None:
+        return certified, certified
     middle_order = degree // 2 if degree % 2 == 0 else -1  # -1: no middle order
     in_middle = list(map(middle_order.__eq__, map(int.bit_count, matrix.rows)))
     middle = list(compress(matrix.entries, in_middle))
-    distinct = _disjoint_row_count(matrix)
-    if distinct is not None:
-        certified = 2 * distinct - len(set(map(frozenset, map(dict.items, middle))))
-        return certified, certified
     low = list(compress(matrix.entries, map(not_, in_middle)))
     return sum(w * sparse_int_rank(rows) for w, rows in ((2, low), (1, middle)) if rows), None
 
@@ -325,7 +331,7 @@ def verify_reduction(
         degree = len(sc.facets[0]) + 1
         matrix = build_matrix(
             complex_to_poly(sc, SCALED),
-            OrderSpec.between(1, degree // 2),
+            range(1, degree // 2 + 1),
             max_rows=max_rows,
             max_cols=max_cols,
         )

@@ -4,9 +4,10 @@ Every report goes out through :func:`emit`: JSON by :func:`json_text`
 (keys sorted, a two-space indent, every int in full, also past the
 int-to-str digit limit), text by ``_emit_text``.  Rationals are written
 as ``p/q`` strings by :func:`frac_str` and to 12 significant digits by
-:func:`frac_dec`; a ``sym gap`` point is one row of string cells
-(``_gap_row``) that csv joins, text takes as a dict and JSON fills into
-one rendered layout (``_gap_layout``).  :class:`Stages` times the stages
+:func:`frac_dec`.  A ``sym gap`` report goes out through :func:`emit_gap`,
+in csv too: a point is one row of string cells (``_gap_row``) that csv
+joins, text takes as a dict and JSON fills into one rendered layout
+(``_gap_layout``).  :class:`Stages` times the stages
 of a report for ``--timing`` and gives each value a cap may skip its
 ``{value, status}`` record.
 """
@@ -260,7 +261,31 @@ def _gap_layout(newline: str) -> tuple[str, itemgetter]:
     return text, itemgetter(*sorted(range(len(GAP_KEYS)), key=GAP_KEYS.__getitem__))
 
 
+def emit_gap(payload: dict, points: list[tuple], args: argparse.Namespace) -> None:
+    """Write a ``sym gap`` report: ``payload`` and its points, one row of ``_gap_row`` cells each.
+
+    A point is its (n, d, k) and ``symmetric._gap_ints``'s u and reduced
+    pairs.  csv joins each row's cells under the ``GAP_KEYS`` header; JSON
+    fills them into the one ``_gap_layout`` of the report's points, and
+    text takes them as dicts.
+    """
+    rows = [_gap_row(*point) for point in points]
+    if args.format == "csv":
+        sys.stdout.write(",".join(GAP_KEYS) + "\n")
+        for row in rows:
+            sys.stdout.write(",".join(row) + "\n")
+        return
+    if args.format == "json":
+        # The points are the items of a list in the report's top-level dict.
+        layout, cells = _gap_layout("\n" + "  " * 2)
+        points = [Verbatim(layout % cells(row)) for row in rows]
+    else:
+        points = [dict(zip(GAP_KEYS, row)) for row in rows]
+    emit({**payload, "points": points}, args)
+
+
 SKIPPED = "skipped:caps:"  # the status of a value a cap skipped, before the cap's name
+ZERO_POLY = "zero-poly"  # the status of the zero polynomial's value, 0
 
 
 class Stages:
@@ -281,7 +306,7 @@ class Stages:
         ``computed``, or ``skipped:caps:<what>`` (no value) on a cap; ``not-requested``
         without ``compute``, and ``zero-poly`` (value 0) for the zero polynomial."""
         if zero:
-            return {"value": 0, "status": "zero-poly"}
+            return {"value": 0, "status": ZERO_POLY}
         if compute is None:
             return {"value": None, "status": "not-requested"}
         try:

@@ -196,7 +196,7 @@ def trace_B2(
     whatever the size of M.  Both give the same exact value.
 
     ``matrix``, when given, must be f's order-k derivative matrix
-    (``build_matrix(f, OrderSpec.exact(k))``); the Gram route then takes M
+    (``build_matrix(f, range(k, k + 1))``); the Gram route then takes M
     as its rows with 0/1 keys (:func:`_zero_one_rows`) instead of
     assembling M.  Without it M is assembled here, under no cap but its
     own size.

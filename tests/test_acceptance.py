@@ -11,7 +11,6 @@ import time
 from fractions import Fraction
 
 from pdrank import (
-    OrderSpec,
     SparsePoly,
     closed_form_L,
     count_faces,
@@ -70,7 +69,7 @@ def test_criterion_01_example_dimensions():
         f = _power_sum_plus_product(n)
         for k in range(n + 1):
             expected = 1 if k in (0, n) else n if k in (1, n - 1) else binom(n, k) + n
-            if dim_partials(f, OrderSpec.exact(k)) != expected:
+            if dim_partials(f, range(k, k + 1)) != expected:
                 ok = False
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 10.0
@@ -109,7 +108,7 @@ def test_criterion_03_bound_sandwich():
         scaled = to_scaled(f)
         degree = f.degree
         for k in range(degree + 1):
-            exact_dim = dim_partials(f, OrderSpec.exact(k))
+            exact_dim = dim_partials(f, range(k, k + 1))
             if not lower_bound_extremal(f, k) <= exact_dim:
                 violations += 1
             if not exact_dim <= upper_bound_linearity(f, k):
@@ -140,7 +139,8 @@ def test_criterion_04_reduction_identity_exhaustive():
                 continue
             ind = count_independent_sets(g)
             faces = count_faces(graph_complex(g))
-            dim_plus = dim_partials(graph_to_poly(g), OrderSpec.interior())
+            f = graph_to_poly(g)
+            dim_plus = dim_partials(f, range(1, f.degree))
             if faces != 2**n - ind - 1 or dim_plus != 2 * faces:
                 ok = False
             checked += 1
@@ -164,7 +164,7 @@ def test_criterion_05_basis_full_rank_random_families():
         from pdrank import complex_to_poly
 
         f = complex_to_poly(sc)
-        if dim_partials(f, OrderSpec.all_orders()) != 2 * faces + 2:
+        if dim_partials(f, range(f.degree + 1)) != 2 * faces + 2:
             ok = False
     report(5, ok, f"{len(families)} pure facet families, basis rank and star dimension exact")
 
@@ -182,7 +182,7 @@ def test_criterion_06_monomial_profile_vs_rank():
         if sum(profile) != product:
             ok = False
         for k, expected in enumerate(profile):
-            if dim_partials(f, OrderSpec.exact(k)) != expected:
+            if dim_partials(f, range(k, k + 1)) != expected:
                 ok = False
     report(6, ok, "100 random monomials: profile equals rank per order, sum equals product")
 
@@ -201,7 +201,7 @@ def test_criterion_07_product_polynomial():
                 items.append((tuple(exps), 1))
             f = SparsePoly.from_terms(variables, items)
             for k in range(d + 1):
-                if dim_partials(f, OrderSpec.exact(k)) != binom(d, k):
+                if dim_partials(f, range(k, k + 1)) != binom(d, k):
                     ok = False
     report(7, ok, "d <= 4, q <= 3, all k: dimension equals C(d, k) exactly")
 

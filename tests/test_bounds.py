@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from pdrank import (
     MonomialOrderSpec,
-    OrderSpec,
     dim_partials,
     extremal_monomial,
     lower_bound_extremal,
@@ -294,7 +293,7 @@ def test_upper_bound_multilinear_homogeneous_term_sum():
     # (a) = s * C(d, k) may or may not be the min; it is an upper bound anyway
     for k in range(4):
         assert upper_bound_linearity(f, k) <= 3 * math.comb(3, k)
-        assert dim_partials(f, OrderSpec.exact(k)) <= upper_bound_linearity(f, k)
+        assert dim_partials(f, range(k, k + 1)) <= upper_bound_linearity(f, k)
 
 
 def test_bounds_invariant_under_scaling():
@@ -316,7 +315,7 @@ def test_extremal_candidates_labels():
 def test_sandwich_on_random_corpus():
     for i, f in enumerate(random_polys(seed=23, count=15, max_vars=5, max_terms=6)):
         for k in range(f.degree + 1):
-            exact = dim_partials(f, OrderSpec.exact(k))
+            exact = dim_partials(f, range(k, k + 1))
             assert lower_bound_extremal(f, k, rng_seed=i) <= exact
             assert exact <= upper_bound_linearity(f, k)
 

@@ -172,11 +172,25 @@ def test_dim_k0_any_nonzero_poly_is_one(capsys, poly_file):
 
 
 def test_dim_zero_polynomial_flagged(capsys, poly_file):
+    """The zero polynomial's provenance says no rank ran, on every dim mode."""
     path = poly_file("x1 - x1")
-    code, out, _ = run(capsys, "dim", "--k", "1", path, "--format", "json")
-    assert code == 0
-    report = json.loads(out)
-    assert report["exact_dim"] == {"status": "zero-poly", "value": 0}
+    for mode in (("--k", "1"), ("--mode", "star"), ("--mode", "plus")):
+        code, out, _ = run(capsys, "dim", *mode, path, "--format", "json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["exact_dim"] == {"status": "zero-poly", "value": 0}
+        assert report["provenance"]["exact_dim"] == "zero polynomial spans nothing"
+        code, out, _ = run(capsys, "dim", *mode, path, "--format", "text")
+        assert code == 0
+        assert "  exact_dim: zero polynomial spans nothing\n" in out
+
+
+def test_dim_plus_refuses_degree_one(capsys, poly_file):
+    """The interior orders 1..deg-1 of a degree-1 polynomial are none: an input error."""
+    path = poly_file("x1 + x2")
+    code, out, err = run(capsys, "dim", "--mode", "plus", path)
+    assert (code, out) == (2, "")
+    assert err == "input error: interior-orders mode requires degree >= 2\n"
 
 
 @pytest.mark.parametrize(
@@ -325,7 +339,7 @@ def test_verify_exhaustive(capsys):
 
 def test_verify_exhaustive_failure_exit_4(capsys, monkeypatch):
     """A failing identity is an internal fault: exit 4, failures listed by edge bitmask."""
-    monkeypatch.setattr(reductions, "_disjoint_row_count", lambda matrix: 0)
+    monkeypatch.setattr(reductions, "_certified_dim", lambda matrix, degree: 0)
     argv = ("verify", "--exhaustive", "n=3", "--check-basis", "--format", "json")
     code, out, err = run(capsys, *argv)
     summary = json.loads(out)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from pdrank import (
     DerivMatrix,
-    OrderSpec,
     ResourceLimitError,
     SparsePoly,
     build_matrix,
@@ -116,7 +115,7 @@ def test_cleared_matches_fraction_arithmetic(coefs):
 
 def test_build_matrix_identity_pattern():
     # One bit per slot, x1 in the high bit: x2 packs to 1 and x1 to 2.
-    m = build_matrix(parse_poly("x1*x2"), OrderSpec.exact(1))
+    m = build_matrix(parse_poly("x1*x2"), range(1, 2))
     assert m.rows == (1, 2)
     assert m.entries == ({2: 1}, {1: 1})
     assert m.ncols == 2
@@ -124,18 +123,18 @@ def test_build_matrix_identity_pattern():
 
 def test_build_matrix_monomial_all_orders_row_count():
     f = parse_poly("x1^2*x2^3")
-    m = build_matrix(f, OrderSpec.all_orders())
+    m = build_matrix(f, range(f.degree + 1))
     assert m.nrows == (2 + 1) * (3 + 1)
 
 
 def test_build_matrix_three_rows_rank_three():
     f = parse_poly("x1*x2 + x3")
-    m = build_matrix(f, OrderSpec.exact(1))
+    m = build_matrix(f, range(1, 2))
     assert m.nrows == 3 and m.ncols == 3
     assert rank_exact(m) == 3
 
 
-def tuple_reference(f: SparsePoly, spec: OrderSpec):
+def tuple_reference(f: SparsePoly, orders: range):
     """Reference assembly on exponent tuples: every row checked against every term.
 
     Returns the row multi-indices, sorted; per row, the (result monomial,
@@ -143,7 +142,6 @@ def tuple_reference(f: SparsePoly, spec: OrderSpec):
     cleared denominator.
     """
     scaled = to_scaled(f)
-    orders = spec.orders(scaled.degree)
     rows = set()
     for t in scaled.terms:
         support = [i for i, a in enumerate(t.exps) if a]
@@ -178,10 +176,10 @@ def packer(width: int):
     return pack
 
 
-def row_scan_matrix(f: SparsePoly, spec: OrderSpec) -> DerivMatrix:
+def row_scan_matrix(f: SparsePoly, orders: range) -> DerivMatrix:
     """The tuple reference with its keys packed as ``DerivMatrix`` documents:
     x1 in the top slot, each slot the bit length of f's largest exponent."""
-    return packed_reference(f, *tuple_reference(f, spec))
+    return packed_reference(f, *tuple_reference(f, orders))
 
 
 def packed_reference(f: SparsePoly, rows, row_pairs, clear: int) -> DerivMatrix:
@@ -192,9 +190,9 @@ def packed_reference(f: SparsePoly, rows, row_pairs, clear: int) -> DerivMatrix:
     return DerivMatrix(tuple(map(pack, rows)), entries, ncols, clear)
 
 
-def tuple_keyed_rows(f: SparsePoly, spec: OrderSpec) -> list[dict[int, int]]:
+def tuple_keyed_rows(f: SparsePoly, orders: range) -> list[dict[int, int]]:
     """The rows as a tuple-labelled assembly gives them: {lex column index: value}."""
-    _, row_pairs, _ = tuple_reference(f, spec)
+    _, row_pairs, _ = tuple_reference(f, orders)
     index = {g: i for i, g in enumerate(sorted({g for pairs in row_pairs for g, _ in pairs}))}
     return [{index[g]: a for g, a in pairs} for pairs in row_pairs]
 
@@ -205,12 +203,12 @@ def test_build_matrix_matches_row_scan_reference():
     assert any(not f.is_multilinear for f in polys)
     assert any(f.is_multilinear and f.degree >= 2 for f in polys)
     for f in polys:
-        specs = [OrderSpec.all_orders()]
-        specs += [OrderSpec.exact(k) for k in range(f.degree + 2)]
+        windows = [range(f.degree + 1)]
+        windows += [range(k, k + 1) for k in range(f.degree + 2)]
         if f.degree >= 2:
-            specs.append(OrderSpec.interior())
-        for spec in specs:
-            assert_same_matrix(build_matrix(f, spec), row_scan_matrix(f, spec))
+            windows.append(range(1, f.degree))
+        for orders in windows:
+            assert_same_matrix(build_matrix(f, orders), row_scan_matrix(f, orders))
 
 
 def assert_same_matrix(got: DerivMatrix, want: DerivMatrix) -> None:
@@ -246,7 +244,7 @@ def test_packed_enumeration_matches_tuple_reference():
     mixed = parse_poly("x1^2*x2*x3^2 + x1*x2*x3*x4*x5 + 3*x2*x4^2 - x3")
     polys = graph_class_polys(6) + [k7] + wide + [mixed]
     for i, f in enumerate(polys):
-        betas, row_pairs, clear = tuple_reference(f, OrderSpec.all_orders())
+        betas, row_pairs, clear = tuple_reference(f, range(f.degree + 1))
         full = packed_reference(f, betas, row_pairs, clear)
 
         def rows_where(keep) -> DerivMatrix:
@@ -257,49 +255,50 @@ def test_packed_enumeration_matches_tuple_reference():
             return DerivMatrix(rows, entries, ncols, full.clear_factor)
 
         k = i % (f.degree + 1)  # every order across the graph classes
-        assert_same_matrix(build_matrix(f, OrderSpec.all_orders()), full)
+        assert_same_matrix(build_matrix(f, range(f.degree + 1)), full)
         assert_same_matrix(
-            build_matrix(f, OrderSpec.interior()), rows_where(lambda b: 0 < sum(b) < f.degree)
+            build_matrix(f, range(1, f.degree)), rows_where(lambda b: 0 < sum(b) < f.degree)
         )
-        assert_same_matrix(build_matrix(f, OrderSpec.exact(k)), rows_where(lambda b: sum(b) == k))
+        assert_same_matrix(build_matrix(f, range(k, k + 1)), rows_where(lambda b: sum(b) == k))
         assert_same_matrix(
             explicit_B_oracle(f, k).matrix,
             rows_where(lambda b: sum(b) == k and max(b, default=0) <= 1),
         )
     pack = packer(2)
-    plus_rows = set(build_matrix(mixed, OrderSpec.interior()).rows)
+    plus_rows = set(build_matrix(mixed, range(1, mixed.degree)).rows)
     assert {pack((0, 1, 0, 2, 0)), pack((0, 0, 1, 0, 0))} <= plus_rows
     assert not {pack((2, 1, 2, 0, 0)), pack((1, 1, 1, 1, 1)), 0} & plus_rows
 
 
-def assert_same_elimination(f: SparsePoly, spec: OrderSpec) -> None:
+def assert_same_elimination(f: SparsePoly, orders: range) -> None:
     """Packed keys and lex column indices give the same peel and the same rank.
 
     Packing is monotone in the lex order, so the core must hold the same
     rows, in the same order, each with its entries in the same order.
     """
-    m = build_matrix(f, spec)
-    ref = tuple_keyed_rows(f, spec)
+    m = build_matrix(f, orders)
+    ref = tuple_keyed_rows(f, orders)
     index = {g: i for i, g in enumerate(sorted({g for row in m.entries for g in row}))}
     got_rank, got_core = exact._peel_singletons([dict(r) for r in m.entries])
     want_rank, want_core = exact._peel_singletons([dict(r) for r in ref])
-    assert got_rank == want_rank, (f, spec)
+    assert got_rank == want_rank, (f, orders)
     assert [[(index[g], v) for g, v in row.items()] for row in got_core] == [
         list(row.items()) for row in want_core
-    ], (f, spec)
-    assert rank_exact(m) == sparse_int_rank(ref), (f, spec)
+    ], (f, orders)
+    assert rank_exact(m) == sparse_int_rank(ref), (f, orders)
 
 
 def test_packed_keys_match_tuple_reference_on_random_polys():
     polys = random_polys(seed=83, count=30, max_vars=5, max_terms=20, max_degree=4)
     cores = 0
     for f in polys:
-        specs = [OrderSpec.all_orders(), OrderSpec.exact(f.degree // 2)]
+        half = f.degree // 2
+        windows = [range(f.degree + 1), range(half, half + 1)]
         if f.degree >= 2:
-            specs.append(OrderSpec.interior())
-        for spec in specs:
-            assert_same_elimination(f, spec)
-            rows = [dict(r) for r in build_matrix(f, spec).entries]
+            windows.append(range(1, f.degree))
+        for orders in windows:
+            assert_same_elimination(f, orders)
+            rows = [dict(r) for r in build_matrix(f, orders).entries]
             cores += bool(exact._peel_singletons(rows)[1])
     assert cores >= 10  # so Bareiss sees the cores in the same order too
 
@@ -308,22 +307,23 @@ def test_line_view_matches_naive_transpose_and_sorted_rows():
     """``columns`` and ``distinct_rows`` against a per-entry transpose and sorted-tuple rows."""
     polys = random_polys(seed=83, count=30, max_vars=5, max_terms=20, max_degree=4)
     for f in polys:
-        specs = [OrderSpec.all_orders(), OrderSpec.exact(f.degree // 2)]
+        half = f.degree // 2
+        windows = [range(f.degree + 1), range(half, half + 1)]
         if f.degree >= 2:
-            specs.append(OrderSpec.interior())
-        for spec in specs:
-            m = build_matrix(f, spec)
+            windows.append(range(1, f.degree))
+        for orders in windows:
+            m = build_matrix(f, orders)
             naive: dict[int, list[tuple[int, int]]] = {}
             for i in range(m.nrows):
                 for gamma, v in m.entries[i].items():
                     naive.setdefault(gamma, []).append((m.rows[i], v))
             cols = m.columns()
-            assert {g: list(col.items()) for g, col in cols.items()} == naive, (f, spec)
+            assert {g: list(col.items()) for g, col in cols.items()} == naive, (f, orders)
             assert len(cols) == m.ncols
             sorted_rows = {tuple(sorted(row.items())) for row in m.entries}
             distinct = m.distinct_rows()
-            assert len(distinct) == len(sorted_rows), (f, spec)
-            assert {tuple(sorted(row)) for row in distinct} == sorted_rows, (f, spec)
+            assert len(distinct) == len(sorted_rows), (f, orders)
+            assert {tuple(sorted(row)) for row in distinct} == sorted_rows, (f, orders)
 
 
 def test_packed_keys_match_tuple_reference_on_graph_classes():
@@ -331,25 +331,26 @@ def test_packed_keys_match_tuple_reference_on_graph_classes():
     for bits, _ in graph_classes(6):
         if bits:
             g = Graph.make(6, [e for i, e in enumerate(pairs) if bits >> i & 1])
-            assert_same_elimination(graph_to_poly(g), OrderSpec.interior())
+            f = graph_to_poly(g)
+            assert_same_elimination(f, range(1, f.degree))
 
 
 def test_constant_polynomial_has_one_row_and_one_column():
     f = parse_poly("5")
     assert f.vars == ()
-    for spec in (OrderSpec.all_orders(), OrderSpec.exact(0)):
-        m = build_matrix(f, spec)
+    for orders in (range(f.degree + 1), range(0, 1)):
+        m = build_matrix(f, orders)
         assert (m.rows, m.entries, m.ncols) == ((0,), ({0: 5},), 1)
-        assert rank_exact(m) == dim_partials(f, spec) == 1
+        assert rank_exact(m) == dim_partials(f, orders) == 1
 
 
 def test_exponent_wider_than_a_byte_gets_a_wider_slot():
     f = parse_poly("x1^300*x2 + 3*x1^299*x2^2 + x2^257")
-    for spec in (OrderSpec.exact(1), OrderSpec.exact(150), OrderSpec.all_orders()):
-        m = build_matrix(f, spec)
-        assert m == row_scan_matrix(f, spec)
-        assert rank_exact(m) == sparse_int_rank(tuple_keyed_rows(f, spec))
-    assert max(build_matrix(f, OrderSpec.exact(0)).entries[0]) == 300 << 9 | 1
+    for orders in (range(1, 2), range(150, 151), range(f.degree + 1)):
+        m = build_matrix(f, orders)
+        assert m == row_scan_matrix(f, orders)
+        assert rank_exact(m) == sparse_int_rank(tuple_keyed_rows(f, orders))
+    assert max(build_matrix(f, range(0, 1)).entries[0]) == 300 << 9 | 1
 
 
 def test_thirty_variables_give_keys_past_64_bits():
@@ -358,11 +359,11 @@ def test_thirty_variables_give_keys_past_64_bits():
         "x1^7*" + "*".join(xs[1:]) + " + 2*x30^5*x2 + x1*x15*x29 + 3*x3^6*x30"
     )
     for k in (1, 2):
-        spec = OrderSpec.exact(k)
-        m = build_matrix(f, spec)
+        orders = range(k, k + 1)
+        m = build_matrix(f, orders)
         assert max(g for row in m.entries for g in row) >= 2**64
-        assert m == row_scan_matrix(f, spec)
-        assert_same_elimination(f, spec)
+        assert m == row_scan_matrix(f, orders)
+        assert_same_elimination(f, orders)
 
 
 def slot_units(n: int, width: int) -> list[int]:
@@ -476,15 +477,15 @@ def test_build_matrix_work_is_one_step_per_nonzero(monkeypatch, top):
         items[tuple(exps)] = Fraction(rng.randint(1, 9), rng.randint(1, 10))
     f = SparsePoly.from_terms([f"x{i}" for i in range(1, 15)], items.items())
     assert f.is_multilinear == (top == 1)
-    specs = [OrderSpec.exact(k) for k in (1, 2, 3)] + [OrderSpec.between(1, 3)]
-    for spec in specs + [OrderSpec.all_orders(), OrderSpec.interior()]:
+    windows = [range(k, k + 1) for k in (1, 2, 3)] + [range(1, 4)]
+    for orders in windows + [range(f.degree + 1), range(1, f.degree)]:
         with counted_draws(monkeypatch) as drawn, combinat_steps(10**9) as steps:
-            m = build_matrix(f, spec)
+            m = build_matrix(f, orders)
         nnz = sum(len(row) for row in m.entries)
         assert len(drawn) == nnz
         assert steps[0] <= STEPS_PER_ENTRY * nnz
-        if top == 1 and spec.mode == exact.MODE_EXACT:
-            assert nnz == sum(math.comb(sum(t.exps), spec.k) for t in f.terms)
+        if top == 1 and len(orders) == 1:
+            assert nnz == sum(math.comb(sum(t.exps), orders[0]) for t in f.terms)
 
 
 def test_row_cap_bounds_the_enumeration_work(monkeypatch):
@@ -499,7 +500,7 @@ def test_row_cap_bounds_the_enumeration_work(monkeypatch):
     with counted_draws(monkeypatch) as drawn:
         with combinat_steps(STEPS_PER_ENTRY * (max_rows + 1)):
             with pytest.raises(ResourceLimitError) as err:
-                build_matrix(f, OrderSpec.exact(15), max_rows=max_rows)
+                build_matrix(f, range(15, 16), max_rows=max_rows)
     assert (err.value.what, err.value.actual) == ("rows", max_rows + 1)
     assert len(drawn) == len(set(drawn)) == max_rows + 1
     # Unpacked (two-bit slots, x1 on top), every row drawn is in the box.
@@ -634,17 +635,14 @@ LAZY_CORE_UPDATES = 1_000
 
 
 @pytest.mark.parametrize(
-    "spec, golden",
-    [
-        (OrderSpec.all_orders(), "multilinear40.dim_star.json"),
-        (OrderSpec.interior(), "multilinear40.dim_plus.json"),
-    ],
+    "first, golden",
+    [(0, "multilinear40.dim_star.json"), (1, "multilinear40.dim_plus.json")],
     ids=["star", "plus"],
 )
-def test_multilinear40_rank_needs_elimination_on_the_core_only(spec, golden):
+def test_multilinear40_rank_needs_elimination_on_the_core_only(first, golden):
     f = parse_poly((DATA / "multilinear40.poly").read_text())
     want = json.loads((DATA / golden).read_text())["exact_dim"]["value"]
-    matrix = build_matrix(f, spec)
+    matrix = build_matrix(f, range(first, f.degree + 1 - first))
     assert rank_exact(matrix, budget=CORE_UPDATES) == want
     assert rank_exact(matrix, budget=LAZY_CORE_UPDATES) == want
 
@@ -690,14 +688,14 @@ def test_bareiss_entries_stay_within_the_hadamard_bound(case):
         rows = dense_rows(12, 12)
     else:
         f = parse_poly((DATA / "multilinear40.poly").read_text())
-        rows = list(build_matrix(f, OrderSpec.all_orders()).entries)
+        rows = list(build_matrix(f, range(f.degree + 1)).entries)
     bound = hadamard_square(rows)
     work = final_rank_rows(rows)
     assert any(len(row) > 1 for row in work)  # elimination ran on a core
     assert all(v * v <= bound for row in work for v in row.values())
 
 
-def sympy_dim(f: SparsePoly, spec: OrderSpec) -> int:
+def sympy_dim(f: SparsePoly, orders: range) -> int:
     """Independent oracle: ``sympy.Matrix.rank`` of the derivatives
     ``sympy.Poly.diff`` takes, one row per multi-index of the requested
     orders inside the box of f's largest exponents."""
@@ -707,7 +705,6 @@ def sympy_dim(f: SparsePoly, spec: OrderSpec) -> int:
         {t.exps: sympy.Rational(t.coef.numerator, t.coef.denominator) for t in f.terms},
         *xs,
     )
-    orders = spec.orders(p.total_degree())
     box = [range(max(t.exps[i] for t in f.terms) + 1) for i in range(len(xs))]
     derivs = [
         p.diff(*[(x, b) for x, b in zip(xs, beta) if b]).as_dict() if any(beta) else p.as_dict()
@@ -721,11 +718,11 @@ def sympy_dim(f: SparsePoly, spec: OrderSpec) -> int:
 def test_dim_partials_matches_sympy_rank():
     polys = random_polys(seed=23, count=12, max_vars=3, max_terms=5, max_degree=4)
     for f in polys:
-        specs = [OrderSpec.all_orders()] + [OrderSpec.exact(k) for k in range(f.degree + 1)]
+        windows = [range(f.degree + 1)] + [range(k, k + 1) for k in range(f.degree + 1)]
         if f.degree >= 2:
-            specs.append(OrderSpec.interior())
-        for spec in specs:
-            assert dim_partials(f, spec) == sympy_dim(f, spec), (f, spec)
+            windows.append(range(1, f.degree))
+        for orders in windows:
+            assert dim_partials(f, orders) == sympy_dim(f, orders), (f, orders)
 
 
 def test_dim_partials_power_sum_plus_product():
@@ -735,24 +732,19 @@ def test_dim_partials_power_sum_plus_product():
         + [f"x{i}^{n}" for i in range(1, n + 1)]
     )
     f = parse_poly(text)
-    dims = [dim_partials(f, OrderSpec.exact(k)) for k in range(n + 1)]
+    dims = [dim_partials(f, range(k, k + 1)) for k in range(n + 1)]
     assert dims == [1, 5, 15, 15, 5, 1]
 
 
 def test_dim_partials_zero_poly_is_zero():
     f = parse_poly("x1 - x1")
-    assert dim_partials(f, OrderSpec.exact(1)) == 0
-    assert dim_partials(f, OrderSpec.all_orders()) == 0
+    assert dim_partials(f, range(1, 2)) == 0
+    assert dim_partials(f, range(10)) == 0  # the zero polynomial has no degree
 
 
 def test_dim_star_of_monomial_is_product():
     f = parse_poly("x1^2*x2^3*x3")
-    assert dim_partials(f, OrderSpec.all_orders()) == 3 * 4 * 2
-
-
-def test_interior_orders_requires_degree_two():
-    with pytest.raises(ValueError):
-        dim_partials(parse_poly("x1 + x2"), OrderSpec.interior())
+    assert dim_partials(f, range(f.degree + 1)) == 3 * 4 * 2
 
 
 def test_product_polynomial_dimension_is_binomial():
@@ -770,19 +762,19 @@ def test_product_polynomial_dimension_is_binomial():
                 items.append((tuple(exps), 1))
             f = SparsePoly.from_terms(variables, items)
             for k in range(d + 1):
-                assert dim_partials(f, OrderSpec.exact(k)) == math.comb(d, k)
+                assert dim_partials(f, range(k, k + 1)) == math.comb(d, k)
 
 
 def test_homogeneous_direct_sum_and_interior_identity():
     for f in random_homogeneous_polys(seed=11, count=8):
         deg = f.degree
         total = sum(
-            dim_partials(f, OrderSpec.exact(k)) for k in range(deg + 1)
+            dim_partials(f, range(k, k + 1)) for k in range(deg + 1)
         )
-        assert dim_partials(f, OrderSpec.all_orders()) == total
+        assert dim_partials(f, range(f.degree + 1)) == total
         if deg >= 2:
-            star = dim_partials(f, OrderSpec.all_orders())
-            assert dim_partials(f, OrderSpec.interior()) == star - 2
+            star = dim_partials(f, range(f.degree + 1))
+            assert dim_partials(f, range(1, f.degree)) == star - 2
 
 
 def test_homogeneous_order_matrices_are_transposes():
@@ -792,7 +784,7 @@ def test_homogeneous_order_matrices_are_transposes():
     assert {f.degree for f in polys} == {2, 3, 4, 5, 6}
     for f in polys:
         d = f.degree
-        matrices = [build_matrix(f, OrderSpec.exact(j)) for j in range(d + 1)]
+        matrices = [build_matrix(f, range(j, j + 1)) for j in range(d + 1)]
         for j in range(d + 1):
             low, high = matrices[j], matrices[d - j]
             assert dict(zip(high.rows, high.entries)) == low.columns()
@@ -800,7 +792,7 @@ def test_homogeneous_order_matrices_are_transposes():
 
 
 def test_order_range_matrix_is_the_union_of_its_orders():
-    """OrderSpec.between(k, top) gives the rows of every exact(j), k <= j <= top,
+    """range(k, top + 1) gives the rows of every order j, k <= j <= top,
     with the same entries in the same order; columns shared by orders count once."""
     polys = random_polys(seed=84, count=30, max_vars=5, max_terms=8, max_degree=5)
     polys += random_homogeneous_polys(seed=85, count=10, max_vars=5, max_terms=8)
@@ -808,7 +800,7 @@ def test_order_range_matrix_is_the_union_of_its_orders():
     for f in polys:
         for k in range(f.degree + 2):
             for top in range(k, f.degree + 2):
-                parts = [build_matrix(f, OrderSpec.exact(j)) for j in range(k, top + 1)]
+                parts = [build_matrix(f, range(j, j + 1)) for j in range(k, top + 1)]
                 rows = sorted(
                     (beta, row) for m in parts for beta, row in zip(m.rows, m.entries)
                 )
@@ -818,53 +810,73 @@ def test_order_range_matrix_is_the_union_of_its_orders():
                     len({gamma for _, row in rows for gamma in row}),
                     parts[0].clear_factor,
                 )
-                assert_same_matrix(build_matrix(f, OrderSpec.between(k, top)), union)
+                assert_same_matrix(build_matrix(f, range(k, top + 1)), union)
 
 
-def test_order_spec_checks_its_fields():
-    assert OrderSpec.between(1, 3).orders(7) == range(1, 4)
-    assert OrderSpec.between(2, 2).orders(0) == OrderSpec.exact(2).orders(0)
-    for bad in (
-        lambda: OrderSpec.between(3, 2),
-        lambda: OrderSpec.between(-1, 2),
-        lambda: OrderSpec(exact.MODE_EXACT, 1, 2),
-        lambda: OrderSpec(exact.MODE_RANGE, 1),
-        lambda: OrderSpec(exact.MODE_ALL, None, 2),
-    ):
-        with pytest.raises(ValueError):
-            bad()
+def test_full_windows_give_one_matrix_from_either_enumerator():
+    """A window that holds every order 1..deg-1 (star, plus, or past the
+    degree) draws each term's box; the order-by-order walk draws the same
+    keys.  Both, forced through ``assemble``, give one matrix, each row's
+    entries in one order, and ``build_matrix`` gives it too."""
+    polys = random_polys(seed=86, count=40, max_vars=5, max_terms=8, max_degree=5)
+    polys += random_homogeneous_polys(seed=87, count=15, max_vars=5, max_terms=8)
+    caps = {"max_rows": exact.DEFAULT_MAX_ROWS, "max_cols": exact.DEFAULT_MAX_COLS}
+    for f in polys:
+        scaled, deg = to_scaled(f), f.degree
+        for orders in (range(deg + 1), range(1, deg), range(0, deg + 3)):
+
+            def box(alpha, units):
+                drop_top = sum(alpha) not in orders
+                return packed_box(alpha, units, drop_zero=0 not in orders, drop_top=drop_top)
+
+            def walk(alpha, units):
+                return packed_sub_indices(alpha, units, orders)
+
+            boxed = exact.assemble(scaled, box, **caps)
+            assert_same_matrix(exact.assemble(scaled, walk, **caps), boxed)
+            assert_same_matrix(build_matrix(f, orders), boxed)
+
+
+def test_build_matrix_refuses_a_negative_or_stepped_window():
+    f = parse_poly("x1^2*x2 + x3")
+    for bad in (range(-1, 2), range(0, 5, 2)):
+        with pytest.raises(ValueError, match="range of naturals with step 1"):
+            build_matrix(f, bad)
+    # an empty window, or one past the degree, spans nothing
+    assert dim_partials(parse_poly("x1 + x2"), range(1, 1)) == 0
+    assert dim_partials(f, range(4, 9)) == 0
 
 
 def test_dimension_invariant_under_scaling_and_permutation():
     for i, f in enumerate(random_polys(seed=5, count=6, max_vars=4, max_terms=5)):
         k = i % (f.degree + 1)
-        base = dim_partials(f, OrderSpec.exact(k))
-        assert dim_partials(scale(f, Fraction(-7, 3)), OrderSpec.exact(k)) == base
+        base = dim_partials(f, range(k, k + 1))
+        assert dim_partials(scale(f, Fraction(-7, 3)), range(k, k + 1)) == base
         n = len(f.vars)
         perm = tuple(reversed(range(n)))
-        assert dim_partials(permute_vars(f, perm), OrderSpec.exact(k)) == base
+        assert dim_partials(permute_vars(f, perm), range(k, k + 1)) == base
 
 
 def test_resource_caps_raise_structured_errors():
     f = parse_poly("x1^3*x2^3*x3^3")
     with pytest.raises(ResourceLimitError) as err:
-        build_matrix(f, OrderSpec.all_orders(), max_rows=10)
+        build_matrix(f, range(f.degree + 1), max_rows=10)
     assert err.value.what == "rows"
     assert err.value.actual == 11  # checked as each row is added, not per term
     with pytest.raises(ResourceLimitError) as err:
-        build_matrix(f, OrderSpec.all_orders(), max_cols=10)
+        build_matrix(f, range(f.degree + 1), max_cols=10)
     assert (err.value.what, err.value.actual) == ("cols", 11)  # checked as each column is added
     with pytest.raises(ResourceLimitError) as err:  # both overflow: rows first
-        build_matrix(f, OrderSpec.all_orders(), max_rows=10, max_cols=10)
+        build_matrix(f, range(f.degree + 1), max_rows=10, max_cols=10)
     assert (err.value.what, err.value.actual) == ("rows", 11)
     # k=1 on x1*x2*xj, j = 3..11: each term adds two columns and one row, so
     # the columns pass 10 at j = 7 and the rows at j = 11; rows still win.
     g = parse_poly(" + ".join(f"x1*x2*x{j}" for j in range(3, 12)))
     with pytest.raises(ResourceLimitError) as err:
-        build_matrix(g, OrderSpec.exact(1), max_cols=10)
+        build_matrix(g, range(1, 2), max_cols=10)
     assert (err.value.what, err.value.actual) == ("cols", 11)
     with pytest.raises(ResourceLimitError) as err:
-        build_matrix(g, OrderSpec.exact(1), max_rows=10, max_cols=10)
+        build_matrix(g, range(1, 2), max_rows=10, max_cols=10)
     assert (err.value.what, err.value.actual) == ("rows", 11)
     big = [{j: j + i + 1 for j in range(40)} for i in range(40)]
     with pytest.raises(ResourceLimitError) as err:
@@ -880,16 +892,16 @@ def test_column_overflow_inside_a_term_still_counts_its_rows():
     """
     f = parse_poly("*".join(f"x{i}" for i in range(1, 9)))
     with pytest.raises(ResourceLimitError) as err:
-        build_matrix(f, OrderSpec.exact(4), max_rows=20, max_cols=10)
+        build_matrix(f, range(4, 5), max_rows=20, max_cols=10)
     assert (err.value.what, err.value.actual) == ("rows", 21)
     with pytest.raises(ResourceLimitError) as err:
-        build_matrix(f, OrderSpec.exact(4), max_rows=100, max_cols=10)
+        build_matrix(f, range(4, 5), max_rows=100, max_cols=10)
     assert (err.value.what, err.value.actual) == ("cols", 11)
 
 
 def test_matrix_entries_clear_denominators():
     f = parse_poly("1/2*x1 + 1/3*x2")
-    m = build_matrix(f, OrderSpec.exact(1))
+    m = build_matrix(f, range(1, 2))
     assert m.clear_factor == 6
     vals = sorted(v for row in m.entries for v in row.values())
     assert vals == [2, 3]

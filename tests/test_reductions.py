@@ -10,7 +10,6 @@ import pytest
 from pdrank import (
     DerivMatrix,
     Graph,
-    OrderSpec,
     SimplicialComplex,
     build_matrix,
     complex_to_poly,
@@ -185,8 +184,8 @@ def test_partial_plus_basis_full_rank_and_dims_random():
         assert len(basis) == 2 * faces
         assert poly_stack_rank(basis) == 2 * faces
         f = complex_to_poly(sc)
-        assert dim_partials(f, OrderSpec.interior()) == 2 * faces
-        assert dim_partials(f, OrderSpec.all_orders()) == 2 * faces + 2
+        assert dim_partials(f, range(1, f.degree)) == 2 * faces
+        assert dim_partials(f, range(f.degree + 1)) == 2 * faces + 2
 
 
 def test_partial_plus_basis_matches_face_derivatives():
@@ -207,7 +206,14 @@ def test_partial_plus_basis_matches_face_derivatives():
 
 
 def interior_matrix(sc):
-    return build_matrix(complex_to_poly(sc), OrderSpec.interior())
+    f = complex_to_poly(sc)
+    return build_matrix(f, range(1, f.degree))
+
+
+def disjoint_row_count(matrix):
+    """The number of distinct rows of ``matrix`` when they share no column, else None."""
+    distinct = matrix.distinct_rows()
+    return len(distinct) if sum(map(len, distinct)) == matrix.ncols else None
 
 
 def unpack(key, nvars, width):
@@ -236,7 +242,7 @@ def test_distinct_interior_rows_are_the_explicit_basis():
         }
         polys = Counter(frozenset((t.exps, t.coef) for t in p.terms) for p in basis)
         assert Counter(rows) == polys
-        assert reductions._disjoint_row_count(matrix) == 2 * faces
+        assert disjoint_row_count(matrix) == 2 * faces
         assert poly_stack_rank(basis) == 2 * faces
 
 
@@ -255,31 +261,48 @@ BASIS_CASES = [
 ]
 
 
-@pytest.mark.parametrize("sc", BASIS_CASES)
-def test_basis_check_rejects_a_shared_column(sc):
-    matrix, faces = interior_matrix(sc), count_faces(sc)
+def with_shared_column(matrix):
+    """``matrix`` with its first row given a column of another row."""
     target = matrix.entries[0]
     extra = next(j for row in matrix.entries for j in row if j not in target)
     rows = [
         (b, {**row, extra: 1} if row == target else row)
         for b, row in zip(matrix.rows, matrix.entries)
     ]
-    corrupted = rebuild(matrix, rows)
+    return rebuild(matrix, rows)
+
+
+def without_a_single_row(matrix):
+    """``matrix`` less its last row that occurs once, so the distinct rows lose one; and its key."""
+    counts = Counter(frozenset(row.items()) for row in matrix.entries)
+    drop = max(i for i, row in enumerate(matrix.entries) if counts[frozenset(row.items())] == 1)
+    rows = list(zip(matrix.rows, matrix.entries))
+    del rows[drop]
+    return rebuild(matrix, rows), matrix.rows[drop]
+
+
+@pytest.mark.parametrize("sc", BASIS_CASES)
+def test_basis_check_rejects_a_shared_column(sc):
+    matrix, faces = interior_matrix(sc), count_faces(sc)
+    corrupted = with_shared_column(matrix)
     assert corrupted.ncols == matrix.ncols
     assert len({frozenset(row.items()) for row in corrupted.entries}) == 2 * faces
-    assert reductions._disjoint_row_count(matrix) == 2 * faces
-    assert reductions._disjoint_row_count(corrupted) is None
+    assert disjoint_row_count(matrix) == 2 * faces
+    assert disjoint_row_count(corrupted) is None
+    half, degree = half_matrix(sc)
+    assert reductions._certified_dim(half, degree) == 2 * faces
+    assert reductions._certified_dim(with_shared_column(half), degree) is None
 
 
 @pytest.mark.parametrize("sc", BASIS_CASES)
 def test_basis_check_rejects_a_dropped_row(sc):
     matrix, faces = interior_matrix(sc), count_faces(sc)
-    # drop the last row that occurs once, so the distinct rows lose one
-    counts = Counter(frozenset(row.items()) for row in matrix.entries)
-    drop = max(i for i, row in enumerate(matrix.entries) if counts[frozenset(row.items())] == 1)
-    rows = list(zip(matrix.rows, matrix.entries))
-    del rows[drop]
-    assert reductions._disjoint_row_count(rebuild(matrix, rows)) == 2 * faces - 1
+    assert disjoint_row_count(without_a_single_row(matrix)[0]) == 2 * faces - 1
+    # in the half matrix a row below the middle order counts twice
+    half, degree = half_matrix(sc)
+    dropped, key = without_a_single_row(half)
+    weight = 1 if 2 * key.bit_count() == degree else 2
+    assert reductions._certified_dim(dropped, degree) == 2 * faces - weight
 
 
 @pytest.mark.parametrize("sc", BASIS_CASES)
@@ -307,8 +330,8 @@ def test_verify_reduction_reports_a_corrupted_basis(monkeypatch):
         ranked.append(rows)
         return real_rank(rows, **kwargs)
 
-    def shared_column(f, spec, **kwargs):
-        matrix = real(f, spec, **kwargs)
+    def shared_column(f, orders, **kwargs):
+        matrix = real(f, orders, **kwargs)
         rows = list(zip(matrix.rows, matrix.entries))
         rows[0] = (rows[0][0], {**rows[0][1], **rows[-1][1]})
         return rebuild(matrix, rows)
@@ -340,13 +363,13 @@ def test_disjoint_row_count_is_the_exact_rank():
     """On every nonempty class on 3..6 vertices and two random corpora."""
     for sc in nonempty_classes_and_random_complexes():
         matrix = interior_matrix(sc)
-        assert reductions._disjoint_row_count(matrix) == rank_exact(matrix)
+        assert disjoint_row_count(matrix) == rank_exact(matrix)
 
 
 def half_matrix(sc):
     """The matrix ``verify_reduction`` assembles, of orders 1..deg//2, and deg."""
     degree = len(sc.facets[0]) + 1
-    return build_matrix(complex_to_poly(sc), OrderSpec.between(1, degree // 2)), degree
+    return build_matrix(complex_to_poly(sc), range(1, degree // 2 + 1)), degree
 
 
 def test_half_orders_give_the_interior_rank_and_certificate(monkeypatch):
@@ -356,7 +379,7 @@ def test_half_orders_give_the_interior_rank_and_certificate(monkeypatch):
     parities = set()
     for sc in nonempty_classes_and_random_complexes():
         full = interior_matrix(sc)
-        rank, count = rank_exact(full), reductions._disjoint_row_count(full)
+        rank, count = rank_exact(full), disjoint_row_count(full)
         half, degree = half_matrix(sc)
         parities.add(degree % 2)
         assert reductions._half_order_dim(half, degree) == (rank, count)
@@ -364,7 +387,7 @@ def test_half_orders_give_the_interior_rank_and_certificate(monkeypatch):
         assert report.dim_plus == rank
         assert report.basis_verified is (count == 2 * count_faces(sc))
         with monkeypatch.context() as patch:
-            patch.setattr(reductions, "_disjoint_row_count", lambda matrix: None)
+            patch.setattr(reductions, "_certified_dim", lambda matrix, degree: None)
             assert reductions._half_order_dim(half, degree) == (rank, None)
     assert parities == {0, 1}
 
@@ -459,7 +482,7 @@ def test_exhaustive_identity_small():
 
 
 def test_exhaustive_lists_failures_by_edge_bitmask(monkeypatch):
-    monkeypatch.setattr(reductions, "_disjoint_row_count", lambda matrix: 0)
+    monkeypatch.setattr(reductions, "_certified_dim", lambda matrix, degree: 0)
     summary = exhaustive_verify(3, check_basis=True)
     # the empty graph (bitmask 0) is not applicable and its basis is trivially fine
     assert summary["identity_failures"] == list(range(1, 8))
@@ -513,18 +536,19 @@ def test_every_labeling_reports_as_its_class_representative():
 def test_exhaustive_failures_expand_to_every_labeling(monkeypatch):
     """An isomorphism-invariant fault: the class run lists what a run over
     every labeled graph lists."""
-    real_count = reductions._disjoint_row_count
+    real_count = reductions._certified_dim
 
-    def count_off(matrix):
-        """One too many on 7 half-matrix rows; no certificate for six faces
-        (6 distinct rows of order 1, the whole half matrix at n=4), so the
-        fallback rank meets the identity there."""
-        count = real_count(matrix)
-        if count == 6:
+    def count_off(matrix, degree):
+        """One distinct row too many (two, doubled by its transpose) on 7
+        half-matrix rows; no certificate for six faces (6 distinct rows of
+        order 1, the whole half matrix at n=4, 12 counted), so the fallback
+        rank meets the identity there."""
+        count = real_count(matrix, degree)
+        if count == 12:
             return None
-        return count + (matrix.nrows == 7)
+        return count + 2 * (matrix.nrows == 7)
 
-    monkeypatch.setattr(reductions, "_disjoint_row_count", count_off)
+    monkeypatch.setattr(reductions, "_certified_dim", count_off)
     labeled = [verify_reduction(g) for g in all_graphs(4)]
     identity = [bits for bits, r in enumerate(labeled) if r.identity_holds is False]
     basis = [bits for bits, r in enumerate(labeled) if not r.basis_verified]

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from pdrank import (
-    OrderSpec,
     dim_partials,
     sparse_int_rank,
     sym_exact_dim,
@@ -67,7 +66,7 @@ def test_sym_exact_dim_matches_full_matrix_rank():
         for d in range(1, n + 1):
             for k in range(d + 1):
                 closed = sym_exact_dim(n, d, k)
-                assert dim_partials(sym_poly(n, d), OrderSpec.exact(k)) == closed
+                assert dim_partials(sym_poly(n, d), range(k, k + 1)) == closed
 
 
 def test_disjointness_matrix_rank_explicit():

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from pdrank import (
-    OrderSpec,
     ResourceLimitError,
     SparsePoly,
     build_matrix,
@@ -151,7 +150,7 @@ def test_oracle_matrix_is_the_01_part_of_the_derivative_matrix():
     for f in polys:
         for k in range(f.degree + 1):
             oracle = explicit_B_oracle(f, k).matrix
-            full = build_matrix(f, OrderSpec.exact(k))
+            full = build_matrix(f, range(k, k + 1))
             # One packing for both: the oracle's rows are full rows, ascending,
             # one per k-subset of some support, with the same entries.
             supports = [[i for i, a in enumerate(t.exps) if a] for t in f.terms]
@@ -282,7 +281,7 @@ def assert_m_from_order_k_matrix(f, k: int) -> int:
     Returns the number of order-k rows the 0/1-key filter dropped.
     """
     scaled = to_scaled(f)
-    full = build_matrix(f, OrderSpec.exact(k))
+    full = build_matrix(f, range(k, k + 1))
     derived = trace_module._zero_one_rows(full, scaled)
     nnz = trace_module._support_sum((t.exps for t in scaled.terms), repeat(1), k)
     assert derived == trace_module._trace_matrix(scaled, k, max_rows=nnz, max_cols=nnz), (f, k)
@@ -302,7 +301,7 @@ def test_m_is_the_zero_one_rows_of_the_order_k_matrix():
     assert dropped[True] == 0 and dropped[False] > 0
     # A multilinear f's order-k matrix is M itself, so its column view is shared.
     f = to_scaled(sym_poly(8, 4))
-    full = build_matrix(f, OrderSpec.exact(2))
+    full = build_matrix(f, range(2, 3))
     assert trace_module._zero_one_rows(full, f) is full
     assert full.columns() is full.columns()
 
@@ -310,7 +309,7 @@ def test_m_is_the_zero_one_rows_of_the_order_k_matrix():
 def test_m_from_the_rational_golden_drops_rows():
     f = parse_poly((GOLDEN_DIR / "rational.poly").read_text())
     for k, rows, kept in ((2, 15, 10), (3, 16, 6)):
-        assert build_matrix(f, OrderSpec.exact(k)).nrows == rows
+        assert build_matrix(f, range(k, k + 1)).nrows == rows
         assert assert_m_from_order_k_matrix(f, k) == rows - kept
 
 
@@ -392,7 +391,7 @@ def test_chain_L_proxy_rank_dim_upper():
         for k in range(max_sup + 1):
             stats = trace_stats(f, k)
             oracle = explicit_B_oracle(f, k)
-            exact = dim_partials(f, OrderSpec.exact(k))
+            exact = dim_partials(f, range(k, k + 1))
             L = closed_form_L(scaled, k)
             assert L <= stats.proxy or stats.vacuous
             assert stats.proxy <= oracle.rank_b
