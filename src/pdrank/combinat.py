@@ -124,5 +124,5 @@ def cleared(coefs: Iterable[Fraction | int]) -> tuple[int, list[int]]:
     coefficients into the integers they sum and rank.
     """
     coefs = list(coefs)
-    clear = math.lcm(*(c.denominator for c in coefs))
+    clear = math.lcm(*[c.denominator for c in coefs])  # a list: see exact.assemble
     return clear, [c.numerator * (clear // c.denominator) for c in coefs]

@@ -154,7 +154,12 @@ def assemble(
     if cols_over:
         raise ResourceLimitError("cols", max_cols, max_cols + 1)
     rows = sorted(by_row)
-    return DerivMatrix(tuple(rows), tuple(map(by_row.get, rows)), len(col_set), clear)
+    # Tuples from lists, of known size.  CPython builds a tuple from an
+    # iterator by resizing a 10-item guess; freed, such a tuple of 11 to 20
+    # items joins a free list that little else draws on, so a long-lived
+    # process's memory would grow with every matrix it built.
+    entries = tuple([by_row[beta] for beta in rows])
+    return DerivMatrix(tuple(rows), entries, len(col_set), clear)
 
 
 def build_matrix(

@@ -11,13 +11,13 @@ F_1..F_m of size d maps to the multilinear polynomial
 of degree d+1 in n+m variables, whose span of derivatives of orders
 1..deg-1 has dimension exactly twice the face count, with an explicit
 basis: the face monomials and the face derivatives of f.
-``verify_reduction`` reads the basis off the distinct rows of the
-derivative matrix of orders 1..deg//2, whose transposes are the other
-interior orders: they share no column, so their count gives the
-dimension, and the exact rank is only the fallback for a matrix whose
-rows overlap.  ``partial_plus_basis`` and ``poly_stack_rank`` build and
-rank the basis as polynomials, the reference the tests compare the rows
-against.
+``verify_reduction`` reads the basis off the derivatives of f by its
+Y-free monomials, one row per face: the interior matrix is
+block-diagonal and its Y-row block is their transpose.  These rows share
+no column, so their count gives the dimension, and the exact rank is
+only the fallback for a matrix whose rows overlap.
+``partial_plus_basis`` and ``poly_stack_rank`` build and rank the basis
+as polynomials, the reference the tests compare the rows against.
 """
 
 from __future__ import annotations
@@ -28,15 +28,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, combinations, compress, count, permutations
-from operator import add, not_, sub
+from operator import add, sub
 
-from .combinat import all_sub_indices, cleared
+from .combinat import all_sub_indices, cleared, packed_box
 from .errors import InvariantViolation, ResourceLimitError
 from .exact import (
     DEFAULT_MAX_COLS,
     DEFAULT_MAX_ROWS,
     DerivMatrix,
-    build_matrix,
+    assemble,
     sparse_int_rank,
 )
 from .polyio import ORDINARY, SCALED, Graph, SimplicialComplex, SparsePoly, Term
@@ -154,7 +154,8 @@ def _poly_from_facets(
         exps.append(tuple(e))
     one = Fraction(1)
     variables = (*(f"X{i}" for i in range(1, n + 1)), *y_names)
-    return SparsePoly(variables, tuple(Term(one, e) for e in sorted(exps)), basis)
+    terms = tuple([Term(one, e) for e in sorted(exps)])  # a list: see exact.assemble
+    return SparsePoly(variables, terms, basis)
 
 
 def complex_to_poly(sc: SimplicialComplex, basis: str = ORDINARY) -> SparsePoly:
@@ -188,8 +189,9 @@ def partial_plus_basis(sc: SimplicialComplex) -> list[SparsePoly]:
     built in one pass over the facet terms: each term lands, with X_F
     divided out, in the derivative of every face F it contains.
     The distinct rows of the interior-order derivative matrix are the
-    same vectors, which ``verify_reduction`` certifies from half its
-    orders (``_half_order_dim``); this is the tests' reference.
+    same vectors, which ``verify_reduction`` certifies from the
+    derivatives alone, the X-row block (``_x_block_dim``); this is the
+    tests' reference.
     """
     f = complex_to_poly(sc)
     nvars = len(f.vars)
@@ -227,69 +229,39 @@ def poly_stack_rank(polys: list[SparsePoly]) -> int:
     return sparse_int_rank(rows)
 
 
-def _certified_dim(matrix: DerivMatrix, degree: int) -> int | None:
-    """dim_+ of a degree-D complex polynomial from orders 1..D//2 when their rows share no column.
+def _x_block_dim(matrix: DerivMatrix) -> tuple[int, int | None]:
+    """dim_+ of f = sum_i Y_i * X_{F_i} from its X-row block, and the count its certificate gives.
 
-    None when they do.  Duplicate rows add nothing to the span, so the
-    rank is that of the distinct rows.  The stored matrix has no zero row
-    and every column lies in some row, so the distinct rows' sizes sum to
-    ``ncols`` exactly when their supports are pairwise disjoint; distinct
-    nonzero rows with disjoint supports are independent, and their count
-    is the rank.  One pass maps each distinct row to its weight in dim_+
-    (see :func:`_half_order_dim`): 1 in the middle order D/2, where the
-    key's bit count is D/2, and 2 below it, for the row and its transpose.
-    Equal rows reach columns of one degree, so they have one order and one
-    weight.  An O(nnz) certificate that hashes each row once.  In the
-    interior-order matrix of a complex polynomial, row X_F is the face
-    derivative of F and each row Y_g * X_{G minus F} (facet G) is the face
-    monomial X_F, so the count is 2 * faces exactly when these derivatives
-    of f are the explicit basis.
+    ``matrix`` holds the derivatives of f by the Y-free monomials X_S, S
+    a nonempty subset of some facet: the X-row block.  Returns dim_+ and
+    the certified count, None where the certificate fails.
+
+    *The blocks.*  Every term of f holds one Y, and f is multilinear, so
+    an interior-order derivative that does not vanish is taken by X_S or
+    by Y_i * X_T with T a proper subset of F_i.  A row Y_i * X_T reaches
+    only the Y-free column X_{F_i minus T}, and a row X_S only columns
+    Y_i * X_{F_i minus S} with one Y: the interior matrix is
+    block-diagonal, an X-row block beside a Y-row block.  In the scaled
+    basis every entry is 1.  Row Y_i * X_T has column X_U, and row X_U
+    has column Y_i * X_T, in both cases exactly when T and U split F_i;
+    so the Y-row block is the transpose of the X-row block, and
+    dim_+ = 2 * rank(X-row block).
+
+    *The certificate.*  Column Y_i * X_T of row X_S has T = F_i minus S,
+    so the column determines S: rows with different S never share a
+    column.  The stored matrix has no zero row and every column lies in
+    some row, so its entry count is ``ncols`` exactly when no column lies
+    in two rows; rows with pairwise disjoint supports are independent,
+    and dim_+ = 2 * nrows.  No row is hashed.  Row X_S is the face
+    derivative of S and each of its columns, as a row of the Y-row
+    block, is the face monomial X_S, so the count is 2 * faces exactly
+    when these derivatives of f are the explicit basis.  A matrix that
+    fails the check, which a correct assembly never gives, is ranked
+    exactly instead: dim_+ = 2 * ``sparse_int_rank`` of its rows.
     """
-    below_middle = map(degree.__ne__, map((2).__mul__, map(int.bit_count, matrix.rows)))
-    weights = dict(zip(map(frozenset, map(dict.items, matrix.entries)), below_middle))
-    if sum(map(len, weights)) != matrix.ncols:
-        return None
-    return len(weights) + sum(weights.values())
-
-
-def _half_order_dim(matrix: DerivMatrix, degree: int) -> tuple[int, int | None]:
-    """dim_+ of a complex polynomial f of degree D from its orders 1..D//2, and its certificate.
-
-    ``matrix`` holds f's derivatives of orders 1..D//2 (``degree`` is D).
-    Returns dim_+ and the count the certificate gives, None where it fails.
-
-    *The other half.* f is homogeneous.  In the scaled basis the order-j
-    matrix M_j holds a_{beta+gamma} at row beta and column gamma, so
-    M_{D-j} is M_j transposed and rank M_{D-j} = rank M_j.  Rows of
-    different orders reach columns of different degrees, so the interior
-    matrix is block-diagonal by order and dim_+ = sum_{j=1..D-1} rank M_j
-    = 2 * (the ranks below D/2) + rank M_{D/2}, the last when D is even.
-
-    *The certificate.*  The packed keys of f are its 0/1 exponents, so a
-    row's order is the bit count of its key, and every entry is 1: a row
-    or a column is its support.  In such a matrix, distinct rows with
-    pairwise disjoint supports make distinct columns with pairwise
-    disjoint supports, as many.  For if distinct columns c and c' met in a
-    row r, some row s would hold one of them, say c, but not c'; then r
-    and s differ (only r holds c') and share c.  And each column lies in
-    one distinct row's support, where every column has the same support,
-    the rows equal to it.  So when the distinct rows here share no column,
-    the rows of each M_{D-j}, the columns of M_j, pass the same test with
-    the same count, and the whole interior matrix passes with
-    2 * (distinct rows) - (distinct rows of order D/2) distinct rows, which
-    is then dim_+ (:func:`_certified_dim`).  When they do not, neither does
-    the whole matrix, whose rows these are; then ``sparse_int_rank`` ranks
-    the rows below D/2 and the middle rows apart, for 2 * r_low + r_mid.
-    Either way the count and the verdict are the whole matrix's.
-    """
-    certified = _certified_dim(matrix, degree)
-    if certified is not None:
-        return certified, certified
-    middle_order = degree // 2 if degree % 2 == 0 else -1  # -1: no middle order
-    in_middle = list(map(middle_order.__eq__, map(int.bit_count, matrix.rows)))
-    middle = list(compress(matrix.entries, in_middle))
-    low = list(compress(matrix.entries, map(not_, in_middle)))
-    return sum(w * sparse_int_rank(rows) for w, rows in ((2, low), (1, middle)) if rows), None
+    if sum(map(len, matrix.entries)) == matrix.ncols:
+        return 2 * matrix.nrows, 2 * matrix.nrows
+    return 2 * sparse_int_rank(list(matrix.entries)), None
 
 
 def verify_reduction(
@@ -303,13 +275,14 @@ def verify_reduction(
     For graphs: dim = 2 * (2^n - Ind(G) - 1) and faces = 2^n - Ind(G) - 1.
     For pure complexes: dim = 2 * faces.  A graph goes through its edge
     complement complex; then one polynomial, built in the scaled basis,
-    gives one matrix of its orders 1..deg//2, the other half being their
-    transposes (:func:`_half_order_dim`).  When its distinct rows share no
-    column their count gives ``dim_plus``; otherwise the exact rank does,
-    under its default budget.  ``basis_verified`` says the certificate
-    held and counted 2 * faces: the explicit basis.  The faces and
-    independent sets (2^n work each) are counted after the matrix, so its
-    caps refuse a large input first.
+    gives one matrix: its derivatives by the Y-free monomials, each
+    term's X-part drawn as one box of sub-indices, the Y-rows being their
+    transpose (:func:`_x_block_dim`).  When its rows share no column
+    their count gives ``dim_plus``; otherwise the exact rank does, under
+    its default budget.  ``basis_verified`` says the certificate held and
+    counted 2 * faces: the explicit basis.  The caps act on this block.
+    The faces and independent sets (2^n work each) are counted after the
+    matrix, so its caps refuse a large input first.
     """
     if isinstance(obj, Graph):
         _check_ground(obj.n, "vertices")
@@ -328,14 +301,15 @@ def verify_reduction(
             note = "identity not applicable: empty complex gives the zero polynomial"
     dim_plus, certified = 0, None
     if sc.facets:
-        degree = len(sc.facets[0]) + 1
-        matrix = build_matrix(
-            complex_to_poly(sc, SCALED),
-            range(1, degree // 2 + 1),
-            max_rows=max_rows,
-            max_cols=max_cols,
+        y_free = (0,) * len(sc.facets)
+
+        def x_sub_indices(alpha, units):
+            return packed_box(alpha[: sc.ground] + y_free, units, drop_zero=True)
+
+        matrix = assemble(
+            complex_to_poly(sc, SCALED), x_sub_indices, max_rows=max_rows, max_cols=max_cols
         )
-        dim_plus, certified = _half_order_dim(matrix, degree)
+        dim_plus, certified = _x_block_dim(matrix)
     ind = count_independent_sets(obj) if isinstance(obj, Graph) else None
     faces = count_faces(sc)
     holds = dim_plus == 2 * faces and (ind is None or faces == 2**sc.ground - ind - 1)

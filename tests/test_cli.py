@@ -339,7 +339,7 @@ def test_verify_exhaustive(capsys):
 
 def test_verify_exhaustive_failure_exit_4(capsys, monkeypatch):
     """A failing identity is an internal fault: exit 4, failures listed by edge bitmask."""
-    monkeypatch.setattr(reductions, "_certified_dim", lambda matrix, degree: 0)
+    monkeypatch.setattr(reductions, "_x_block_dim", lambda matrix: (0, 0))
     argv = ("verify", "--exhaustive", "n=3", "--check-basis", "--format", "json")
     code, out, err = run(capsys, *argv)
     summary = json.loads(out)
@@ -1135,6 +1135,7 @@ def test_reports_match_golden_bytes(capsys, name, command):
         (("trace", "--k", "2", str(GOLDEN_DIR / "rational.poly")), "rational.trace_k2.txt"),
         (("reduce", "graph", str(GOLDEN_DIR / "k3.graph")), "k3.reduce.txt"),
         (("verify", "--exhaustive", "n=4", "--check-basis"), "exhaustive_n4.verify.txt"),
+        (("verify", "--exhaustive", "n=7", "--check-basis"), "exhaustive_n7.verify.json"),
     ],
 )
 def test_reduction_reports_match_golden_bytes(capsys, argv, golden):
@@ -1728,3 +1729,15 @@ def test_reduce_complete_graph_hits_the_row_cap_before_counting(capsys, tmp_path
     code, out, err = run(capsys, "reduce", "graph", str(path), "--format", "json")
     assert (code, out) == (3, "")
     assert "rows limit exceeded" in err
+
+
+@pytest.mark.parametrize("flag, size", [("--max-rows", 47), ("--max-cols", 120)])
+def test_reduce_caps_act_on_the_x_block(capsys, flag, size):
+    """graph6's X-row block, the one matrix ``reduce`` builds, has 47 rows
+    and 120 columns: a cap at its size passes, one below refuses."""
+    argv = ("reduce", "graph", str(DATA / "graph6.graph"), "--format", "json")
+    code, out, err = run(capsys, *argv, flag, str(size))
+    assert (code, out, err) == (0, (DATA / "graph6.reduce.json").read_text(), "")
+    what = flag.removeprefix("--max-")
+    message = f"resource limit: {what} limit exceeded: {size} > {size - 1}\n"
+    assert run(capsys, *argv, flag, str(size - 1)) == (3, "", message)

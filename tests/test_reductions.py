@@ -1,5 +1,6 @@
 """Graph/complex constructions and the face-count identity."""
 
+import dataclasses
 import math
 from collections import Counter
 from itertools import combinations, permutations
@@ -246,6 +247,18 @@ def test_distinct_interior_rows_are_the_explicit_basis():
         assert poly_stack_rank(basis) == 2 * faces
 
 
+def x_block(sc):
+    """The Y-free rows of the interior matrix, its columns recounted.
+
+    Each Y is one of the last ``len(sc.facets)`` variables, the low bits
+    of a packed key (f is multilinear: one bit per slot).
+    """
+    matrix = interior_matrix(sc)
+    y_bits = (1 << len(sc.facets)) - 1
+    rows = zip(matrix.rows, matrix.entries)
+    return rebuild(matrix, [(b, row) for b, row in rows if not b & y_bits])
+
+
 def rebuild(matrix, rows):
     """A matrix of the (row key, row) pairs ``rows``, its column count recomputed."""
     ncols = len({j for _, row in rows for j in row})
@@ -289,20 +302,19 @@ def test_basis_check_rejects_a_shared_column(sc):
     assert len({frozenset(row.items()) for row in corrupted.entries}) == 2 * faces
     assert disjoint_row_count(matrix) == 2 * faces
     assert disjoint_row_count(corrupted) is None
-    half, degree = half_matrix(sc)
-    assert reductions._certified_dim(half, degree) == 2 * faces
-    assert reductions._certified_dim(with_shared_column(half), degree) is None
+    block = x_block(sc)
+    assert reductions._x_block_dim(block) == (2 * faces, 2 * faces)
+    shared = with_shared_column(block)
+    assert reductions._x_block_dim(shared) == (2 * rank_exact(shared), None)
 
 
 @pytest.mark.parametrize("sc", BASIS_CASES)
 def test_basis_check_rejects_a_dropped_row(sc):
     matrix, faces = interior_matrix(sc), count_faces(sc)
     assert disjoint_row_count(without_a_single_row(matrix)[0]) == 2 * faces - 1
-    # in the half matrix a row below the middle order counts twice
-    half, degree = half_matrix(sc)
-    dropped, key = without_a_single_row(half)
-    weight = 1 if 2 * key.bit_count() == degree else 2
-    assert reductions._certified_dim(dropped, degree) == 2 * faces - weight
+    # in the X-row block every row counts twice, for itself and its transpose
+    dropped = without_a_single_row(x_block(sc))[0]
+    assert reductions._x_block_dim(dropped) == (2 * faces - 2, 2 * faces - 2)
 
 
 @pytest.mark.parametrize("sc", BASIS_CASES)
@@ -318,11 +330,11 @@ def test_basis_check_rejects_a_face_count_off_by_one(monkeypatch, sc):
 
 
 def test_verify_reduction_reports_a_corrupted_basis(monkeypatch):
-    """A half matrix whose rows share a column fails the basis check of
+    """An X-row block whose rows share a column fails the basis check of
     ``verify_reduction``; its rank, from the fallback, still meets the
-    identity.  K3's polynomial has degree 2, so its half matrix is all of
-    the middle order, and the fallback ranks it once."""
-    real = reductions.build_matrix
+    identity.  K3's X-row block is its three order-1 rows X1, X2, X3, and
+    the fallback ranks it once."""
+    real = reductions.assemble
     real_rank = reductions.sparse_int_rank
     ranked = []
 
@@ -330,13 +342,13 @@ def test_verify_reduction_reports_a_corrupted_basis(monkeypatch):
         ranked.append(rows)
         return real_rank(rows, **kwargs)
 
-    def shared_column(f, orders, **kwargs):
-        matrix = real(f, orders, **kwargs)
+    def shared_column(f, sub_indices, **kwargs):
+        matrix = real(f, sub_indices, **kwargs)
         rows = list(zip(matrix.rows, matrix.entries))
         rows[0] = (rows[0][0], {**rows[0][1], **rows[-1][1]})
         return rebuild(matrix, rows)
 
-    monkeypatch.setattr(reductions, "build_matrix", shared_column)
+    monkeypatch.setattr(reductions, "assemble", shared_column)
     monkeypatch.setattr(reductions, "sparse_int_rank", recording_rank)
     report = verify_reduction(K3)
     assert len(ranked) == 1
@@ -366,30 +378,51 @@ def test_disjoint_row_count_is_the_exact_rank():
         assert disjoint_row_count(matrix) == rank_exact(matrix)
 
 
-def half_matrix(sc):
-    """The matrix ``verify_reduction`` assembles, of orders 1..deg//2, and deg."""
-    degree = len(sc.facets[0]) + 1
-    return build_matrix(complex_to_poly(sc), range(1, degree // 2 + 1)), degree
+def recording_assemble(monkeypatch):
+    """Make ``verify_reduction`` record each matrix it assembles in the list returned."""
+    built = []
+    real = reductions.assemble
+
+    def recording(f, sub_indices, **kwargs):
+        built.append(real(f, sub_indices, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(reductions, "assemble", recording)
+    return built
 
 
-def test_half_orders_give_the_interior_rank_and_certificate(monkeypatch):
-    """dim_plus and basis_verified from the half matrix are those of the
+def test_x_block_gives_the_interior_rank_and_certificate(monkeypatch):
+    """dim_plus and basis_verified from the X-row block are those of the
     whole interior matrix, its exact rank and its distinct-row certificate:
-    from the certified count, and from the fallback rank."""
+    from the certified count, and from the fallback rank, which a column
+    count one too many forces."""
     parities = set()
+    built = recording_assemble(monkeypatch)
     for sc in nonempty_classes_and_random_complexes():
         full = interior_matrix(sc)
         rank, count = rank_exact(full), disjoint_row_count(full)
-        half, degree = half_matrix(sc)
-        parities.add(degree % 2)
-        assert reductions._half_order_dim(half, degree) == (rank, count)
+        block = x_block(sc)
+        parities.add(len(sc.facets[0]) % 2)
+        assert reductions._x_block_dim(block) == (rank, count)
         report = verify_reduction(sc)
+        assert built.pop() == block
         assert report.dim_plus == rank
         assert report.basis_verified is (count == 2 * count_faces(sc))
-        with monkeypatch.context() as patch:
-            patch.setattr(reductions, "_certified_dim", lambda matrix, degree: None)
-            assert reductions._half_order_dim(half, degree) == (rank, None)
+        forced = dataclasses.replace(block, ncols=block.ncols + 1)
+        assert reductions._x_block_dim(forced) == (rank, None)
     assert parities == {0, 1}
+
+
+def test_per_order_dims_are_read_off_the_x_block():
+    """dim_j(f) = phi_j + phi_{D-j} for j = 1..D-1, with phi_j the
+    X-rows of key weight j (faces of size j): the order-j matrix is the
+    X-rows of weight j beside the transpose of those of weight D - j."""
+    for sc in nonempty_classes_and_random_complexes():
+        f = complex_to_poly(sc)
+        phi = Counter(map(int.bit_count, x_block(sc).rows))
+        for j in range(1, f.degree):
+            order_j = rank_exact(build_matrix(f, range(j, j + 1)))
+            assert phi[j] + phi[f.degree - j] == order_j
 
 
 @pytest.mark.parametrize(
@@ -413,21 +446,15 @@ def test_verify_reduction_certifies_without_ranking(monkeypatch, obj):
     assert expected.identity_holds is True and expected.basis_verified is True
 
 
-def test_verify_reduction_assembles_half_the_orders(monkeypatch):
-    """graph6's polynomial has degree 5: its matrix of orders 1..2 has 61
-    rows and 120 entries; the whole interior matrix would have 167 and 240."""
-    built = []
-    real = reductions.build_matrix
-
-    def recording(f, spec, **kwargs):
-        built.append(real(f, spec, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(reductions, "build_matrix", recording)
+def test_verify_reduction_assembles_the_x_block(monkeypatch):
+    """graph6's polynomial has degree 5: its X-row block has 47 rows, one
+    per face, and 120 entries; orders 1..2 would have 61 and 120, the
+    whole interior matrix 167 and 240."""
+    built = recording_assemble(monkeypatch)
     report = verify_reduction(parse_graph((DATA / "graph6.graph").read_text()))
     assert report.identity_holds is True and report.basis_verified is True
     [matrix] = built
-    assert (matrix.nrows, sum(map(len, matrix.entries))) == (61, 120)
+    assert (matrix.nrows, sum(map(len, matrix.entries))) == (47, 120)
 
 
 def test_verify_reduction_k3():
@@ -482,7 +509,7 @@ def test_exhaustive_identity_small():
 
 
 def test_exhaustive_lists_failures_by_edge_bitmask(monkeypatch):
-    monkeypatch.setattr(reductions, "_certified_dim", lambda matrix, degree: 0)
+    monkeypatch.setattr(reductions, "_x_block_dim", lambda matrix: (0, 0))
     summary = exhaustive_verify(3, check_basis=True)
     # the empty graph (bitmask 0) is not applicable and its basis is trivially fine
     assert summary["identity_failures"] == list(range(1, 8))
@@ -536,19 +563,19 @@ def test_every_labeling_reports_as_its_class_representative():
 def test_exhaustive_failures_expand_to_every_labeling(monkeypatch):
     """An isomorphism-invariant fault: the class run lists what a run over
     every labeled graph lists."""
-    real_count = reductions._certified_dim
+    real = reductions._x_block_dim
 
-    def count_off(matrix, degree):
-        """One distinct row too many (two, doubled by its transpose) on 7
-        half-matrix rows; no certificate for six faces (6 distinct rows of
-        order 1, the whole half matrix at n=4, 12 counted), so the fallback
-        rank meets the identity there."""
-        count = real_count(matrix, degree)
-        if count == 12:
-            return None
-        return count + 2 * (matrix.nrows == 7)
+    def count_off(matrix):
+        """One row too many (two, doubled by its transpose) on 7 X-rows;
+        no certificate for six faces (6 X-rows, 12 counted), where the
+        fallback rank, forced by a column count one too many, meets the
+        identity."""
+        if matrix.nrows == 6:
+            return real(dataclasses.replace(matrix, ncols=matrix.ncols + 1))
+        dim, count = real(matrix)
+        return dim + 2 * (matrix.nrows == 7), count + 2 * (matrix.nrows == 7)
 
-    monkeypatch.setattr(reductions, "_certified_dim", count_off)
+    monkeypatch.setattr(reductions, "_x_block_dim", count_off)
     labeled = [verify_reduction(g) for g in all_graphs(4)]
     identity = [bits for bits, r in enumerate(labeled) if r.identity_holds is False]
     basis = [bits for bits, r in enumerate(labeled) if not r.basis_verified]
