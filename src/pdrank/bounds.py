@@ -9,15 +9,19 @@ term, so the best term's profile entry is a ceiling: the lower bound
 takes the lex candidates first, then runs vertex trials lazily, and
 stops as soon as a candidate reaches it.  A vertex trial is one
 big-integer sum of the weights times packed exponent columns, with one
-fixed-width byte slot per term.  Upper bounds use linearity of
+fixed-width byte slot per term; its weights are ``randint``'s numbers,
+drawn in C from ``getrandbits``.  Upper bounds use linearity of
 differentiation plus row/column counts of the order-k derivative matrix.
+Both bounds read the terms off the polynomial's term view and take the
+order-k profile column: the public functions compute it and wrap private
+helpers, which an order-k report calls with one column.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice, repeat
 from operator import itemgetter, mul
 from typing import Iterator, Sequence
 
@@ -127,13 +131,26 @@ def extremal_monomial(f: SparsePoly, order: MonomialOrderSpec) -> ExponentVector
     """Exponent vector of the term extremal under the given lex order."""
     if f.is_zero:
         raise ValueError("extremal monomial of the zero polynomial")
-    monomials = [t.exps for t in f.terms]
+    monomials = f.term_view.exps
     return monomials[_lex_extreme(monomials, order)]
+
+
+def _uniform_draws(rng: random.Random, bound: int) -> Iterator[int]:
+    """The numbers of ``rng.randint(-bound, bound)`` called again and again, drawn in C.
+
+    CPython's randint(-b, b) is -b + r for the first r < 2b + 1 that
+    ``getrandbits((2b + 1).bit_length())`` returns, so filtering that
+    stream gives the same numbers from the same generator state, without
+    a Python call per number.
+    """
+    width = 2 * bound + 1
+    draws = map(rng.getrandbits, repeat(width.bit_length()))
+    return map(bound.__rsub__, filter(width.__gt__, draws))
 
 
 def _unique_maximizers(
     monomials: Sequence[ExponentVector], trials: int, rng_seed: int
-) -> Iterator[tuple[int, tuple[int, ...]]]:
+) -> Iterator[tuple[int, list[int]]]:
     """Yield (term index, weight vector) for each trial with a unique maximizer.
 
     Every term gets a fixed-width slot of big-endian bytes.  Column i is
@@ -142,13 +159,13 @@ def _unique_maximizers(
     holds each term's weighted value shifted to be nonnegative.  Slots
     are wide enough for twice that shift, so no slot carries into the
     next, and equal-length big-endian bytes compare like the numbers
-    they encode.  The weights are drawn in the same order as one
-    ``randint`` per coordinate per trial.
+    they encode.  The weights are the numbers of one
+    ``randint(-WEIGHT_BOUND, WEIGHT_BOUND)`` per coordinate per trial
+    (:func:`_uniform_draws`).
     """
-    rng = random.Random(rng_seed)
-    bound = WEIGHT_BOUND
+    weights = _uniform_draws(random.Random(rng_seed), WEIGHT_BOUND)
     n = len(monomials[0])
-    shift = bound * max(map(sum, monomials))
+    shift = WEIGHT_BOUND * max(map(sum, monomials))
     width = (2 * shift).bit_length() // 8 + 1
     columns = list(zip(*monomials))
     slot_bytes = {e: e.to_bytes(width, "big") for e in set().union(*columns)}
@@ -159,7 +176,7 @@ def _unique_maximizers(
     offset = int.from_bytes(shift.to_bytes(width, "big") * len(monomials), "big")
     slots = [slice(s, s + width) for s in range(0, size, width)]
     for _ in range(trials):
-        w = tuple(rng.randint(-bound, bound) for _ in range(n))
+        w = list(islice(weights, n))
         data = sum(map(mul, w, packed), offset).to_bytes(size, "big")
         values = list(map(data.__getitem__, slots))
         best = max(values)
@@ -185,10 +202,10 @@ def vertex_sample(
     """
     if f.is_zero:
         raise ValueError("vertex sample of the zero polynomial")
-    monomials = [t.exps for t in f.terms]
+    monomials = f.term_view.exps
     found: dict[ExponentVector, tuple[int, ...]] = {}
     for j, w in _unique_maximizers(monomials, trials, rng_seed):
-        found.setdefault(monomials[j], w)
+        found.setdefault(monomials[j], tuple(w))
     return found
 
 
@@ -229,8 +246,14 @@ def lower_bound_extremal(
         raise ValueError("lower bound of the zero polynomial")
     if not 0 <= k <= f.degree:  # no derivative of order k
         return 0
-    monomials = [t.exps for t in f.terms]
-    column = _profile_column(monomials, k)
+    column = _profile_column(f.term_view.exps, k)
+    return _extremal_lower(f, column, orders, vertex_trials, rng_seed)
+
+
+def _extremal_lower(f: SparsePoly, column: list[int], orders, vertex_trials: int, rng_seed: int):
+    """:func:`lower_bound_extremal` of a nonzero f, given its order-k profile
+    column (:func:`_profile_column`), which is all zeros past f's degree."""
+    monomials = f.term_view.exps
     ceiling = max(column)
     if orders is None:
         orders = default_order_family(len(f.vars))
@@ -262,8 +285,15 @@ def upper_bound_linearity(
     """
     if f.is_zero or not 0 <= k <= f.degree:
         return 0
-    per_term = sum(_profile_column([t.exps for t in f.terms], k))
     if matrix is None:
         matrix = build_matrix(f, range(k, k + 1))
-    distinct_cols = set(map(frozenset, map(dict.items, matrix.columns().values())))
-    return min(per_term, len(matrix.distinct_rows()), len(distinct_cols))
+    return _linearity_upper(_profile_column(f.term_view.exps, k), matrix)
+
+
+def _linearity_upper(column: list[int], matrix: DerivMatrix) -> int:
+    """:func:`upper_bound_linearity` from f's order-k profile column and matrix.
+
+    Each line is filled in ascending key (see ``DerivMatrix``), so equal lines have equal tuples.
+    """
+    distinct_cols = set(map(tuple, map(dict.items, matrix.columns().values())))
+    return min(sum(column), len(matrix.distinct_rows()), len(distinct_cols))

@@ -100,7 +100,7 @@ class Options:
             if value is not None and value is not False:
                 raise ValueError(f"--{name.replace('_', '-')} {why}")
         opts = cls()
-        for knob in fields(cls):
+        for knob in KNOBS:
             if args.subcommand not in knob.metadata["commands"]:
                 continue
             text = getattr(args, knob.name)  # None where the flag is absent
@@ -114,6 +114,12 @@ class Options:
                 raise ValueError(f"{flag} must be {rule}, got {value}")
             setattr(opts, knob.name, value)
         return opts
+
+
+# Built once: each fields() call makes a 12-item tuple from a generator, which
+# CPython resizes from a 10-item guess, and once freed such a tuple stays in
+# the free list of its size, one more per request.
+KNOBS = fields(Options)
 
 
 def unread_flags(args: argparse.Namespace) -> tuple[tuple[str, ...], str]:
@@ -172,11 +178,11 @@ def trace_section(
     derivative matrix when the request has built one (dim --k, bounds):
     the Gram route of Tr(B^2) then takes M as its 0/1-key rows.  Without
     it (trace, or a matrix past its caps) M is assembled on its own, so
-    the trace needs no matrix cap.  Returns the trace statistics, the scaled-basis L and the report
-    entries.
+    the trace needs no matrix cap.  Tr(B) and the scaled-basis L share
+    one sum over the terms.  Returns the trace statistics, the scaled-basis
+    L and the report entries.
     """
-    stats = trace.trace_stats(scaled, k, budget=opts.budget, matrix=matrix)
-    l_scaled = trace.closed_form_L(scaled, k)
+    stats, l_scaled = trace._stats_and_L(scaled, k, opts.budget, matrix)
     entries = {
         "trace": {
             "k": stats.k,
@@ -253,11 +259,11 @@ def build_bound_report(f: SparsePoly, k: int, args: argparse.Namespace, opts: Op
     orders = parse_order_flag(args, len(f.vars))
     if capped is not None:
         raise capped
+    # One order-k profile column serves both bounds; past the degree it is all zeros.
+    column = bounds_mod._profile_column(f.term_view.exps, k)
     table = {
         "extremal_lower": (
-            bounds_mod.lower_bound_extremal(
-                f, k, orders=orders, vertex_trials=opts.vertex_trials, rng_seed=opts.seed
-            ),
+            bounds_mod._extremal_lower(f, column, orders, opts.vertex_trials, opts.seed),
             f"max single-monomial profile over {len(orders)} lex orders "
             f"plus {opts.vertex_trials} certified vertex trials (seed {opts.seed})",
         ),
@@ -267,7 +273,7 @@ def build_bound_report(f: SparsePoly, k: int, args: argparse.Namespace, opts: Op
             "Tr(B)^2/Tr(B^2), B = M^T M, M the order-k rows with 0/1 keys; exact",
         ),
         "linearity_upper": (
-            bounds_mod.upper_bound_linearity(f, k, matrix=matrix),
+            bounds_mod._linearity_upper(column, matrix),
             "min(per-term profile sum, distinct rows, distinct cols)",
         ),
     }
@@ -566,7 +572,7 @@ def cmd_random_corpus(args: argparse.Namespace) -> int:
 def _add_knobs(sub: argparse.ArgumentParser, command: str) -> None:
     """--format and the flag of each Options field the command's handler reads, as text."""
     sub.add_argument("--format", choices=["json", "text"], default="text")
-    for knob in fields(Options):
+    for knob in KNOBS:
         if command in knob.metadata["commands"]:
             sub.add_argument("--" + knob.name.replace("_", "-"))
 

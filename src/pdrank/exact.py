@@ -17,11 +17,10 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from operator import mul
 from typing import Callable, Iterable
 
-from .combinat import cleared, packed_box, packed_sub_indices
+from .combinat import packed_box, packed_sub_indices
 from .errors import ResourceLimitError
 from .polyio import (
     SCALED,
@@ -47,7 +46,8 @@ class DerivMatrix:
     in the most significant slot, so int order is the lex order of the
     exponent vectors.  ``rows`` holds the packed differentiation
     multi-indices, ascending; ``entries`` holds one {packed result
-    monomial: value} dict per row, filled in term order; ``ncols`` counts
+    monomial: value} dict per row, filled in term order, which is ascending
+    result key (see :func:`assemble`); ``ncols`` counts
     the distinct result monomials.  Entries are the scaled-basis
     coefficients times ``clear_factor`` (the lcm of their denominators), so
     the stored matrix is integral.  Rows and columns are never identically
@@ -63,12 +63,12 @@ class DerivMatrix:
     def nrows(self) -> int:
         return len(self.rows)
 
-    def distinct_rows(self) -> set[frozenset[tuple[int, int]]]:
-        """The distinct rows, each the frozenset of its (column key, value) entries."""
-        return set(map(frozenset, map(dict.items, self.entries)))
+    def distinct_rows(self) -> set[tuple[tuple[int, int], ...]]:
+        """The distinct rows, each the tuple of its (column key, value) entries, in key order."""
+        return set(map(tuple, map(dict.items, self.entries)))
 
     def columns(self) -> dict[int, dict[int, int]]:
-        """The columns: {column key: {row key: value}}, each filled in ascending row order.
+        """The columns: {column key: {row key: value}}, each filled in ascending row key.
 
         Built on the first call and kept, so every caller of one matrix
         shares one view; treat it as read-only, like ``entries``.
@@ -104,7 +104,7 @@ def derivative(f: SparsePoly, beta: ExponentVector) -> SparsePoly:
 
 def slot_width(scaled: SparsePoly) -> int:
     """The bit width of one exponent slot in the packed keys of f's derivative matrices."""
-    return max(chain.from_iterable(t.exps for t in scaled.terms), default=0).bit_length()
+    return scaled.term_view.max_exp.bit_length()
 
 
 def assemble(
@@ -124,21 +124,24 @@ def assemble(
     enumerators of :mod:`pdrank.combinat` draw each beta as a sum of units
     over alpha's support in C-level ``combinations`` or ``product``, so a
     nonzero entry costs a few dict and set operations whatever the number
-    of variables, plus sorting the row keys.  Both caps are checked as each
-    row or column is added, so ``actual`` is one past the cap.  A column
-    past the cap is left out and the walk goes on, still counting rows: if
-    the rows overflow too, ``rows`` is reported, else ``cols`` once the
-    walk ends.  So the walk never holds more than the caps admit.
+    of variables, plus sorting the row keys.  The terms come in ascending
+    lex order, which is ascending packed key, and subtracting one beta
+    keeps that order, so every row is filled in ascending column key.
+    Both caps are checked as each row or column is added, so ``actual``
+    is one past the cap.  A column past the cap is left out and the walk
+    goes on, still counting rows: if the rows overflow too, ``rows`` is
+    reported, else ``cols`` once the walk ends.  So the walk never holds
+    more than the caps admit.
     """
-    clear, coefs = cleared(t.coef for t in scaled.terms)
+    clear, coefs = scaled.cleared
     width = slot_width(scaled)
     units = [1 << width * i for i in reversed(range(len(scaled.vars)))]
     by_row: dict[int, dict[int, int]] = {}
     col_set: set[int] = set()
     cols_over = False
-    for t, a in zip(scaled.terms, coefs):
-        top = sum(map(mul, t.exps, units))
-        for beta in sub_indices(t.exps, units):
+    for alpha, a in zip(scaled.term_view.exps, coefs):
+        top = sum(map(mul, alpha, units))
+        for beta in sub_indices(alpha, units):
             row = by_row.get(beta)
             if row is None:
                 if len(by_row) >= max_rows:

@@ -14,6 +14,10 @@ Two coefficient conventions are supported, recorded in ``SparsePoly.basis``:
   Converting multiplies each coefficient by prod(a_i!).
 
 All values are immutable after construction and all functions are pure.
+What the other layers read per term is kept on the polynomial: the data of
+its exponent vectors in one ``TermView`` (``SparsePoly.term_view``) and its
+coefficients cleared to integers (``SparsePoly.cleared``), each computed on
+its first read, so each per-term pass runs once however many layers read it.
 """
 
 from __future__ import annotations
@@ -22,11 +26,13 @@ import math
 import operator
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Callable, Collection, Iterable, NoReturn, Sequence
 
+from .combinat import cleared
 from .errors import InvariantViolation, ParseError, ResourceLimitError
 
 # One natural number per variable of the ambient variable list.
@@ -91,6 +97,53 @@ class Term:
     exps: ExponentVector
 
 
+class _once:
+    """A method read as an attribute, computed on the first read and kept in the instance:
+    ``functools.cached_property`` without the lock (about 2 µs a first read) of Python < 3.12."""
+
+    def __init__(self, method):
+        self.method = method
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.method.__name__] = self.method(obj)
+        return value
+
+
+class TermView:
+    """The per-term data of a list of exponent vectors, each item computed on its first read.
+
+    ``exps`` holds the vectors, ``sizes`` their support sizes and
+    ``degrees`` their total degrees, in the same order (read-only lists;
+    lists, not tuples: see ``exact.assemble``).  ``max_exp`` is the largest
+    exponent (0 without any) and ``pairs`` the number of ordered pairs of
+    equal total degree.  A polynomial's degree and shape flags are read off
+    its view.  The view depends on the exponents only, so ``to_scaled``
+    hands f's view to the scaled polynomial.
+    """
+
+    def __init__(self, exps: list[ExponentVector]):
+        self.exps = exps
+
+    @_once
+    def sizes(self) -> list[int]:
+        return list(map(support_size, self.exps))
+
+    @_once
+    def degrees(self) -> list[int]:
+        return list(map(sum, self.exps))
+
+    @_once
+    def max_exp(self) -> int:
+        return max(chain.from_iterable(self.exps), default=0)
+
+    @_once
+    def pairs(self) -> int:
+        counts = Counter(self.degrees).values()
+        return sum(map(operator.mul, counts, counts))
+
+
 @dataclass(frozen=True)
 class SparsePoly:
     """Canonical sparse polynomial: terms sorted by exponent vector, no zeros.
@@ -108,7 +161,7 @@ class SparsePoly:
             raise ValueError("duplicate variable names")
         if self.basis not in (ORDINARY, SCALED):
             raise ValueError(f"unknown basis {self.basis!r}")
-        exps = self.exps_list()
+        exps = list(map(_EXPS_OF, self.terms))
         _check_exps(exps, len(self.vars))
         if not all(map(_COEF_OF, self.terms)):
             raise ValueError("zero coefficient stored")
@@ -135,9 +188,16 @@ class SparsePoly:
         _check_exps(exps, len(variables))
         return _canonical(variables, exps, coefs, basis)
 
-    def exps_list(self) -> list[ExponentVector]:
-        """The exponent vectors of the terms, in term order."""
-        return list(map(_EXPS_OF, self.terms))
+    @_once
+    def term_view(self) -> TermView:
+        """The per-term data of f's exponent vectors (see :class:`TermView`), kept."""
+        return TermView(list(map(_EXPS_OF, self.terms)))
+
+    @_once
+    def cleared(self) -> tuple[int, list[int]]:
+        """``combinat.cleared`` of the coefficients: their common denominator and the
+        integers it makes of them, in term order; computed on the first read and kept."""
+        return cleared(map(_COEF_OF, self.terms))
 
     @property
     def is_zero(self) -> bool:
@@ -148,15 +208,15 @@ class SparsePoly:
         """Max total degree over terms; rejects the zero polynomial."""
         if not self.terms:
             raise ValueError("degree of the zero polynomial is undefined")
-        return max(map(sum, self.exps_list()))
+        return max(self.term_view.degrees)
 
     @property
     def is_multilinear(self) -> bool:
-        return max(chain.from_iterable(self.exps_list()), default=0) <= 1
+        return self.term_view.max_exp <= 1
 
     @property
     def is_homogeneous(self) -> bool:
-        return len(set(map(sum, self.exps_list()))) <= 1
+        return len(set(self.term_view.degrees)) <= 1
 
     def coefficient(self, exps: ExponentVector) -> Fraction:
         for t in self.terms:
@@ -185,8 +245,8 @@ def _canonical(
         for e, c in zip(exps, coefs):
             acc[e] = acc[e] + c if e in acc else c
     terms = tuple(
-        Term(c if type(c) is Fraction else Fraction(c), e) for e, c in sorted(acc.items()) if c
-    )
+        [Term(c if type(c) is Fraction else Fraction(c), e) for e, c in sorted(acc.items()) if c]
+    )  # from a list: see exact.assemble
     return SparsePoly(tuple(variables), terms, basis)
 
 
@@ -200,18 +260,22 @@ def to_scaled(f: SparsePoly) -> SparsePoly:
     """
     if f.basis != ORDINARY:
         raise ValueError("to_scaled expects an ordinary-basis polynomial")
-    exps = f.exps_list()
-    total = sum(map(sum, exps))
+    exps = f.term_view.exps
+    total = sum(f.term_view.degrees)
     if total * total.bit_length() > MAX_SCALED_BITS:  # at least the sum below
         bits = sum(e * e.bit_length() for e in chain.from_iterable(exps))
         if bits > MAX_SCALED_BITS:
             raise ResourceLimitError("scaled-bits", MAX_SCALED_BITS, bits)
     factors = map(factorial_product, exps)
     terms = tuple(
-        t if m == 1 else Term(Fraction(t.coef.numerator * m, t.coef.denominator), t.exps)
-        for t, m in zip(f.terms, factors)
-    )
-    return SparsePoly(f.vars, terms, SCALED)
+        [
+            t if m == 1 else Term(Fraction(t.coef.numerator * m, t.coef.denominator), t.exps)
+            for t, m in zip(f.terms, factors)
+        ]
+    )  # from a list: see exact.assemble
+    scaled = SparsePoly(f.vars, terms, SCALED)
+    scaled.__dict__["term_view"] = f.term_view  # the same exponent vectors
+    return scaled
 
 
 def to_ordinary(f: SparsePoly) -> SparsePoly:

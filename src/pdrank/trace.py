@@ -41,6 +41,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
+from math import comb
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -101,20 +102,32 @@ def _require_scaled(f: SparsePoly, who: str) -> None:
         raise ValueError(f"{who} is undefined for the zero polynomial")
 
 
-def _support_sum(support: Iterable[ExponentVector], weights: Iterable[int], k: int) -> int:
-    """The integer sum over P of C(sup(P), k) * w_P."""
-    return sum(binom(support_size(exps), k) * w for exps, w in zip(support, weights))
+def _binomials(sizes: Iterable[int], k: int) -> list[int]:
+    """C(size, k) for each support size, in C; none for a negative k, so every sum is 0."""
+    return list(map(comb, sizes, repeat(k))) if k >= 0 else []
+
+
+def _closed_form(sizes: Iterable[int], coefs: list[int], k: int) -> tuple[int, Fraction]:
+    """W = sum_P C(sup(P), k) * a_P^2 over integer a_P, and L = W / (|terms| * sum_P a_P^2)."""
+    squares = [a * a for a in coefs]
+    weighted = sum(map(mul, _binomials(sizes, k), squares))
+    return weighted, Fraction(weighted, len(squares) * sum(squares))
+
+
+def _trace_B_and_L(f: SparsePoly, k: int) -> tuple[Fraction, Fraction]:
+    """Tr(B) = W / D^2 and L(f), from f's coefficients cleared by their common denominator D."""
+    clear, coefs = f.cleared
+    weighted, l_bound = _closed_form(f.term_view.sizes, coefs, k)
+    return Fraction(weighted, clear * clear), l_bound
 
 
 def trace_B(f: SparsePoly, k: int) -> Fraction:
     """Tr(B) = sum over terms of C(sup(P), k) * a_P^2 (scaled coefficients).
 
-    Summed in integers, with the common denominator L cleared: one division by L^2.
+    Summed in integers, with the common denominator cleared: one division by its square.
     """
     _require_scaled(f, "trace_B")
-    clear, coefs = cleared(t.coef for t in f.terms)
-    squares = (a * a for a in coefs)
-    return Fraction(_support_sum((t.exps for t in f.terms), squares, k), clear * clear)
+    return _trace_B_and_L(f, k)[0]
 
 
 def count_N(
@@ -168,11 +181,10 @@ def _check_work(work: int, budget: int) -> None:
 def check_pair_budget(f: SparsePoly, budget: int = DEFAULT_TRIPLE_BUDGET) -> int:
     """The ordered term pairs of equal total degree, refused past ``budget``.
 
-    The first cap of both Tr(B^2) routes, in O(s): a caller that builds
-    more before the trace can check it first.
+    The first cap of both Tr(B^2) routes, read off f's term view: a caller
+    that builds more before the trace can check it first.
     """
-    degrees = Counter(sum(t.exps) for t in f.terms)
-    pairs = sum(c * c for c in degrees.values())
+    pairs = f.term_view.pairs
     _check_work(pairs, budget)
     return pairs
 
@@ -208,7 +220,7 @@ def trace_B2(
     """
     _require_scaled(f, "trace_B2")
     pairs = check_pair_budget(f, budget)
-    nnz = _support_sum((t.exps for t in f.terms), repeat(1), k)
+    nnz = sum(_binomials(f.term_view.sizes, k))
     if nnz <= pairs:
         value = _gram_B2(f, k, nnz, budget, matrix)
         if value is not None:
@@ -264,9 +276,11 @@ def _zero_one_rows(matrix: DerivMatrix, scaled: SparsePoly) -> DerivMatrix:
     keep = [i for i, beta in enumerate(matrix.rows) if not beta & high]
     if len(keep) == matrix.nrows:
         return matrix
-    entries = tuple(matrix.entries[i] for i in keep)
+    # Tuples from lists: see exact.assemble.
+    entries = tuple([matrix.entries[i] for i in keep])
     ncols = len(set(chain.from_iterable(entries)))
-    return DerivMatrix(tuple(matrix.rows[i] for i in keep), entries, ncols, matrix.clear_factor)
+    rows = tuple([matrix.rows[i] for i in keep])
+    return DerivMatrix(rows, entries, ncols, matrix.clear_factor)
 
 
 def _cheaper_side(matrix: DerivMatrix) -> tuple[Iterable[dict[int, int]], int]:
@@ -343,13 +357,14 @@ def _grouped_B2(f: SparsePoly, k: int, budget: int) -> Fraction:
     # as 2^stride = 1 modulo `fold` the sum is the packed value mod `fold`
     # (exact: the union is below 2^n < fold).
     fold = (1 << stride) - 1
-    clear, coefs = cleared(t.coef for t in f.terms)
+    view = f.term_view
+    clear, coefs = f.cleared
+    _check_work(view.pairs, budget)
     by_degree: dict[int, list[tuple[int, int, int]]] = {}
-    for t, a in zip(f.terms, coefs):
+    for alpha, degree, a in zip(view.exps, view.degrees, coefs):
         # Bit i at levels 1..e_i: a run of e_i ones at the stride, shifted by i.
-        levels = sum(((1 << e * stride) - 1) // fold << i for i, e in enumerate(t.exps))
-        by_degree.setdefault(sum(t.exps), []).append((levels, levels & fold, a))
-    _check_work(sum(len(group) ** 2 for group in by_degree.values()), budget)
+        levels = sum(((1 << e * stride) - 1) // fold << i for i, e in enumerate(alpha))
+        by_degree.setdefault(degree, []).append((levels, levels & fold, a))
 
     # Equal total degree and steps in {-1,0,1} make the +1 and -1 counts equal.
     buckets: dict[tuple[int, int], dict[int, int]] = {}
@@ -397,13 +412,17 @@ def trace_stats(
     ``matrix``, when given, is f's order-k derivative matrix, from which
     :func:`trace_B2` takes M.
     """
+    return _stats_and_L(f, k, budget, matrix)[0]
+
+
+def _stats_and_L(f: SparsePoly, k: int, budget: int, matrix: DerivMatrix | None):
+    """:func:`trace_stats`, and :func:`closed_form_L` of the scaled coefficients: Tr(B) and L
+    share their sum over the terms, so it is taken once."""
     scaled = f if f.basis == SCALED else to_scaled(f)
-    return TraceStats(
-        k,
-        len(scaled.terms),
-        trace_B(scaled, k),
-        trace_B2(scaled, k, budget=budget, matrix=matrix),
-    )
+    _require_scaled(scaled, "trace_B")
+    tr_b, l_scaled = _trace_B_and_L(scaled, k)
+    tr_b2 = trace_B2(scaled, k, budget=budget, matrix=matrix)
+    return TraceStats(k, len(scaled.terms), tr_b, tr_b2), l_scaled
 
 
 def closed_form_L(f: SparsePoly, k: int) -> Fraction:
@@ -416,7 +435,7 @@ def closed_form_L(f: SparsePoly, k: int) -> Fraction:
     """
     if f.is_zero:
         raise ValueError("closed_form_L is undefined for the zero polynomial")
-    return semirandom_L([t.exps for t in f.terms], [t.coef for t in f.terms], k)
+    return _closed_form(f.term_view.sizes, f.cleared[1], k)[1]
 
 
 @dataclass(frozen=True)
@@ -471,8 +490,7 @@ def semirandom_L(
     The sums are taken in integers: the coefficients are scaled by their
     common denominator, whose square cancels from the ratio.
     """
-    squares = [a * a for a in cleared(coefs)[1]]
-    return Fraction(_support_sum(support, squares, k), len(support) * sum(squares))
+    return _closed_form(map(support_size, support), cleared(coefs)[1], k)[1]
 
 
 def semirandom_estimate(
@@ -509,4 +527,4 @@ def semirandom_estimate(
 def semirandom_expectation(support: Sequence[ExponentVector], k: int) -> Fraction:
     """The exact expectation of L(f): sum_P C(sup(P), k) / |support|^2."""
     s = len(support)
-    return Fraction(_support_sum(support, repeat(1), k), s * s)
+    return Fraction(sum(_binomials(map(support_size, support), k)), s * s)

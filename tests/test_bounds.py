@@ -154,6 +154,20 @@ def test_vertex_sample_matches_dense_reference(monkeypatch, bound):
         assert list(vertex_sample(f, trials, i).items()) == list(want.items())
 
 
+@pytest.mark.parametrize("bound", [bounds.WEIGHT_BOUND, 2, 1], ids=["default", "two", "one"])
+def test_weight_draws_are_randint_numbers(bound):
+    """The C-level draw gives ``randint(-bound, bound)``'s numbers and leaves the same state.
+
+    2000 draws a seed reject many getrandbits values: about half of them
+    at the default bound, 3 in 8 at bound 2 and 1 in 4 at bound 1.
+    """
+    for seed in range(20):
+        reference, rng = random.Random(seed), random.Random(seed)
+        want = [reference.randint(-bound, bound) for _ in range(2000)]
+        assert list(itertools.islice(bounds._uniform_draws(rng, bound), 2000)) == want, seed
+        assert rng.getrandbits(64) == reference.getrandbits(64), seed
+
+
 def reference_lower_bound(f, k, orders, trials, rng_seed):
     """The loop lower_bound_extremal replaced: every candidate's full profile."""
     best = 0

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdrank import cli, exact, polyio, reductions, report, symmetric, trace
+from pdrank import bounds, cli, combinat, exact, polyio, reductions, report, symmetric, trace
 
 DATA = Path(__file__).parent / "data"
 
@@ -901,8 +901,13 @@ def test_invariant_violation_exit_4(capsys, poly_file, monkeypatch):
     ],
 )
 def test_each_side_of_the_sandwich_exit_4(capsys, poly_file, monkeypatch, bound, name, value):
-    """An upper bound below the exact rank, or a lower bound above it, trips the self-check."""
-    monkeypatch.setattr(cli.bounds_mod, bound, lambda *a, **kw: value)
+    """An upper bound below the exact rank, or a lower bound above it, trips the self-check.
+
+    The report calls the private helper that each public bound wraps, with
+    the profile column the two bounds share.
+    """
+    helper = {"upper_bound_linearity": "_linearity_upper", "lower_bound_extremal": "_extremal_lower"}
+    monkeypatch.setattr(cli.bounds_mod, helper[bound], lambda *a, **kw: value)
     code, out, err = run(capsys, "dim", "--k", "1", poly_file("x1*x2 + x3"))
     assert (code, out) == (4, "")
     assert err.startswith("internal invariant violation: bound sandwich violated for k=1: ")
@@ -1100,13 +1105,84 @@ GOLDEN_DIR = Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize("command", ["bounds", "trace", "dim"])
-@pytest.mark.parametrize("name", ["rational", "sym_4_8", "multilinear40"])
+@pytest.mark.parametrize("name", ["rational", "sym_4_8", "multilinear40", "rational40"])
 def test_reports_match_golden_bytes(capsys, name, command):
-    """Reports stay byte-identical to the recorded ones (regenerate only on purpose)."""
+    """Reports stay byte-identical to the recorded ones (regenerate only on purpose).
+
+    ``rational40`` is 40 terms of degree up to 5 whose extremal bound at k=2
+    runs all 32 vertex trials.
+    """
     poly = GOLDEN_DIR / f"{name}.poly"
     code, out, _ = run(capsys, command, str(poly), "--k", "2", "--format", "json")
     assert code == 0
     assert out == (GOLDEN_DIR / f"{name}.{command}_k2.json").read_text()
+
+
+def test_order_k_report_takes_each_per_term_pass_once(capsys, monkeypatch):
+    """A 40-term ``dim --k 2`` runs each per-term pass once, and draws no ``randint``.
+
+    ``combinat.cleared`` runs once per polynomial object (the scaled one for
+    the matrix and the trace, the ordinary one for its L); one term view
+    serves both, as ``to_scaled`` hands over f's; one profile column serves
+    both bounds; and the vertex trials, all 32 of which run on this input,
+    take exactly the ``getrandbits`` calls of 32 * 8 ``randint`` weights.
+    """
+    cleared_inputs = []
+    cleared = combinat.cleared
+
+    def counting_cleared(coefs):
+        cleared_inputs.append(list(coefs))
+        return cleared(cleared_inputs[-1])
+
+    views = []
+
+    class CountingView(polyio.TermView):
+        def __init__(self, exps):
+            views.append(exps)
+            super().__init__(exps)
+
+    columns = []
+    profile_column = bounds._profile_column
+
+    def counting_column(monomials, k):
+        columns.append(k)
+        return profile_column(monomials, k)
+
+    draws = {"getrandbits": 0, "randint": 0}
+
+    class CountingRandom(random.Random):
+        def getrandbits(self, k):
+            draws["getrandbits"] += 1
+            return super().getrandbits(k)
+
+        def randint(self, a, b):
+            draws["randint"] += 1
+            return super().randint(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pdrank.") and getattr(module, "cleared", None) is cleared:
+            monkeypatch.setattr(module, "cleared", counting_cleared)
+    monkeypatch.setattr(polyio, "TermView", CountingView)
+    monkeypatch.setattr(bounds, "_profile_column", counting_column)
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    path = GOLDEN_DIR / "rational40.poly"
+    code, out, _ = run(capsys, "dim", str(path), "--k", "2", "--format", "json")
+    assert (code, out) == (0, (GOLDEN_DIR / "rational40.dim_k2.json").read_text())
+    monkeypatch.undo()
+
+    f = cli.load_poly(str(path))
+    ordinary, scaled = [t.coef for t in f.terms], [t.coef for t in polyio.to_scaled(f).terms]
+    assert ordinary != scaled
+    assert sorted(cleared_inputs) == sorted([ordinary, scaled])
+    assert len(views) == 1
+    assert columns == [2]
+    assert draws["randint"] == 0
+    width = 2 * bounds.WEIGHT_BOUND + 1
+    reference, calls, accepted = random.Random(0), 0, 0
+    while accepted < 32 * len(f.vars):
+        calls += 1
+        accepted += reference.getrandbits(width.bit_length()) < width
+    assert draws["getrandbits"] == calls
 
 
 @pytest.mark.parametrize(

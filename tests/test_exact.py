@@ -326,6 +326,27 @@ def test_line_view_matches_naive_transpose_and_sorted_rows():
             assert {tuple(sorted(row)) for row in distinct} == sorted_rows, (f, orders)
 
 
+def test_lines_fill_in_ascending_key_order():
+    """Rows fill in ascending column key, columns in ascending row key, on every window.
+
+    So a line's entry tuple identifies it: counting distinct lines by tuple
+    gives the frozenset count, as ``distinct_rows`` and the linearity bound rely on.
+    """
+    polys = random_polys(seed=85, count=40, max_vars=5, max_terms=20, max_degree=5)
+    assert any(not f.is_multilinear for f in polys)
+    for f in polys:
+        top = f.degree + 1
+        for orders in itertools.starmap(range, itertools.combinations(range(top + 2), 2)):
+            m = build_matrix(f, orders)
+            cols = m.columns()
+            assert all(list(row) == sorted(row) for row in m.entries), (f, orders)
+            assert all(list(col) == sorted(col) for col in cols.values()), (f, orders)
+            rows_by_set = set(map(frozenset, map(dict.items, m.entries)))
+            assert len(m.distinct_rows()) == len(rows_by_set), (f, orders)
+            col_items = [col.items() for col in cols.values()]
+            assert len(set(map(tuple, col_items))) == len(set(map(frozenset, col_items)))
+
+
 def test_packed_keys_match_tuple_reference_on_graph_classes():
     pairs = list(itertools.combinations(range(1, 7), 2))
     for bits, _ in graph_classes(6):

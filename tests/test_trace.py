@@ -4,7 +4,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations, product, repeat
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -245,13 +245,18 @@ def test_oracle_gram_stays_sparse():
     assert peak < 10_000_000
 
 
+def order_k_nnz(scaled, k: int) -> int:
+    """The entries of M: C(sup(P), k) per term P."""
+    return sum(binom(support_size(t.exps), k) for t in scaled.terms)
+
+
 def routes_match_count_n(scaled, k: int) -> bool:
     """trace_B2 and each route, forced, equal the count_N sum; so does the Gram sum of M's rows.
 
     Returns whether the Gram route read M's rows (else its columns).
     """
     expected = triple_sum_by_count_N(scaled, k)
-    nnz = trace_module._support_sum((t.exps for t in scaled.terms), repeat(1), k)
+    nnz = order_k_nnz(scaled, k)
     assert trace_B2(scaled, k) == expected, (scaled, k)
     assert trace_module._gram_B2(scaled, k, nnz, DEFAULT_TRIPLE_BUDGET) == expected, (scaled, k)
     assert trace_module._grouped_B2(scaled, k, DEFAULT_TRIPLE_BUDGET) == expected, (scaled, k)
@@ -283,7 +288,7 @@ def assert_m_from_order_k_matrix(f, k: int) -> int:
     scaled = to_scaled(f)
     full = build_matrix(f, range(k, k + 1))
     derived = trace_module._zero_one_rows(full, scaled)
-    nnz = trace_module._support_sum((t.exps for t in scaled.terms), repeat(1), k)
+    nnz = order_k_nnz(scaled, k)
     assert derived == trace_module._trace_matrix(scaled, k, max_rows=nnz, max_cols=nnz), (f, k)
     expected = triple_sum_by_count_N(scaled, k)
     assert trace_B2(scaled, k, matrix=full) == trace_B2(scaled, k) == expected, (f, k)
